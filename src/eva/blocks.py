@@ -11,10 +11,10 @@ decayed outer-product recurrence over heads, then gates the per-head
 normalized read-out with SiLU(g) before the output projection. CM is the
 squared-ReLU feed-forward with a sigmoid gate.
 
-Every sequence function exists in two modes: a chunked-parallel form used
-for training/offline encoding (with optional cache for the hand-derived
-backward pass) and a single-token recurrent form used for event-by-event
-inference. The two are equivalent up to floating-point rounding.
+This module holds the chunked-parallel form used for training and offline
+encoding, with an optional cache for the hand-derived backward pass, and
+the per-stream `BlockState`. The event-by-event form of the same block is
+`runtime._BlockRt`; the two agree up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -333,89 +333,3 @@ def block_seq_bwd(cache, dout, dS_fin=None):
     grads = {**tm_grads, **cm_grads,
              "ln1_g": dln1_g, "ln1_b": dln1_b, "ln2_g": dln2_g, "ln2_b": dln2_b}
     return dx, grads
-
-
-# ---------------------------------------------------------------------------
-# Single-token recurrent form (event-by-event inference)
-# ---------------------------------------------------------------------------
-
-def tm_project(x, x_prev, bp: BlockParams):
-    """Project one (or a batch of) normalized input(s) to (r, k, v, g, w)."""
-    delta = x_prev - x
-    m = x + delta * bp.mu
-    outs = []
-    for name in _TM_PATHS:
-        gmix = getattr(bp, f"lam_{name}") + np.tanh(m @ getattr(bp, f"A_{name}")) \
-            @ getattr(bp, f"B_{name}")
-        outs.append((x + delta * gmix) @ getattr(bp, f"W_{name}"))
-    d = bp.lam_d + np.tanh(m @ bp.A_w) @ bp.B_w
-    if not np.all(np.isfinite(d)):
-        raise FloatingPointError("non-finite decay pre-activation")
-    w = np.exp(-np.exp(d))
-    r, k, v, g = outs
-    return r, k, v, g, w
-
-
-def tm_step(S, r, k, v, w, u):
-    """One recurrence step on a per-head state stack S: (N, Dh, Dh).
-
-    y = (S + diag(u) k v^T) r per head; S' = diag(w) S + k v^T.
-    Returns (y flattened to (D,), S').
-    """
-    N, Dh, _ = S.shape
-    rh, kh, vh, wh = (z.reshape(N, Dh) for z in (r, k, v, w))
-    uh = u.reshape(N, Dh)
-    kv = kh[:, :, None] * vh[:, None, :]
-    y = np.einsum("nab,nb->na", S + uh[:, :, None] * kv, rh)
-    S_new = wh[:, :, None] * S + kv
-    return y.reshape(-1), S_new
-
-
-def tm_parallel(r, k, v, w, u, S0, n_heads: int, chunk: int = scan.DEFAULT_CHUNK):
-    """Chunked-scan evaluation of iterating tm_step over a (T, D) sequence.
-
-    Returns (y (T, D), S_final). Matches the recurrent iteration to
-    floating-point tolerance.
-    """
-    T, D = r.shape
-    Dh = D // n_heads
-    shape = (1, T, n_heads, Dh)
-    with np.errstate(divide="ignore"):
-        # w == 0 (full reset) clamps to a huge finite log-decay so the
-        # cumulative-sum differences stay NaN-free
-        lw = np.maximum(np.log(w.reshape(shape)), -1e6)
-    y, S_fin = scan.decay_scan_forward(
-        r.reshape(shape), k.reshape(shape), v.reshape(shape), lw,
-        u.reshape(n_heads, Dh), S0[None], chunk)
-    return y.reshape(T, D), S_fin[0]
-
-
-def tm_output(y, g, bp: BlockParams, n_heads: int):
-    """Per-head normalization of y gated by SiLU(g), projected by W_o."""
-    D = y.shape[-1]
-    yn, _ = headln_fwd(y.reshape(*y.shape[:-1], n_heads, D // n_heads))
-    return (silu(g) * yn.reshape(y.shape)) @ bp.W_o
-
-
-def cm_step(x, x_prev, bp: BlockParams):
-    delta = x_prev - x
-    rr = (x + delta * bp.mu_cr) @ bp.W_cr
-    kk = (x + delta * bp.mu_ck) @ bp.W_ck
-    kr = np.maximum(kk, 0.0)
-    return sigmoid(rr) * ((kr * kr) @ bp.W_cv)
-
-
-def block_forward(x, state: BlockState, bp: BlockParams, n_heads: int):
-    """One token through one block, updating `state` in place.
-
-    x: (D,). Returns the block output (D,).
-    """
-    a, _ = ln_fwd(x, bp.ln1_g, bp.ln1_b)
-    r, k, v, g, w = tm_project(a, state.tm_prev, bp)
-    y, state.S = tm_step(state.S, r, k, v, w, bp.u)
-    h = x + tm_output(y, g, bp, n_heads)
-    b, _ = ln_fwd(h, bp.ln2_g, bp.ln2_b)
-    out = h + cm_step(b, state.cm_prev, bp)
-    state.tm_prev = a
-    state.cm_prev = b
-    return out

@@ -34,10 +34,6 @@ def untok(token, H: int, W: int):
     return int(x), int(y), int(p)
 
 
-def vocab_size(H: int, W: int) -> int:
-    return 2 * H * W
-
-
 _FREQ_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -74,21 +70,6 @@ def embed_events(tokens: np.ndarray, dts: np.ndarray, table: np.ndarray) -> np.n
     """table[token] + sinusoid(dt) for arrays of tokens/gaps (any leading shape)."""
     D = table.shape[1]
     return table[tokens] + embed_temporal(dts, D, dtype=table.dtype)
-
-
-def embed_event(event, prev_t: int, table: np.ndarray) -> np.ndarray:
-    """table row of one structured event plus the sinusoid of t - prev_t.
-
-    The patch side is recovered from the table (vocab = 2 * P * P).
-    """
-    P = int(round(np.sqrt(table.shape[0] / 2)))
-    if 2 * P * P != table.shape[0]:
-        raise ValueError("embedding table rows must be 2 * P * P")
-    if event["t"] < prev_t:
-        raise ValueError("event precedes prev_t")
-    token = tok(int(event["x"]), int(event["y"]), int(event["p"]), P, P)
-    return table[token] + embed_temporal(int(event["t"]) - prev_t, table.shape[1],
-                                         dtype=table.dtype)
 
 
 def event_to_token_dt(events: np.ndarray, H: int, W: int, prev_t: int | None = None):

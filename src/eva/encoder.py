@@ -1,10 +1,10 @@
 """Full encoder stack: embedding, pre-norm, mixing blocks, matrix state.
 
-Three evaluation paths share one parameter set:
+Two evaluation modes share one parameter set:
 
-  * `encoder_step`          one event at a time (serving),
-  * `encode_sequence`       chunked-parallel over a whole sequence (offline),
-  * `encode_sequence_recurrent`  the stepping reference for equivalence tests.
+  * event by event, through `runtime.EncoderRuntime` (serving), which
+    `encode_sequence_recurrent` wraps as the stepping reference;
+  * chunked-parallel over a whole sequence, `encode_sequence` (offline).
 
 The training path (`forward_train` / `backward_train`) runs the parallel
 form with caches and returns exact reverse-mode gradients for every
@@ -21,8 +21,9 @@ from . import blocks as B
 from . import mvhs as M
 from . import scan
 from .config import EncoderConfig
-from .embedding import embed_events, embed_temporal
+from .embedding import embed_events
 from .params import EncoderParams
+from .runtime import EncoderRuntime
 
 
 @dataclass
@@ -43,34 +44,6 @@ class EncoderState:
         return EncoderState(blocks=[s.copy() for s in self.blocks],
                             mvhs=self.mvhs.copy(),
                             last_t=self.last_t, event_index=self.event_index)
-
-
-def representation(state: EncoderState, n_out: int) -> M.Representation:
-    return M.Representation(values=M.select_channels(state.mvhs.S, n_out),
-                            event_index=state.event_index, last_t=state.last_t)
-
-
-# ---------------------------------------------------------------------------
-# Event-by-event path
-# ---------------------------------------------------------------------------
-
-def encoder_step(params: EncoderParams, state: EncoderState, token: int, dt: int) -> None:
-    """Absorb one tokenized event into `state`, in place."""
-    cfg = params.config
-    x = params.embed[token] + embed_temporal(dt, cfg.d_model, dtype=params.dtype)
-    h, _ = B.ln_fwd(x, params.ln0_g, params.ln0_b)
-    for bs, bp in zip(state.blocks, params.blocks):
-        h = B.block_forward(h, bs, bp, cfg.n_heads)
-    state.mvhs.S = M.mvhs_step(state.mvhs.S, h, state.mvhs.prev, params.mvhs)
-    state.mvhs.prev = h
-    state.event_index += 1
-
-
-def ingest_event(params: EncoderParams, state: EncoderState, token: int, t: int) -> None:
-    """encoder_step plus the timestamp cursor (dt = t - last_t, 0 at start)."""
-    dt = 0 if state.last_t < 0 else t - state.last_t
-    encoder_step(params, state, token, dt)
-    state.last_t = t
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +86,16 @@ def encode_sequence(params: EncoderParams, tokens, dts,
 
 def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
                               state: EncoderState | None = None, checkpoints=None):
-    """Stepping reference; identical contract to encode_sequence."""
+    """Stepping reference through `EncoderRuntime`; identical contract to
+    encode_sequence."""
     cfg = params.config
     T = len(tokens)
     checkpoints = set(checkpoints) if checkpoints is not None else {T}
     state = state.copy() if state is not None else EncoderState.zeros(cfg, params.dtype)
+    runtime = EncoderRuntime(params)
     snaps = []
     for i in range(T):
-        encoder_step(params, state, int(tokens[i]), int(dts[i]))
+        runtime.step(state, int(tokens[i]), int(dts[i]))
         if i + 1 in checkpoints:
             snaps.append(state.mvhs.S.copy())
     snaps = (np.stack(snaps) if snaps else
@@ -129,14 +104,13 @@ def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
 
 
 def encode_events(params: EncoderParams, events, state=None, checkpoints=None,
-                  chunk: int = scan.DEFAULT_CHUNK, recurrent: bool = False):
+                  chunk: int = scan.DEFAULT_CHUNK):
     """Encode patch-local events, tracking the timestamp cursor."""
     from .embedding import event_to_token_dt
     cfg = params.config
     prev_t = None if state is None or state.last_t < 0 else state.last_t
     tokens, dts = event_to_token_dt(events, cfg.patch, cfg.patch, prev_t)
-    fn = encode_sequence_recurrent if recurrent else encode_sequence
-    snaps, new_state = fn(params, tokens, dts, state, checkpoints)
+    snaps, new_state = encode_sequence(params, tokens, dts, state, checkpoints, chunk)
     if len(events):
         new_state.last_t = int(events["t"][-1])
     return snaps, new_state

@@ -43,15 +43,3 @@ def combine_backward(mses: dict[str, float], weights: LossWeights):
         dL[name] = float(np.exp(-s))
         ds[name] = 1.0 - np.exp(-s) * L
     return dL, ds
-
-
-def mrp_loss(preds: dict[str, np.ndarray], targets: dict[str, np.ndarray],
-             weights: LossWeights, specs) -> float:
-    names = [sp.name for sp in specs if sp.role == "mrp"]
-    return combine({n: task_mse(preds[n], targets[n]) for n in names}, weights)
-
-
-def nrp_loss(preds: dict[str, np.ndarray], targets: dict[str, np.ndarray],
-             weights: LossWeights, specs) -> float:
-    names = [sp.name for sp in specs if sp.role == "nrp"]
-    return combine({n: task_mse(preds[n], targets[n]) for n in names}, weights)

@@ -3,7 +3,8 @@
 Structurally a token-mixing sublayer stripped to its k/v/decay paths: no
 read-out vector, no bonus term, no gating or output projection. The state
 accumulates decayed outer products event by event; snapshots of the first
-`n_out` head matrices form the representation handed to consumers.
+`n_out` head matrices form the representation handed to consumers. This
+module holds the chunked form; the event-by-event step is `runtime._MvhsRt`.
 
 The projection width (`mvhs_state_dim`) normally equals the model width,
 but may differ (e.g. the width-1-head ablation used for size accounting).
@@ -38,40 +39,11 @@ class MvhsState:
         return MvhsState(self.S.copy(), self.prev.copy())
 
 
-@dataclass
-class Representation:
-    """Snapshot of the output channels: values (n_out, Dh, Dh)."""
-
-    values: np.ndarray
-    event_index: int
-    last_t: int
-
-
 def select_channels(S: np.ndarray, n_out: int) -> np.ndarray:
     """Keep the lowest-indexed `n_out` head matrices (copying)."""
     if not 0 < n_out <= S.shape[0]:
         raise ValueError(f"n_out must be in [1, {S.shape[0]}], got {n_out}")
     return S[:n_out].copy()
-
-
-def mvhs_project(x, x_prev, mp: MvhsParams):
-    """Map input rows to (k, v, lw) with lw = -exp(d) the log-decay."""
-    delta = x_prev - x
-    m = x + delta * mp.mu
-    gk = mp.lam_k + np.tanh(m @ mp.A_k) @ mp.B_k
-    gv = mp.lam_v + np.tanh(m @ mp.A_v) @ mp.B_v
-    k = (x + delta * gk) @ mp.W_k
-    v = (x + delta * gv) @ mp.W_v
-    d = mp.lam_d + np.tanh(m @ mp.A_w) @ mp.B_w
-    return k, v, -np.exp(d)
-
-
-def mvhs_step(S: np.ndarray, x, x_prev, mp: MvhsParams) -> np.ndarray:
-    """One event: S'^h = diag(w^h) S^h + k^h (v^h)^T. Returns the new state."""
-    N, Dh, _ = S.shape
-    k, v, lw = mvhs_project(x, x_prev, mp)
-    kh, vh, wh = k.reshape(N, Dh), v.reshape(N, Dh), np.exp(lw).reshape(N, Dh)
-    return wh[:, :, None] * S + kh[:, :, None] * vh[:, None, :]
 
 
 def mvhs_parallel(x: np.ndarray, mp: MvhsParams, S0: np.ndarray, checkpoints,

@@ -53,12 +53,13 @@ class FrameSnapshot:
 
 
 class _Patch:
-    __slots__ = ("state", "lock", "rejected")
+    __slots__ = ("state", "lock", "rejected", "nonfinite")
 
     def __init__(self, cfg, dtype):
         self.state = EncoderState.zeros(cfg, dtype)
         self.lock = threading.Lock()
         self.rejected = 0
+        self.nonfinite = 0
 
 
 class A2SPipeline:
@@ -93,9 +94,22 @@ class A2SPipeline:
                 patch.rejected += 1
                 return False
             token = p * P * P + (y % P) * P + (x % P)
-            self.runtime.ingest(patch.state, token, t)
+            if not self._step(patch, token, t):
+                return False
         with self._counter_lock:
             self.ingested += 1
+        return True
+
+    def _step(self, patch: _Patch, token: int, t: int) -> bool:
+        """Absorb one in-order event under the patch lock. An event that
+        drives the state non-finite resets the patch and is counted."""
+        try:
+            self.runtime.ingest(patch.state, token, t)
+        except FloatingPointError:
+            patch.state = EncoderState.zeros(self.params.config, self.params.dtype)
+            patch.rejected += 1
+            patch.nonfinite += 1
+            return False
         return True
 
     def ingest_events(self, events: np.ndarray) -> tuple[int, int]:
@@ -117,15 +131,15 @@ class A2SPipeline:
             ts = ps.events["t"]
             acc = rej = 0
             with patch.lock:
-                state = patch.state
                 for i in range(len(ts)):
                     t = int(ts[i])
-                    if t < state.last_t:
+                    if t < patch.state.last_t:
                         patch.rejected += 1
                         rej += 1
-                        continue
-                    self.runtime.ingest(state, int(toks[i]), t)
-                    acc += 1
+                    elif self._step(patch, int(toks[i]), t):
+                        acc += 1
+                    else:
+                        rej += 1
             return acc, rej
 
         items = list(by_patch.items())
@@ -166,6 +180,7 @@ class A2SPipeline:
         return {
             "events_ingested": self.ingested,
             "events_rejected": sum(p.rejected for p in self._patches.values()),
+            "events_nonfinite": sum(p.nonfinite for p in self._patches.values()),
             "snapshots_served": self.snapshots_served,
             "patches": len(self._patches),
             "grid_rows": self.geometry.grid_rows,

@@ -1,21 +1,25 @@
-"""Low-overhead event-by-event inference path.
+"""The event-by-event (recurrent) evaluation of the encoder.
 
-Computes the same update as `encoder.encoder_step` (equal up to
-floating-point associativity; the equivalence tests bound the drift),
-with the four r/k/v/g projection paths stacked into batched matmuls and
-the norms written as plain dot products, cutting per-event numpy dispatch
-overhead several-fold. Parameter tensors are referenced, not copied,
-except for the stacked views built at construction; mutate parameters ->
-rebuild the runtime.
+This is the only recurrent implementation: serving steps it, and
+`encoder.encode_sequence_recurrent` wraps it for the mode-equivalence
+tests against the chunked-parallel `encoder.encode_sequence`. The four
+r/k/v/g projection paths are stacked into batched matmuls and the norms
+written as plain dot products, which keeps per-event numpy dispatch low.
+Parameter tensors are referenced, not copied, except for the stacked
+views built at construction; mutate parameters -> rebuild the runtime.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .embedding import _freq_ladder
-from .encoder import EncoderState
 from .params import LN_EPS, BlockParams, EncoderParams, MvhsParams
+
+if TYPE_CHECKING:
+    from .encoder import EncoderState
 
 
 def _ln(x, g, b, eps=LN_EPS):
@@ -123,6 +127,12 @@ class EncoderRuntime:
         self.dtype = params.dtype
 
     def step(self, state: EncoderState, token: int, dt: int) -> None:
+        """Absorb one token with gap `dt` into `state`, in place.
+
+        Raises FloatingPointError, before the matrix state is written, if
+        the blocks produce a non-finite MVHS input; the block states are
+        then already advanced, so the caller must discard `state`.
+        """
         p = self.params
         angles = dt * self.inv_freq
         temporal = np.where(self.even, np.sin(angles), np.cos(angles))
@@ -130,6 +140,8 @@ class EncoderRuntime:
         h = _ln(x, p.ln0_g, p.ln0_b)
         for blk, bs in zip(self.blocks, state.blocks):
             h = blk.step(h, bs)
+        if not np.isfinite(h).all():
+            raise FloatingPointError("non-finite MVHS input")
         self.mvhs.step(h, state.mvhs)
         state.event_index += 1
 

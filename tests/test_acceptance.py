@@ -19,9 +19,10 @@ from eva.embedding import tok, untok
 from eva.events import (SensorGeometry, filter_hot_pixels, make_events, pack_binary,
                         parse_csv, read_binary_file, synth_generate,
                         unpack_binary, write_binary_file, write_csv)
-from eva.mvhs import mvhs_project, mvhs_step
+from eva.mvhs import MvhsState
 from eva.params import init_encoder_params, named_arrays, randomize_params
 from eva.pipeline import A2SPipeline, bench, encode_offline
+from eva.runtime import _BlockRt, _MvhsRt
 from eva.server import EvaClient, EvaServer
 from eva.snapshots import dump_snapshot, load_snapshot, KIND_REPR
 from eva.targets import (StreamingEventCount, StreamingTimeSurface, event_count,
@@ -57,13 +58,14 @@ def _stack_case(seed: int, precision: str):
         params = params.astype(np.float32)
     rng = np.random.default_rng(seed + 2)
     xs = rng.normal(size=(256, 32)).astype(cfg.dtype)
-    # recurrent stepping through all three blocks
+    # event-by-event stepping through all three blocks
+    blocks = [_BlockRt(bp, cfg.n_heads) for bp in params.blocks]
     states = [B.BlockState.zeros(cfg) for _ in range(3)]
     out_r = np.zeros_like(xs)
     for i in range(256):
         h = xs[i]
-        for st, bp in zip(states, params.blocks):
-            h = B.block_forward(h, st, bp, cfg.n_heads)
+        for blk, st in zip(blocks, states):
+            h = blk.step(h, st)
         out_r[i] = h
     # chunked-parallel
     h = xs[None]
@@ -100,15 +102,17 @@ def _mvhs_case(seed: int, T: int) -> float:
     mp = params.mvhs
     rng = np.random.default_rng(seed + 2)
     xs = rng.normal(size=(T, cfg.d_model))
-    prev = np.zeros(cfg.d_model)
-    S = np.zeros((cfg.mvhs_heads, cfg.mvhs_d_head, cfg.mvhs_d_head))
-    ks, vs, ws = [], [], []
+    rt = _MvhsRt(mp, cfg.mvhs_heads, cfg.mvhs_d_head)
+    state = MvhsState.zeros(cfg)
+    # per-event k, v and decay, written out from the layer's formulas
+    prev = np.vstack([np.zeros(cfg.d_model), xs[:-1]])
+    m = xs + (prev - xs) * mp.mu
+    k = (xs + (prev - xs) * (mp.lam_k + np.tanh(m @ mp.A_k) @ mp.B_k)) @ mp.W_k
+    v = (xs + (prev - xs) * (mp.lam_v + np.tanh(m @ mp.A_v) @ mp.B_v)) @ mp.W_v
+    w = np.exp(-np.exp(mp.lam_d + np.tanh(m @ mp.A_w) @ mp.B_w))
     for i in range(T):
-        k, v, lw = mvhs_project(xs[i], prev, mp)
-        ks.append(k), vs.append(v), ws.append(np.exp(lw))
-        S = mvhs_step(S, xs[i], prev, mp)
-        prev = xs[i]
-    k, v, w = np.array(ks), np.array(vs), np.array(ws)
+        rt.step(xs[i], state)
+    S = state.S
     # prefix-sum formula, evaluated directly per head
     Dh = cfg.mvhs_d_head
     worst = 0.0

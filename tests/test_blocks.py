@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from eva import blocks as B
+from eva import scan
 from eva.config import EncoderConfig
 from eva.params import init_block_params, init_encoder_params, randomize_params
+from eva.runtime import _BlockRt
 
 CFG = EncoderConfig(d_model=12, n_blocks=1, n_heads=2, d_ffn=20, d_lora=4,
                     d_w=4, mvhs_heads=2, mvhs_d_head=6, n_out=2, patch=4,
@@ -69,14 +71,73 @@ def test_ddlerp_scalar_oracle():
 
 
 # ---------------------------------------------------------------------------
-# tm_project
+# One block step: the event-by-event `_BlockRt.step` and the chunked
+# sublayers at T=1, against the formulas
 # ---------------------------------------------------------------------------
+
+def tm_one(bp, x, x_prev, S0=None):
+    """tm_sublayer_fwd on a single token: (o (D,), S' (N, Dh, Dh), cache)."""
+    if S0 is None:
+        S0 = np.zeros((2, 6, 6))
+    o, S_f, _, cache = B.tm_sublayer_fwd(x[None, None], x_prev[None], S0[None],
+                                         bp, 2, want_cache=True)
+    return o[0, 0], S_f[0], cache
+
+
+def cm_one(x, x_prev, bp):
+    o, _ = B.cm_sublayer_fwd(x[None, None], x_prev[None], bp)
+    return o[0, 0]
+
+
+def rt_one(bp, x, S=None, tm_prev=None, cm_prev=None):
+    """_BlockRt.step on one token: (out, state after)."""
+    state = B.BlockState.zeros(CFG)
+    for name, val in (("S", S), ("tm_prev", tm_prev), ("cm_prev", cm_prev)):
+        if val is not None:
+            setattr(state, name, val.copy())
+    return _BlockRt(bp, CFG.n_heads).step(x.copy(), state), state
+
+
+def block_step_oracle(x, S, tm_prev, cm_prev, bp, n_heads=2):
+    """One token through one block, written out from the formulas.
+
+    Returns (out, S', tm_prev', cm_prev')."""
+    def ln(z, g, b):
+        return (z - z.mean()) / np.sqrt(z.var() + 1e-5) * g + b
+
+    D = x.shape[0]
+    Dh = D // n_heads
+    a = ln(x, bp.ln1_g, bp.ln1_b)
+    m = a + (tm_prev - a) * bp.mu
+    proj = {}
+    for name in ("r", "k", "v", "g"):
+        gmix = getattr(bp, f"lam_{name}") + np.tanh(m @ getattr(bp, f"A_{name}")) \
+            @ getattr(bp, f"B_{name}")
+        proj[name] = (a + (tm_prev - a) * gmix) @ getattr(bp, f"W_{name}")
+    w = np.exp(-np.exp(bp.lam_d + np.tanh(m @ bp.A_w) @ bp.B_w))
+    yn = np.zeros(D)
+    S_new = np.zeros_like(S)
+    for h in range(n_heads):
+        sl = slice(h * Dh, (h + 1) * Dh)
+        r, k, v = proj["r"][sl], proj["k"][sl], proj["v"][sl]
+        y = (S[h] + np.outer(bp.u[sl] * k, v)) @ r
+        yn[sl] = (y - y.mean()) / np.sqrt(y.var() + 1e-5)
+        S_new[h] = w[sl][:, None] * S[h] + np.outer(k, v)
+    g = proj["g"]
+    hid = x + (g / (1 + np.exp(-g)) * yn) @ bp.W_o
+    b = ln(hid, bp.ln2_g, bp.ln2_b)
+    rr = (b + (cm_prev - b) * bp.mu_cr) @ bp.W_cr
+    kk = np.maximum((b + (cm_prev - b) * bp.mu_ck) @ bp.W_ck, 0.0)
+    out = hid + (1 / (1 + np.exp(-rr))) * ((kk * kk) @ bp.W_cv)
+    return out, S_new, a, b
+
 
 def test_tm_project_decay_in_unit_interval():
     bp = random_block(5)
     rng = np.random.default_rng(6)
     for _ in range(20):
-        *_, w = B.tm_project(rng.normal(size=12), rng.normal(size=12), bp)
+        *_, cache = tm_one(bp, rng.normal(size=12), rng.normal(size=12))
+        w = np.exp(cache["lw"])
         assert np.all(w > 0.0) and np.all(w < 1.0)
 
 
@@ -85,47 +146,74 @@ def test_tm_project_decay_endpoints():
     x, xp = np.zeros(12), np.zeros(12)
     bp.A_w[...] = 0.0
     bp.lam_d[...] = -40.0  # d -> -inf limit: w -> 1
-    *_, w = B.tm_project(x, xp, bp)
-    assert np.allclose(w, 1.0)
+    *_, cache = tm_one(bp, x, xp)
+    assert np.allclose(np.exp(cache["lw"]), 1.0)
     bp.lam_d[...] = 10.0  # large d: w -> 0
-    *_, w = B.tm_project(x, xp, bp)
-    assert np.allclose(w, 0.0)
+    *_, cache = tm_one(bp, x, xp)
+    assert np.allclose(np.exp(cache["lw"]), 0.0)
 
 
 def test_tm_project_matches_formula_trace():
+    # the whole block step from a non-zero state, both evaluation modes
     bp = random_block(8)
     rng = np.random.default_rng(9)
-    x, xp = rng.normal(size=12), rng.normal(size=12)
-    r, k, v, g, w = B.tm_project(x, xp, bp)
-    m = x + (xp - x) * bp.mu
-    for name, got in (("r", r), ("k", k), ("v", v), ("g", g)):
-        gmix = getattr(bp, f"lam_{name}") + np.tanh(m @ getattr(bp, f"A_{name}")) \
-            @ getattr(bp, f"B_{name}")
-        want = (x + (xp - x) * gmix) @ getattr(bp, f"W_{name}")
-        assert np.allclose(got, want, rtol=1e-12)
-    d = bp.lam_d + np.tanh(m @ bp.A_w) @ bp.B_w
-    assert np.allclose(w, np.exp(-np.exp(d)), rtol=1e-12)
+    x, tm_prev, cm_prev = (rng.normal(size=12) for _ in range(3))
+    S = rng.normal(size=(2, 6, 6))
+    want = block_step_oracle(x, S, tm_prev, cm_prev, bp)
+    out, st = rt_one(bp, x, S, tm_prev, cm_prev)
+    seq, (S_f, tm_c, cm_c) = B.block_seq_fwd(x[None, None], S[None], tm_prev[None],
+                                             cm_prev[None], bp, CFG.n_heads)
+    for got in ((out, st.S, st.tm_prev, st.cm_prev), (seq[0, 0], S_f[0], tm_c[0], cm_c[0])):
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# tm_step / tm_parallel
+# The decayed outer-product scan (`scan.decay_scan_forward`) against a
+# stepping loop written in the test
 # ---------------------------------------------------------------------------
+
+def step_ref(S, r, k, v, w, u):
+    """One recurrence step per head on S: (N, Dh, Dh).
+
+    y = (S + diag(u) k v^T) r; S' = diag(w) S + k v^T. Returns (y (D,), S')."""
+    N, Dh, _ = S.shape
+    rh, kh, vh, wh, uh = (z.reshape(N, Dh) for z in (r, k, v, w, u))
+    kv = kh[:, :, None] * vh[:, None, :]
+    y = np.einsum("nab,nb->na", S + uh[:, :, None] * kv, rh)
+    return y.reshape(-1), wh[:, :, None] * S + kv
+
+
+def scan_seq(r, k, v, lw, u, S0, chunk=scan.DEFAULT_CHUNK):
+    """decay_scan_forward on (T, D) rows split into S0.shape[0] heads."""
+    T, D = r.shape
+    N, Dh, _ = S0.shape
+    shape = (1, T, N, Dh)
+    y, S_fin = scan.decay_scan_forward(
+        r.reshape(shape), k.reshape(shape), v.reshape(shape), lw.reshape(shape),
+        u.reshape(N, Dh), S0[None], chunk)
+    return y.reshape(T, D), S_fin[0]
+
 
 def test_tm_step_first_token_unit_vectors():
-    # 2-dim single head, S = 0, u = 1, k = v = r = e1
-    S = np.zeros((1, 2, 2))
-    e1 = np.array([1.0, 0.0])
-    y, S2 = B.tm_step(S, e1, e1, e1, np.ones(2), np.ones(2))
-    assert np.allclose(y, e1)
+    # 2-dim single head, S = 0, u = 1, k = v = r = e1, w = 1
+    e1 = np.array([[1.0, 0.0]])
+    y, S2 = scan_seq(e1, e1, e1, np.zeros((1, 2)), np.ones(2), np.zeros((1, 2, 2)))
+    assert np.allclose(y[0], e1[0])
     assert np.allclose(S2[0], np.outer(e1, e1))
 
 
 def test_tm_step_zero_decay_resets():
+    # w = 0 (large decay bias): the step's new state forgets the old one
+    bp = random_block(10)
+    bp.A_w[...] = 0.0
+    bp.lam_d[...] = 10.0
     rng = np.random.default_rng(10)
-    S = rng.normal(size=(1, 3, 3))
-    k, v, r = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-    _, S2 = B.tm_step(S, r, k, v, np.zeros(3), np.zeros(3))
-    assert np.allclose(S2[0], np.outer(k, v))
+    x, tm_prev = rng.normal(size=12), rng.normal(size=12)
+    _, from_random = rt_one(bp, x, rng.normal(size=(2, 6, 6)), tm_prev)
+    _, from_zero = rt_one(bp, x, None, tm_prev)
+    assert np.array_equal(from_random.S, from_zero.S)
+    assert np.any(from_zero.S != 0.0)
 
 
 def brute_force_readout(r, k, v, w, u):
@@ -150,12 +238,10 @@ def test_tm_step_sequence_matches_prefix_sum_form():
     r, k, v = (rng.normal(size=(T, D)) for _ in range(3))
     w = rng.uniform(0.05, 0.99, size=(T, D))
     u = rng.normal(size=D)
-    S = np.zeros((1, D, D))
-    got = np.zeros((T, D))
-    for i in range(T):
-        got[i], S = B.tm_step(S, r[i], k[i], v[i], w[i], u)
     want = brute_force_readout(r, k, v, w, u)
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
+    for chunk in (64, 16):
+        got, _ = scan_seq(r, k, v, np.log(w), u, np.zeros((1, D, D)), chunk)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
 
 def test_tm_parallel_length_one_equals_step():
@@ -165,8 +251,8 @@ def test_tm_parallel_length_one_equals_step():
     w = rng.uniform(0.1, 0.9, size=(1, D))
     u = rng.normal(size=D)
     S0 = rng.normal(size=(N, D // N, D // N))
-    y_p, S_p = B.tm_parallel(r, k, v, w, u, S0, n_heads=N)
-    y_s, S_s = B.tm_step(S0, r[0], k[0], v[0], w[0], u)
+    y_p, S_p = scan_seq(r, k, v, np.log(w), u, S0)
+    y_s, S_s = step_ref(S0, r[0], k[0], v[0], w[0], u)
     assert np.allclose(y_p[0], y_s, rtol=1e-12)
     assert np.allclose(S_p, S_s, rtol=1e-12)
 
@@ -175,14 +261,14 @@ def test_tm_parallel_matches_recurrent_T256():
     rng = np.random.default_rng(13)
     T, D, N = 256, 32, 4
     r, k, v = (rng.normal(size=(T, D)) for _ in range(3))
-    w = np.exp(-np.exp(rng.normal(size=(T, D))))
+    lw = -np.exp(rng.normal(size=(T, D)))
     u = rng.normal(size=D)
     S0 = rng.normal(size=(N, D // N, D // N))
-    y_p, S_p = B.tm_parallel(r, k, v, w, u, S0, n_heads=N)
+    y_p, S_p = scan_seq(r, k, v, lw, u, S0)
     S = S0.copy()
     y_r = np.zeros((T, D))
     for i in range(T):
-        y_r[i], S = B.tm_step(S, r[i], k[i], v[i], w[i], u)
+        y_r[i], S = step_ref(S, r[i], k[i], v[i], np.exp(lw[i]), u)
     assert np.max(np.abs(y_p - y_r)) / np.max(np.abs(y_r)) <= 1e-10
     assert np.max(np.abs(S_p - S)) / np.max(np.abs(S)) <= 1e-10
 
@@ -192,21 +278,25 @@ def test_tm_parallel_unit_decay_is_prefix_sum():
     T, D = 40, 4
     k, v = rng.normal(size=(T, D)), rng.normal(size=(T, D))
     r = rng.normal(size=(T, D))
-    _, S_fin = B.tm_parallel(r, k, v, np.ones((T, D)), np.zeros(D),
-                             np.zeros((1, D, D)), n_heads=1)
+    _, S_fin = scan_seq(r, k, v, np.zeros((T, D)), np.zeros(D), np.zeros((1, D, D)))
     want = sum(np.outer(k[t], v[t]) for t in range(T))
     assert np.allclose(S_fin[0], want, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# tm_output / cm_step
+# TM output stage and CM sublayer
 # ---------------------------------------------------------------------------
 
 def test_tm_output_zero_gate():
     bp = random_block(15)
+    bp.W_g[...] = 0.0  # g = 0 -> SiLU(g) = 0
     rng = np.random.default_rng(16)
-    out = B.tm_output(rng.normal(size=12), np.zeros(12), bp, n_heads=2)
-    assert np.allclose(out, 0.0)
+    o, _, _ = tm_one(bp, rng.normal(size=12), rng.normal(size=12),
+                     rng.normal(size=(2, 6, 6)))
+    assert np.allclose(o, 0.0)
+    bp.W_cv[...] = 0.0
+    x = rng.normal(size=12)
+    assert np.allclose(rt_one(bp, x, rng.normal(size=(2, 6, 6)))[0], x)
 
 
 def test_tm_output_constant_head_normalizes_to_zero():
@@ -214,15 +304,24 @@ def test_tm_output_constant_head_normalizes_to_zero():
     y = np.concatenate([np.full(6, 3.7), np.full(6, -1.2)])
     yn, _ = B.headln_fwd(y.reshape(2, 6))
     assert np.allclose(yn, 0.0)  # zero variance handled by eps
-    out = B.tm_output(y, np.ones(12), bp, n_heads=2)
-    assert np.allclose(out, 0.0)
+    bp.W_r[...] = 0.0  # r = 0 -> y = 0, constant in every head
+    rng = np.random.default_rng(17)
+    o, _, _ = tm_one(bp, rng.normal(size=12), rng.normal(size=12),
+                     rng.normal(size=(2, 6, 6)))
+    assert np.allclose(o, 0.0)
+    bp.W_cv[...] = 0.0
+    x = rng.normal(size=12)
+    assert np.allclose(rt_one(bp, x, rng.normal(size=(2, 6, 6)))[0], x)
 
 
 def test_tm_output_scalar_composition():
     bp = random_block(18)
     rng = np.random.default_rng(19)
-    y, g = rng.normal(size=12), rng.normal(size=12)
-    got = B.tm_output(y, g, bp, n_heads=2)
+    S0 = rng.normal(size=(2, 6, 6))
+    got, _, cache = tm_one(bp, rng.normal(size=12), rng.normal(size=12), S0)
+    r, k, v = (cache["paths"][n][2][0, 0] @ getattr(bp, f"W_{n}") for n in "rkv")
+    y, _ = step_ref(S0, r, k, v, np.ones(12), bp.u)
+    g = cache["g"][0, 0]
     yh = y.reshape(2, 6)
     yn = (yh - yh.mean(1, keepdims=True)) / np.sqrt(yh.var(1, keepdims=True) + 1e-5)
     silu = g / (1 + np.exp(-g))
@@ -236,14 +335,14 @@ def test_cm_step_relu_kill():
     rng = np.random.default_rng(21)
     x = rng.normal(size=12)
     # k' = 0 everywhere -> relu^2 = 0 -> output 0
-    assert np.allclose(B.cm_step(x, rng.normal(size=12), bp), 0.0)
+    assert np.allclose(cm_one(x, rng.normal(size=12), bp), 0.0)
 
 
 def test_cm_step_degenerate_lerp():
     bp = random_block(22)
     rng = np.random.default_rng(23)
     x = rng.normal(size=12)
-    got = B.cm_step(x, x.copy(), bp)
+    got = cm_one(x, x.copy(), bp)
     rr = x @ bp.W_cr
     kk = np.maximum(x @ bp.W_ck, 0.0)
     want = (1 / (1 + np.exp(-rr))) * ((kk * kk) @ bp.W_cv)
@@ -254,7 +353,7 @@ def test_cm_step_scalar_oracle():
     bp = random_block(24)
     rng = np.random.default_rng(25)
     x, xp = rng.normal(size=12), rng.normal(size=12)
-    got = B.cm_step(x, xp, bp)
+    got = cm_one(x, xp, bp)
     lr = x + (xp - x) * bp.mu_cr
     lk = x + (xp - x) * bp.mu_ck
     kk = np.maximum(lk @ bp.W_ck, 0.0)
@@ -263,26 +362,26 @@ def test_cm_step_scalar_oracle():
 
 
 # ---------------------------------------------------------------------------
-# block_forward and whole-stack properties
+# Whole block and whole-stack properties
 # ---------------------------------------------------------------------------
 
 def test_block_identity_with_zero_outputs():
     bp = random_block(26)
     bp.W_o[...] = 0.0
     bp.W_cv[...] = 0.0
+    rt = _BlockRt(bp, CFG.n_heads)
     state = B.BlockState.zeros(CFG)
     rng = np.random.default_rng(27)
     for _ in range(5):
         x = rng.normal(size=12)
-        assert np.allclose(B.block_forward(x, state, bp, CFG.n_heads), x)
+        assert np.allclose(rt.step(x, state), x)
 
 
 def test_block_single_token_equals_length_one_seq():
     bp = random_block(28)
     rng = np.random.default_rng(29)
     x = rng.normal(size=12)
-    state = B.BlockState.zeros(CFG)
-    out = B.block_forward(x.copy(), state, bp, CFG.n_heads)
+    out, state = rt_one(bp, x)
     S0 = np.zeros((1, 2, 6, 6))
     carry = np.zeros((1, 12))
     out_seq, (S_f, tm_c, cm_c) = B.block_seq_fwd(x[None, None], S0, carry, carry,
@@ -295,12 +394,13 @@ def test_block_single_token_equals_length_one_seq():
 
 def _stack_outputs_recurrent(params, xs):
     cfg = params.config
+    blocks = [_BlockRt(bp, cfg.n_heads) for bp in params.blocks]
     states = [B.BlockState.zeros(cfg) for _ in params.blocks]
     outs = np.zeros_like(xs)
     for i in range(len(xs)):
         h = xs[i]
-        for st, bp in zip(states, params.blocks):
-            h = B.block_forward(h, st, bp, cfg.n_heads)
+        for blk, st in zip(blocks, states):
+            h = blk.step(h, st)
         outs[i] = h
     return outs, states
 
@@ -362,19 +462,17 @@ def test_causality():
 
 
 def test_state_bounded_by_outer_product_sums():
-    # with 0 < w < 1, |S_T| <= sum_t |k_t| |v_t|^T entrywise
+    # with 0 < w < 1, |S_T| <= sum_t |k_t| |v_t|^T entrywise, at every prefix
     rng = np.random.default_rng(37)
     T, D, N = 100, 8, 2
-    k, v, r = (rng.normal(size=(T, D)) for _ in range(3))
-    w = np.exp(-np.exp(rng.normal(size=(T, D))))
-    S = np.zeros((N, D // N, D // N))
-    bound = np.zeros_like(S)
+    k, v = (rng.normal(size=(1, T, N, D // N)) for _ in range(2))
+    lw = -np.exp(rng.normal(size=(1, T, N, D // N)))
+    snaps, _ = scan.state_scan_forward(k, v, lw, np.zeros((1, N, D // N, D // N)),
+                                       range(1, T + 1), chunk=16)
+    bound = np.zeros((N, D // N, D // N))
     for i in range(T):
-        _, S = B.tm_step(S, r[i], k[i], v[i], w[i], np.zeros(D))
-        kh = np.abs(k[i].reshape(N, -1))
-        vh = np.abs(v[i].reshape(N, -1))
-        bound += kh[:, :, None] * vh[:, None, :]
-        assert np.all(np.abs(S) <= bound + 1e-12)
+        bound += np.abs(k[0, i])[:, :, None] * np.abs(v[0, i])[:, None, :]
+        assert np.all(np.abs(snaps[0, i]) <= bound + 1e-12)
 
 
 @pytest.mark.parametrize("decay_bias", [-6.0, 3.0])
@@ -402,15 +500,15 @@ def test_tm_parallel_zero_decay_matches_recurrent():
     rng = np.random.default_rng(43)
     T, D, N = 20, 8, 2
     r, k, v = (rng.normal(size=(T, D)) for _ in range(3))
-    w = rng.uniform(0.1, 0.9, size=(T, D))
-    w[7] = 0.0  # exact full reset mid-sequence
+    lw = np.log(rng.uniform(0.1, 0.9, size=(T, D)))
+    lw[7] = -1e6  # exact full reset mid-sequence: exp(lw) == 0
     u = rng.normal(size=D)
     S0 = rng.normal(size=(N, D // N, D // N))
-    y_p, S_p = B.tm_parallel(r, k, v, w, u, S0, n_heads=N)
+    y_p, S_p = scan_seq(r, k, v, lw, u, S0)
     S = S0.copy()
     y_r = np.zeros((T, D))
     for i in range(T):
-        y_r[i], S = B.tm_step(S, r[i], k[i], v[i], w[i], u)
+        y_r[i], S = step_ref(S, r[i], k[i], v[i], np.exp(lw[i]), u)
     assert np.all(np.isfinite(y_p))
     assert np.max(np.abs(y_p - y_r)) / np.max(np.abs(y_r)) <= 1e-10
     assert np.max(np.abs(S_p - S)) / np.max(np.abs(S)) <= 1e-10

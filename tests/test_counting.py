@@ -39,9 +39,10 @@ def test_vector_ablation_runs():
                         d_w=4, mvhs_heads=8, mvhs_d_head=1, n_out=8, patch=4,
                         precision="f64")
     params = init_encoder_params(cfg, seed=0)
-    from eva.encoder import EncoderState, encoder_step
+    from eva.encoder import EncoderState
+    from eva.runtime import EncoderRuntime
     st = EncoderState.zeros(cfg)
-    encoder_step(params, st, 3, 10)
+    EncoderRuntime(params).step(st, 3, 10)
     assert st.mvhs.S.shape == (8, 1, 1)
     assert np.all(np.isfinite(st.mvhs.S))
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eva.config import EncoderConfig
 from eva.embedding import (embed_events, embed_temporal, event_to_token_dt,
-                           init_embedding_table, tok, untok, vocab_size)
+                           init_embedding_table, tok, untok)
 from eva.events import make_events
 
 
@@ -27,7 +28,7 @@ def test_tok_exhaustive_bijection_16x16():
             for x in range(16):
                 seen.add(tok(x, y, p, 16, 16))
     assert seen == set(range(512))
-    assert vocab_size(16, 16) == 512
+    assert EncoderConfig(patch=16).vocab == 512
 
 
 def test_untok_spot():
@@ -124,11 +125,9 @@ def test_init_table_near_zero():
 
 
 def test_embed_event_single():
-    from eva.embedding import embed_event
     rng = np.random.default_rng(3)
     table = rng.normal(size=(2 * 16 * 16, 8))
-    ev = make_events([150], [3], [2], [1])[0]
-    got = embed_event(ev, 100, table)
+    ev = make_events([150], [3], [2], [1])
+    tokens, dts = event_to_token_dt(ev, 16, 16, prev_t=100)
+    got = embed_events(tokens, dts, table)
     assert np.allclose(got, table[291] + embed_temporal(50, 8))
-    with pytest.raises(ValueError):
-        embed_event(ev, 200, table)

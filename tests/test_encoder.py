@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eva.config import ENCODER_PROFILES, EncoderConfig
-from eva.encoder import (EncoderState, encode_sequence, encode_sequence_recurrent,
-                         encoder_step, ingest_event, representation)
+from eva.encoder import EncoderState, encode_sequence, encode_sequence_recurrent
+from eva.mvhs import select_channels
 from eva.params import init_encoder_params, randomize_params
 from eva.runtime import EncoderRuntime
 
@@ -54,9 +54,7 @@ def test_split_invariance_any_boundary(cut):
 
 def test_runtime_matches_reference_long_stream(params):
     tokens, dts = random_stream(6, 400)
-    ref = EncoderState.zeros(CFG)
-    for tk, dt in zip(tokens, dts):
-        encoder_step(params, ref, int(tk), int(dt))
+    _, ref = encode_sequence(params, tokens, dts)
     rt = EncoderRuntime(params)
     fast = EncoderState.zeros(CFG)
     for tk, dt in zip(tokens, dts):
@@ -72,31 +70,30 @@ def test_runtime_matches_reference_gen1_geometry():
     rng = np.random.default_rng(8)
     tokens = rng.integers(0, cfg.vocab, size=100)
     dts = rng.integers(0, 500, size=100)
-    ref = EncoderState.zeros(cfg)
+    _, ref = encode_sequence(params, tokens, dts)
     fast = EncoderState.zeros(cfg)
     rt = EncoderRuntime(params)
     for tk, dt in zip(tokens, dts):
-        encoder_step(params, ref, int(tk), int(dt))
         rt.step(fast, int(tk), int(dt))
     scale = np.abs(ref.mvhs.S).max()
     assert np.abs(fast.mvhs.S - ref.mvhs.S).max() / scale <= 1e-5  # f32 profile
 
 
 def test_ingest_event_tracks_timestamps(params):
+    rt = EncoderRuntime(params)
     st = EncoderState.zeros(CFG)
-    ingest_event(params, st, 3, 100)
+    rt.ingest(st, 3, 100)
     assert st.last_t == 100 and st.event_index == 1
-    ingest_event(params, st, 4, 130)
+    rt.ingest(st, 4, 130)
     assert st.last_t == 130 and st.event_index == 2
-    rep = representation(st, CFG.n_out)
-    assert rep.values.shape == (2, 8, 8)
-    assert rep.event_index == 2 and rep.last_t == 130
+    assert select_channels(st.mvhs.S, CFG.n_out).shape == (2, 8, 8)
 
 
 def test_first_event_gap_is_zero(params):
     # stream start: dt = 0 regardless of the absolute timestamp
+    rt = EncoderRuntime(params)
     a = EncoderState.zeros(CFG)
     b = EncoderState.zeros(CFG)
-    ingest_event(params, a, 5, 0)
-    ingest_event(params, b, 5, 999_999)
+    rt.ingest(a, 5, 0)
+    rt.ingest(b, 5, 999_999)
     assert np.array_equal(a.mvhs.S, b.mvhs.S)

@@ -4,6 +4,7 @@ import pytest
 from eva import mvhs as M
 from eva.config import EncoderConfig
 from eva.params import init_mvhs_params
+from eva.runtime import _MvhsRt
 
 CFG = EncoderConfig(d_model=8, n_blocks=1, n_heads=2, d_ffn=16, d_lora=4,
                     d_w=4, mvhs_heads=2, mvhs_d_head=4, n_out=2, patch=4,
@@ -17,6 +18,21 @@ def random_mvhs(seed, cfg=CFG):
         arr = getattr(mp, name)
         arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
     return mp
+
+
+def project_ref(x, x_prev, mp):
+    """The layer's (k, v, w) for one input, written out from the formulas."""
+    m = x + (x_prev - x) * mp.mu
+    gk = mp.lam_k + np.tanh(m @ mp.A_k) @ mp.B_k
+    gv = mp.lam_v + np.tanh(m @ mp.A_v) @ mp.B_v
+    k = (x + (x_prev - x) * gk) @ mp.W_k
+    v = (x + (x_prev - x) * gv) @ mp.W_v
+    return k, v, np.exp(-np.exp(mp.lam_d + np.tanh(m @ mp.A_w) @ mp.B_w))
+
+
+def stepper(mp, cfg=CFG):
+    """The event-by-event layer and a zero state for it."""
+    return _MvhsRt(mp, cfg.mvhs_heads, cfg.mvhs_d_head), M.MvhsState.zeros(cfg)
 
 
 def force_identity_kv(mp, w_value=-40.0):
@@ -35,12 +51,12 @@ def test_pure_accumulation_two_events():
     force_identity_kv(mp)
     e1 = np.zeros(8)
     e1[0] = 1.0  # head 0, channel 0
-    S = np.zeros((2, 4, 4))
-    S = M.mvhs_step(S, e1, np.zeros(8), mp)
-    S = M.mvhs_step(S, e1, e1, mp)
+    rt, state = stepper(mp)
+    rt.step(e1, state)
+    rt.step(e1, state)
     want = np.zeros((2, 4, 4))
     want[0, 0, 0] = 2.0
-    assert np.allclose(S, want)
+    assert np.allclose(state.S, want)
 
 
 def test_zero_events_zero_state():
@@ -65,16 +81,17 @@ def test_recurrent_matches_closed_form_T512():
     T = 512
     xs = rng.normal(size=(T, 8))
     prev = np.zeros(8)
-    S = np.zeros((2, 4, 4))
+    rt, state = stepper(mp)
     ks, vs, ws = [], [], []
     for i in range(T):
-        k, v, lw = M.mvhs_project(xs[i], prev, mp)
+        k, v, w = project_ref(xs[i], prev, mp)
         ks.append(k)
         vs.append(v)
-        ws.append(np.exp(lw))
-        S = M.mvhs_step(S, xs[i], prev, mp)
+        ws.append(w)
+        rt.step(xs[i], state)
         prev = xs[i]
     k, v, w = np.array(ks), np.array(vs), np.array(ws)
+    S = state.S
     for h in range(2):
         sl = slice(h * 4, (h + 1) * 4)
         want = closed_form_state(k[:, sl], v[:, sl], w[:, sl])
@@ -89,11 +106,10 @@ def test_parallel_single_checkpoint_equals_stepping():
     xs = rng.normal(size=(T, 8))
     S0 = np.zeros((2, 4, 4))
     snaps, S_fin = M.mvhs_parallel(xs, mp, S0, [T])
-    S = S0.copy()
-    prev = np.zeros(8)
+    rt, state = stepper(mp)
     for i in range(T):
-        S = M.mvhs_step(S, xs[i], prev, mp)
-        prev = xs[i]
+        rt.step(xs[i], state)
+    S = state.S
     assert snaps.shape == (1, 2, 4, 4)
     assert np.allclose(snaps[0], S, rtol=1e-10, atol=1e-13)
     assert np.allclose(S_fin, S, rtol=1e-10, atol=1e-13)
@@ -105,12 +121,10 @@ def test_parallel_full_trajectory():
     T = 17
     xs = rng.normal(size=(T, 8))
     snaps, _ = M.mvhs_parallel(xs, mp, np.zeros((2, 4, 4)), list(range(1, T + 1)))
-    S = np.zeros((2, 4, 4))
-    prev = np.zeros(8)
+    rt, state = stepper(mp)
     for i in range(T):
-        S = M.mvhs_step(S, xs[i], prev, mp)
-        prev = xs[i]
-        assert np.allclose(snaps[i], S, rtol=1e-10, atol=1e-13)
+        rt.step(xs[i], state)
+        assert np.allclose(snaps[i], state.S, rtol=1e-10, atol=1e-13)
 
 
 def test_parallel_checkpoints_every_16():
@@ -120,14 +134,12 @@ def test_parallel_checkpoints_every_16():
     xs = rng.normal(size=(T, 8))
     cps = list(range(16, T + 1, 16))
     snaps, _ = M.mvhs_parallel(xs, mp, np.zeros((2, 4, 4)), cps)
-    S = np.zeros((2, 4, 4))
-    prev = np.zeros(8)
+    rt, state = stepper(mp)
     j = 0
     for i in range(T):
-        S = M.mvhs_step(S, xs[i], prev, mp)
-        prev = xs[i]
+        rt.step(xs[i], state)
         if i + 1 in cps:
-            rel = np.max(np.abs(snaps[j] - S)) / np.max(np.abs(S))
+            rel = np.max(np.abs(snaps[j] - state.S)) / np.max(np.abs(state.S))
             assert rel <= 1e-9
             j += 1
 
@@ -153,14 +165,11 @@ def test_state_is_event_driven():
     # no new events -> unchanged state, regardless of wall-clock time
     mp = random_mvhs(12)
     rng = np.random.default_rng(13)
-    S = np.zeros((2, 4, 4))
-    prev = np.zeros(8)
+    rt, state = stepper(mp)
     for _ in range(5):
-        x = rng.normal(size=8)
-        S = M.mvhs_step(S, x, prev, mp)
-        prev = x
-    before = S.copy()
-    assert np.array_equal(S, before)  # nothing mutates without an event
+        rt.step(rng.normal(size=8), state)
+    before = state.S.copy()
+    assert np.array_equal(state.S, before)  # nothing mutates without an event
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eva.config import ENCODER_PROFILES, EncoderConfig
-from eva.encoder import EncoderState, encoder_step, encode_events
+from eva.encoder import encode_events, encode_sequence
 from eva.events import SensorGeometry, make_events, synth_generate
 from eva.params import init_encoder_params
 from eva.pipeline import A2SPipeline, bench, encode_offline
@@ -23,9 +23,8 @@ def test_single_event_matches_reference_composition(small_params):
     geom = SensorGeometry(16, 16, 8)
     pipe = A2SPipeline(small_params, geom, threads=1)
     assert pipe.ingest(100, 3, 2, 1)
-    ref = EncoderState.zeros(SMALL)
     token = 1 * 64 + 2 * 8 + 3
-    encoder_step(small_params, ref, token, 0)
+    _, ref = encode_sequence(small_params, [token], [0])
     got = pipe._patches[(0, 0)].state
     assert np.allclose(got.mvhs.S, ref.mvhs.S, rtol=1e-12)
 
@@ -190,3 +189,46 @@ def test_batch_ingest_rejects_out_of_bounds(small_params):
     ref = A2SPipeline(small_params, geom, threads=1)
     ref.ingest_events(make_events([1], [0], [0], [0]))
     assert np.array_equal(pipe.snapshot().values, ref.snapshot().values)
+
+
+def test_ingest_events_equals_ingest_loop(small_params):
+    # interleaved patches, with out-of-order and out-of-bounds events
+    geom = SensorGeometry(16, 16, 8)
+    ev = synth_generate("uniform_noise", geom, 50_000, 4000.0, seed=6)
+    rng = np.random.default_rng(7)
+    late = rng.choice(len(ev), size=len(ev) // 10, replace=False)
+    ev["t"][late] = np.maximum(ev["t"][late] - 5_000, 0)
+    ev["x"][rng.choice(len(ev), size=5, replace=False)] = 99
+    ev["p"][rng.choice(len(ev), size=5, replace=False)] = 2
+    batch = A2SPipeline(small_params, geom, threads=1)
+    loop = A2SPipeline(small_params, geom, threads=1)
+    got = batch.ingest_events(ev)
+    oks = [loop.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) for e in ev]
+    assert got == (sum(oks), len(oks) - sum(oks))
+    assert 10 < got[1] < len(ev) // 2
+    assert batch.stats() == loop.stats()
+    a, b = batch.snapshot(), loop.snapshot()
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.watermarks, b.watermarks)
+
+
+def test_nonfinite_event_resets_patch(small_params):
+    params = small_params.astype(np.float64)  # a copy: the fixture is shared
+    params.blocks[1].W_o[0, 0] = np.inf
+    geom = SensorGeometry(16, 16, 8)
+    pipe = A2SPipeline(params, geom, threads=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not pipe.ingest(100, 3, 2, 1)
+    patch = pipe._patches[(0, 0)].state
+    assert patch.last_t == -1 and patch.event_index == 0
+    for arr in [patch.mvhs.S, patch.mvhs.prev] + [a for bs in patch.blocks
+                                                 for a in (bs.S, bs.tm_prev, bs.cm_prev)]:
+        assert np.all(arr == 0.0)
+    stats = pipe.stats()
+    assert stats["events_nonfinite"] == 1
+    assert stats["events_rejected"] == 1 and stats["events_ingested"] == 0
+    snap = pipe.snapshot()
+    assert np.all(np.isfinite(snap.values))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert pipe.ingest_events(make_events([200], [9], [9], [0])) == (0, 1)
+    assert pipe.stats()["events_nonfinite"] == 2

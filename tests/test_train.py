@@ -105,10 +105,11 @@ def test_mrp_nrp_split_shared_reduction():
     preds = {sp.name: rng.normal(size=(2, 2, 4, 4)) for sp in SPECS}
     targets = {sp.name: rng.normal(size=(2, 2, 4, 4)) for sp in SPECS}
     w = L.LossWeights([sp.name for sp in SPECS])
-    mrp = L.mrp_loss(preds, targets, w, SPECS)
-    nrp = L.nrp_loss(preds, targets, w, SPECS)
-    every = L.combine({sp.name: L.task_mse(preds[sp.name], targets[sp.name])
-                       for sp in SPECS}, w)
+    w.s[SPECS[0].name][...] = 0.3
+    mses = {sp.name: L.task_mse(preds[sp.name], targets[sp.name]) for sp in SPECS}
+    mrp = L.combine({sp.name: mses[sp.name] for sp in SPECS if sp.role == "mrp"}, w)
+    nrp = L.combine({sp.name: mses[sp.name] for sp in SPECS if sp.role == "nrp"}, w)
+    every = L.combine(mses, w)
     assert mrp + nrp == pytest.approx(every)
 
 
