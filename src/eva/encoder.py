@@ -103,14 +103,13 @@ def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
     return snaps, state
 
 
-def encode_events(params: EncoderParams, events, state=None, checkpoints=None,
-                  chunk: int = scan.DEFAULT_CHUNK):
+def encode_events(params: EncoderParams, events, state=None, checkpoints=None):
     """Encode patch-local events, tracking the timestamp cursor."""
     from .embedding import event_to_token_dt
     cfg = params.config
     prev_t = None if state is None or state.last_t < 0 else state.last_t
     tokens, dts = event_to_token_dt(events, cfg.patch, cfg.patch, prev_t)
-    snaps, new_state = encode_sequence(params, tokens, dts, state, checkpoints, chunk)
+    snaps, new_state = encode_sequence(params, tokens, dts, state, checkpoints)
     if len(events):
         new_state.last_t = int(events["t"][-1])
     return snaps, new_state

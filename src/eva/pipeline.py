@@ -102,11 +102,13 @@ class A2SPipeline:
 
     def _step(self, patch: _Patch, token: int, t: int) -> bool:
         """Absorb one in-order event under the patch lock. An event that
-        drives the state non-finite resets the patch and is counted."""
+        would drive the state non-finite zeroes the patch's block and MVHS
+        state, keeps its watermark and is counted."""
         try:
             self.runtime.ingest(patch.state, token, t)
         except FloatingPointError:
-            patch.state = EncoderState.zeros(self.params.config, self.params.dtype)
+            fresh = EncoderState.zeros(self.params.config, self.params.dtype)
+            patch.state.blocks, patch.state.mvhs = fresh.blocks, fresh.mvhs
             patch.rejected += 1
             patch.nonfinite += 1
             return False

@@ -98,6 +98,8 @@ class _MvhsRt:
         self.d_lora = mp.A_k.shape[1]
 
     def step(self, x, state) -> None:
+        """Raises FloatingPointError, before `state.S` is written, if the
+        update (k, v or the decay w) is non-finite."""
         mp = self.mp
         N, Dh, Dl = self.n_heads, self.d_head, self.d_lora
         delta = state.prev - x
@@ -109,6 +111,8 @@ class _MvhsRt:
         v = (x + delta * gv) @ mp.W_v
         d = mp.lam_d + np.tanh(m @ mp.A_w) @ mp.B_w
         w = np.exp(-np.exp(d))
+        if not (np.isfinite(k).all() and np.isfinite(v).all() and np.isfinite(w).all()):
+            raise FloatingPointError("non-finite MVHS update")
         S = state.S
         S *= w.reshape(N, Dh)[:, :, None]
         S += k.reshape(N, Dh)[:, :, None] * v.reshape(N, Dh)[:, None, :]
@@ -130,8 +134,9 @@ class EncoderRuntime:
         """Absorb one token with gap `dt` into `state`, in place.
 
         Raises FloatingPointError, before the matrix state is written, if
-        the blocks produce a non-finite MVHS input; the block states are
-        then already advanced, so the caller must discard `state`.
+        the MVHS update is non-finite (a non-finite block output makes it
+        so); the block states are then already advanced, so the caller
+        must discard them.
         """
         p = self.params
         angles = dt * self.inv_freq
@@ -140,8 +145,6 @@ class EncoderRuntime:
         h = _ln(x, p.ln0_g, p.ln0_b)
         for blk, bs in zip(self.blocks, state.blocks):
             h = blk.step(h, bs)
-        if not np.isfinite(h).all():
-            raise FloatingPointError("non-finite MVHS input")
         self.mvhs.step(h, state.mvhs)
         state.event_index += 1
 

@@ -212,18 +212,26 @@ def test_ingest_events_equals_ingest_loop(small_params):
     assert np.array_equal(a.watermarks, b.watermarks)
 
 
-def test_nonfinite_event_resets_patch(small_params):
+def _assert_zero_state(st):
+    for arr in [st.mvhs.S, st.mvhs.prev] + [a for bs in st.blocks
+                                           for a in (bs.S, bs.tm_prev, bs.cm_prev)]:
+        assert np.all(arr == 0.0)
+
+
+@pytest.mark.parametrize("poison", ["block W_o", "mvhs W_k"])
+def test_nonfinite_event_resets_patch(small_params, poison):
     params = small_params.astype(np.float64)  # a copy: the fixture is shared
-    params.blocks[1].W_o[0, 0] = np.inf
+    if poison == "block W_o":
+        params.blocks[1].W_o[0, 0] = np.inf
+    else:
+        params.mvhs.W_k[0, 0] = np.inf
     geom = SensorGeometry(16, 16, 8)
     pipe = A2SPipeline(params, geom, threads=1)
     with np.errstate(invalid="ignore", over="ignore"):
         assert not pipe.ingest(100, 3, 2, 1)
     patch = pipe._patches[(0, 0)].state
     assert patch.last_t == -1 and patch.event_index == 0
-    for arr in [patch.mvhs.S, patch.mvhs.prev] + [a for bs in patch.blocks
-                                                 for a in (bs.S, bs.tm_prev, bs.cm_prev)]:
-        assert np.all(arr == 0.0)
+    _assert_zero_state(patch)
     stats = pipe.stats()
     assert stats["events_nonfinite"] == 1
     assert stats["events_rejected"] == 1 and stats["events_ingested"] == 0
@@ -232,3 +240,20 @@ def test_nonfinite_event_resets_patch(small_params):
     with np.errstate(invalid="ignore", over="ignore"):
         assert pipe.ingest_events(make_events([200], [9], [9], [0])) == (0, 1)
     assert pipe.stats()["events_nonfinite"] == 2
+
+
+def test_nonfinite_event_keeps_watermark(small_params):
+    params = small_params.astype(np.float64)
+    bad = 1 * 64 + 2 * 8 + 3  # the token of event (x=3, y=2, p=1)
+    params.embed[bad, 0] = np.inf
+    pipe = A2SPipeline(params, SensorGeometry(16, 16, 8), threads=1)
+    assert pipe.ingest(100, 0, 0, 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not pipe.ingest(200, 3, 2, 1)
+    _assert_zero_state(pipe._patches[(0, 0)].state)
+    assert pipe.snapshot().watermarks[0, 0] == 100
+    assert not pipe.ingest(50, 0, 0, 0)  # still older than the watermark
+    assert pipe.ingest(150, 0, 0, 0)
+    stats = pipe.stats()
+    assert stats["events_nonfinite"] == 1
+    assert stats["events_rejected"] == 2 and stats["events_ingested"] == 2
