@@ -13,8 +13,9 @@ squared-ReLU feed-forward with a sigmoid gate.
 
 This module holds the chunked-parallel form used for training and offline
 encoding, with an optional cache for the hand-derived backward pass, and
-the per-stream `BlockState`. The event-by-event form of the same block is
-`runtime._BlockRt`; the two agree up to floating-point rounding.
+the per-stream `BlockState`. `mix_fwd`/`mix_bwd` (ddlerp, LoRA paths,
+decay) are shared with the matrix-state layer `mvhs`. The event-by-event
+form of the block is `runtime._BlockRt`; the two agree up to rounding.
 """
 
 from __future__ import annotations
@@ -95,17 +96,6 @@ def headln_bwd(cache, dy):
                   - yhat * (dy * yhat).mean(-1, keepdims=True))
 
 
-def lora(x, lam, A, B):
-    """lam + tanh(x A) B, on a single vector or batched rows."""
-    return lam + np.tanh(x @ A) @ B
-
-
-def ddlerp(x, x_prev, mu, lam, A, B):
-    """Data-dependent interpolation between the current and previous input."""
-    delta = x_prev - x
-    return x + delta * lora(x + delta * mu, lam, A, B)
-
-
 def _shift(a, carry):
     """Previous-token sequence: [carry, a_0, ..., a_{T-2}]."""
     return np.concatenate([carry[:, None], a[:, :-1]], axis=1)
@@ -114,6 +104,83 @@ def _shift(a, carry):
 def _outer_grad(x, dy):
     """sum over leading dims of x[..., i] dy[..., j] -> (Din, Dout) GEMM."""
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+# ---------------------------------------------------------------------------
+# Token-shift front end, shared by TM and the matrix-state layer
+# ---------------------------------------------------------------------------
+
+# Cap on the decay pre-activation d. exp(d) overflows to inf above d ~ 709,
+# and the chunked scan's cw - lw then gives NaN where stepping gives w = 0.
+# log(60) keeps lw = -exp(d) >= -60, a chunk's cumulative sum of lw stays
+# accurate in f32, and w = exp(-60) is already a full reset.
+_D_CAP = float(np.log(60.0))
+
+
+def mix_fwd(a, carry, p, paths):
+    """a: (B, T, D); carry: (B, D), the input before a[:, 0]; p: BlockParams
+    or MvhsParams. With delta = a_prev - a and m = a + delta * mu, each path
+    projects (a + delta * (lam + tanh(m A) B)) @ W, and the decay is
+    lw = -exp(min(d, _D_CAP)), d = lam_d + tanh(m A_w) B_w.
+    Returns ({path: projection}, lw, cache)."""
+    delta = _shift(a, carry) - a
+    m = a + delta * p.mu
+    proj, path_cache = {}, {}
+    for name in paths:
+        q = np.tanh(m @ getattr(p, f"A_{name}"))
+        gmix = getattr(p, f"lam_{name}") + q @ getattr(p, f"B_{name}")
+        mixed = a + delta * gmix
+        proj[name] = mixed @ getattr(p, f"W_{name}")
+        path_cache[name] = (q, gmix, mixed)
+
+    q_d = np.tanh(m @ p.A_w)
+    d = p.lam_d + q_d @ p.B_w
+    lw = -np.exp(np.minimum(d, _D_CAP))
+    cache = {"a": a, "delta": delta, "m": m, "paths": path_cache, "q_d": q_d,
+             "lw": lw, "capped": d > _D_CAP, "p": p}
+    return proj, lw, cache
+
+
+def mix_bwd(cache, dprojs, dlw):
+    """Adjoint of mix_fwd. Returns (da, d_carry, grads by parameter name)."""
+    p = cache["p"]
+    a, delta, m = cache["a"], cache["delta"], cache["m"]
+    grads = {}
+
+    # decay path: lw = -exp(d), d = lam_d + tanh(m A_w) B_w; capped d is constant
+    dd = np.where(cache["capped"], 0.0, dlw * cache["lw"])
+    grads["lam_d"] = dd.sum((0, 1))
+    q_d = cache["q_d"]
+    grads["B_w"] = _outer_grad(q_d, dd)
+    dz_d = (dd @ p.B_w.T) * (1.0 - q_d * q_d)
+    grads["A_w"] = _outer_grad(m, dz_d)
+    dm = dz_d @ p.A_w.T
+
+    da = np.zeros_like(a)
+    ddelta = np.zeros_like(a)
+    for name, dproj in dprojs.items():
+        q, gmix, mixed = cache["paths"][name]
+        grads[f"W_{name}"] = _outer_grad(mixed, dproj)
+        dmixed = dproj @ getattr(p, f"W_{name}").T
+        da += dmixed
+        ddelta += dmixed * gmix
+        dgmix = dmixed * delta
+        grads[f"lam_{name}"] = dgmix.sum((0, 1))
+        grads[f"B_{name}"] = _outer_grad(q, dgmix)
+        dz = (dgmix @ getattr(p, f"B_{name}").T) * (1.0 - q * q)
+        grads[f"A_{name}"] = _outer_grad(m, dz)
+        dm += dz @ getattr(p, f"A_{name}").T
+
+    # m = a + delta * mu
+    da += dm
+    ddelta += dm * p.mu
+    grads["mu"] = (dm * delta).sum((0, 1))
+
+    # delta = a_prev - a; a_prev = shift(a, carry)
+    da -= ddelta
+    da[:, :-1] += ddelta[:, 1:]
+    d_carry = ddelta[:, 0].copy()
+    return da, d_carry, grads
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +198,9 @@ def tm_sublayer_fwd(a, carry, S0, bp: BlockParams, n_heads: int,
     """
     B, T, D = a.shape
     Dh = D // n_heads
-    a_prev = _shift(a, carry)
-    delta = a_prev - a
-    m = a + delta * bp.mu
-
-    proj = {}
-    path_cache = {}
-    for name in _TM_PATHS:
-        lam, A, Bm, W = (getattr(bp, f"lam_{name}"), getattr(bp, f"A_{name}"),
-                         getattr(bp, f"B_{name}"), getattr(bp, f"W_{name}"))
-        q = np.tanh(m @ A)
-        gmix = lam + q @ Bm
-        mixed = a + delta * gmix
-        proj[name] = mixed @ W
-        path_cache[name] = (q, gmix, mixed)
-
-    q_d = np.tanh(m @ bp.A_w)
-    d = bp.lam_d + q_d @ bp.B_w
-    lw = -np.exp(d)
-
-    r = proj["r"].reshape(B, T, n_heads, Dh)
-    k = proj["k"].reshape(B, T, n_heads, Dh)
-    v = proj["v"].reshape(B, T, n_heads, Dh)
-    lw_h = lw.reshape(B, T, n_heads, Dh)
+    proj, lw, mix_cache = mix_fwd(a, carry, bp, _TM_PATHS)
+    r, k, v, lw_h = (z.reshape(B, T, n_heads, Dh)
+                     for z in (proj["r"], proj["k"], proj["v"], lw))
     u_h = bp.u.reshape(n_heads, Dh)
 
     if want_cache:
@@ -171,9 +218,8 @@ def tm_sublayer_fwd(a, carry, S0, bp: BlockParams, n_heads: int,
     new_carry = a[:, -1].copy()
     if not want_cache:
         return o, S_fin, new_carry
-    cache = {"a": a, "delta": delta, "m": m, "paths": path_cache, "q_d": q_d,
-             "lw": lw, "scan": scan_cache, "headln": headln_cache, "g": g,
-             "sg": sg, "yn": yn, "o_pre": o_pre, "bp": bp,
+    cache = {"mix": mix_cache, "scan": scan_cache, "headln": headln_cache,
+             "g": g, "sg": sg, "yn": yn, "o_pre": o_pre, "bp": bp,
              "n_heads": n_heads}
     return o, S_fin, new_carry, cache
 
@@ -181,8 +227,7 @@ def tm_sublayer_fwd(a, carry, S0, bp: BlockParams, n_heads: int,
 def tm_sublayer_bwd(cache, do, dS_fin=None):
     """Returns (da, d_carry, grads dict keyed by BlockParams field name)."""
     bp: BlockParams = cache["bp"]
-    a, delta, m = cache["a"], cache["delta"], cache["m"]
-    B, T, D = a.shape
+    B, T, D = do.shape
     n_heads = cache["n_heads"]
     Dh = D // n_heads
     grads = {}
@@ -190,8 +235,7 @@ def tm_sublayer_bwd(cache, do, dS_fin=None):
     # output projection and gate
     grads["W_o"] = _outer_grad(cache["o_pre"], do)
     d_opre = do @ bp.W_o.T
-    yn_flat = cache["yn"].reshape(B, T, D)
-    dsg = d_opre * yn_flat
+    dsg = d_opre * cache["yn"].reshape(B, T, D)
     dyn = (d_opre * cache["sg"]).reshape(B, T, n_heads, Dh)
     sig_g = sigmoid(cache["g"])
     dg_proj = dsg * (sig_g * (1.0 + cache["g"] * (1.0 - sig_g)))
@@ -204,42 +248,8 @@ def tm_sublayer_bwd(cache, do, dS_fin=None):
 
     dproj = {"r": dr.reshape(B, T, D), "k": dk.reshape(B, T, D),
              "v": dv.reshape(B, T, D), "g": dg_proj}
-
-    # decay path: lw = -exp(d), d = lam_d + tanh(m A_w) B_w
-    dd = dlw.reshape(B, T, D) * cache["lw"]
-    grads["lam_d"] = dd.sum((0, 1))
-    q_d = cache["q_d"]
-    grads["B_w"] = _outer_grad(q_d, dd)
-    dz_d = (dd @ bp.B_w.T) * (1.0 - q_d * q_d)
-    grads["A_w"] = _outer_grad(m, dz_d)
-    dm = dz_d @ bp.A_w.T
-
-    da = np.zeros_like(a)
-    ddelta = np.zeros_like(a)
-    for name in _TM_PATHS:
-        q, gmix, mixed = cache["paths"][name]
-        W = getattr(bp, f"W_{name}")
-        grads[f"W_{name}"] = _outer_grad(mixed, dproj[name])
-        dmixed = dproj[name] @ W.T
-        da += dmixed
-        ddelta += dmixed * gmix
-        dgmix = dmixed * delta
-        grads[f"lam_{name}"] = dgmix.sum((0, 1))
-        Bm = getattr(bp, f"B_{name}")
-        grads[f"B_{name}"] = _outer_grad(q, dgmix)
-        dz = (dgmix @ Bm.T) * (1.0 - q * q)
-        grads[f"A_{name}"] = _outer_grad(m, dz)
-        dm += dz @ getattr(bp, f"A_{name}").T
-
-    # m = a + delta * mu
-    da += dm
-    ddelta += dm * bp.mu
-    grads["mu"] = (dm * delta).sum((0, 1))
-
-    # delta = a_prev - a; a_prev = shift(a, carry)
-    da -= ddelta
-    da[:, :-1] += ddelta[:, 1:]
-    d_carry = ddelta[:, 0].copy()
+    da, d_carry, mix_grads = mix_bwd(cache["mix"], dproj, dlw.reshape(B, T, D))
+    grads.update(mix_grads)
     return da, d_carry, grads
 
 

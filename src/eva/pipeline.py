@@ -78,6 +78,7 @@ class A2SPipeline:
                          for r in range(geometry.grid_rows)
                          for c in range(geometry.grid_cols)}
         self.ingested = 0
+        self.out_of_bounds = 0
         self.snapshots_served = 0
         self._counter_lock = threading.Lock()
 
@@ -86,6 +87,8 @@ class A2SPipeline:
         its patch or out of the sensor bounds."""
         g = self.geometry
         if not (0 <= x < g.width and 0 <= y < g.height and p in (0, 1)):
+            with self._counter_lock:
+                self.out_of_bounds += 1
             return False
         P = g.patch
         patch = self._patches[(y // P, x // P)]
@@ -121,6 +124,9 @@ class A2SPipeline:
                  & (events["y"] >= 0) & (events["y"] < g.height)
                  & ((events["p"] == 0) | (events["p"] == 1)))
         rejected = int(np.count_nonzero(~valid))
+        if rejected:
+            with self._counter_lock:
+                self.out_of_bounds += rejected
         by_patch = partition_patches(events[valid], self.geometry)
         accepted = 0
 
@@ -181,8 +187,10 @@ class A2SPipeline:
     def stats(self) -> dict:
         return {
             "events_ingested": self.ingested,
-            "events_rejected": sum(p.rejected for p in self._patches.values()),
+            "events_rejected": (sum(p.rejected for p in self._patches.values())
+                                + self.out_of_bounds),
             "events_nonfinite": sum(p.nonfinite for p in self._patches.values()),
+            "events_out_of_bounds": self.out_of_bounds,
             "snapshots_served": self.snapshots_served,
             "patches": len(self._patches),
             "grid_rows": self.geometry.grid_rows,

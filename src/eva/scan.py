@@ -11,6 +11,10 @@ of lw, which keeps every factor in (0, 1] and underflows harmlessly to 0;
 state is carried across chunks in full precision. The backward passes
 recompute within-chunk quantities from the cached chunk-boundary states.
 
+`decay_scan_*` (with read-out, token mixing) and `state_scan_*` (state
+only, the matrix-state layer) share one state-update kernel, `_state_out`
+and its adjoint `_state_out_bwd`.
+
 Shapes: sequences are (B, T, N, Dh); states are (B, N, Dh, Dh) with the
 first Dh axis indexing the k channel (the decayed one) and the second the
 v channel; u is (N, Dh). The contractions are phrased as batched matmuls
@@ -58,6 +62,32 @@ def _sv_matrix(v, r):
     return np.matmul(_seq(r), _seq(v).transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
 
 
+def _state_out(k, v, cw, S_in):
+    """State after one chunk with inclusive log-decay prefix cw."""
+    cw_last = cw[:, -1]
+    e2 = np.exp(cw_last[:, None] - cw)
+    # S_out[a, e] = e_last[a] S_in[a, e] + sum_t e2[t, a] k[t, a] v[t, e]
+    return np.exp(cw_last)[..., None] * S_in \
+        + np.matmul(_seq(e2 * k).transpose(0, 1, 3, 2), _seq(v))
+
+
+def _state_out_bwd(k, v, cw, S_in, dS_out):
+    """Adjoint of _state_out. Returns (dk, dv, dcw, dS_in)."""
+    cw_last = cw[:, -1]
+    e2 = np.exp(cw_last[:, None] - cw)
+    w_last = np.exp(cw_last)
+    dS_in = w_last[..., None] * dS_out
+    # p1[t, a] = sum_e v[t, e] dS_out[a, e]
+    p1 = _seq(np.matmul(_seq(v), dS_out.transpose(0, 1, 3, 2)))
+    dk = e2 * p1
+    dv = _seq(np.matmul(_seq(e2 * k), dS_out))
+    x_t = e2 * k * p1
+    dcw = -x_t
+    dcw[:, -1] += x_t.sum(axis=1)
+    dcw[:, -1] += w_last * (S_in * dS_out).sum(-1)
+    return dk, dv, dcw, dS_in
+
+
 def scan_chunk_forward(r, k, v, lw, u, S_in):
     """One chunk of the full recurrence with read-out. Returns (y, S_out)."""
     cw, cwe = _chunk_cw(lw)
@@ -68,42 +98,21 @@ def scan_chunk_forward(r, k, v, lw, u, S_in):
     y_intra = np.einsum("bctna,bctn->bcna", dk, sv)
     sv_diag = (v * r).sum(-1)
     y = y_carry + y_intra + u[None, None] * k * sv_diag[..., None]
-    cw_last = cw[:, -1]
-    e2 = np.exp(cw_last[:, None] - cw)
-    # S_out[a, e] = e_last[a] S_in[a, e] + sum_t e2[t, a] k[t, a] v[t, e]
-    S_out = np.exp(cw_last)[..., None] * S_in \
-        + np.matmul(_seq(e2 * k).transpose(0, 1, 3, 2), _seq(v))
-    return y, S_out
+    return y, _state_out(k, v, cw, S_in)
 
 
 def scan_chunk_backward(r, k, v, lw, u, S_in, dY, dS_out):
     """Adjoint of scan_chunk_forward. Returns (dr, dk, dv, dlw, du, dS_in)."""
     cw, cwe = _chunk_cw(lw)
     e_cwe = np.exp(cwe)
-    cw_last = cw[:, -1]
-    e2 = np.exp(cw_last[:, None] - cw)
     dmat = _intra_decay(cw, cwe)
     dk_mat = dmat * k[:, None]
     sv = _sv_matrix(v, r)
     sv_diag = (v * r).sum(-1)
 
-    dcw = np.zeros_like(cw)
+    dk, dv, dcw, dS_in = _state_out_bwd(k, v, cw, S_in, dS_out)
     dcwe = np.zeros_like(cwe)
     dr = np.zeros_like(r)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-
-    # state output: S_out = exp(cw_last) * S_in + sum_t e2 k v^T
-    w_last = np.exp(cw_last)
-    dS_in = w_last[..., None] * dS_out
-    dcw[:, -1] += w_last * (S_in * dS_out).sum(-1)
-    # p1[t, a] = sum_e v[t, e] dS_out[a, e]
-    p1 = _seq(np.matmul(_seq(v), dS_out.transpose(0, 1, 3, 2)))
-    dk += e2 * p1
-    dv += _seq(np.matmul(_seq(e2 * k), dS_out))
-    x_t = e2 * k * p1
-    dcw -= x_t
-    dcw[:, -1] += x_t.sum(axis=1)
 
     # carry read-out: y_carry = e_cwe * (S_in r)
     y_carry = _carry_readout(S_in, r, e_cwe)
@@ -187,28 +196,12 @@ def decay_scan_backward(cache, dY, dS_final):
 # ---------------------------------------------------------------------------
 
 def state_chunk_forward(k, v, lw, S_in):
-    cw, _ = _chunk_cw(lw)
-    cw_last = cw[:, -1]
-    e2 = np.exp(cw_last[:, None] - cw)
-    return np.exp(cw_last)[..., None] * S_in \
-        + np.matmul(_seq(e2 * k).transpose(0, 1, 3, 2), _seq(v))
+    return _state_out(k, v, np.cumsum(lw, axis=1), S_in)
 
 
 def state_chunk_backward(k, v, lw, S_in, dS_out):
-    cw, _ = _chunk_cw(lw)
-    cw_last = cw[:, -1]
-    e2 = np.exp(cw_last[:, None] - cw)
-    w_last = np.exp(cw_last)
-    dS_in = w_last[..., None] * dS_out
-    p1 = _seq(np.matmul(_seq(v), dS_out.transpose(0, 1, 3, 2)))
-    dk = e2 * p1
-    dv = _seq(np.matmul(_seq(e2 * k), dS_out))
-    x_t = e2 * k * p1
-    dcw = -x_t
-    dcw[:, -1] += x_t.sum(axis=1)
-    dcw[:, -1] += w_last * (S_in * dS_out).sum(-1)
-    dlw = _rev_cumsum(dcw, 1)
-    return dk, dv, dlw, dS_in
+    dk, dv, dcw, dS_in = _state_out_bwd(k, v, np.cumsum(lw, axis=1), S_in, dS_out)
+    return dk, dv, _rev_cumsum(dcw, 1), dS_in
 
 
 def _segment_bounds(T: int, checkpoints, chunk: int) -> list[tuple[int, int, bool]]:

@@ -55,19 +55,23 @@ def dump_snapshot(kind: int, values: np.ndarray, watermark: int,
 
 
 def load_snapshot(data: bytes) -> Snapshot:
+    if len(data) < _HEADER.size:
+        raise SnapshotError(f"snapshot of {len(data)} bytes is shorter than its header")
     magic, kind, C, tile, rows, cols, watermark = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise SnapshotError(f"bad magic {magic!r}")
+    if kind not in (KIND_EC, KIND_TS, KIND_QUANT, KIND_REPR):
+        raise SnapshotError(f"unknown snapshot kind {kind}")
     pos = _HEADER.size
     dtype = np.dtype("<u1") if kind == KIND_QUANT else np.dtype("<f4")
     count = C * rows * tile * cols * tile
+    size = pos + count * dtype.itemsize + 8 * rows * cols
+    if len(data) != size:
+        raise SnapshotError(f"snapshot of {len(data)} bytes, its header implies {size}")
     values = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     values = values.reshape(C, rows * tile, cols * tile).copy()
     pos += count * dtype.itemsize
     wm = np.frombuffer(data, dtype="<u8", count=rows * cols, offset=pos)
-    pos += 8 * rows * cols
-    if pos != len(data):
-        raise SnapshotError("trailing bytes in snapshot")
     return Snapshot(kind, values, int(watermark), (rows, cols), tile,
                     wm.reshape(rows, cols).astype(np.int64))
 

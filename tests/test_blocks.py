@@ -4,7 +4,8 @@ import pytest
 from eva import blocks as B
 from eva import scan
 from eva.config import EncoderConfig
-from eva.params import init_block_params, init_encoder_params, randomize_params
+from eva.params import (MvhsParams, init_block_params, init_encoder_params,
+                        randomize_params)
 from eva.runtime import _BlockRt
 
 CFG = EncoderConfig(d_model=12, n_blocks=1, n_heads=2, d_ffn=20, d_lora=4,
@@ -24,21 +25,37 @@ def random_block(seed, cfg=CFG):
 
 
 # ---------------------------------------------------------------------------
-# lora / ddlerp
+# The token-shift front end (`mix_fwd`) on one token: the LoRA mix
+# lam + tanh(m A) B and the data-dependent lerp x + (x_prev - x) * mix
 # ---------------------------------------------------------------------------
+
+def mix_one(x, x_prev, mu, lam, A, Bm):
+    """mix_fwd at T=1 on one path with an identity projection.
+
+    Returns (lerp output, LoRA mix), both (D,)."""
+    D = x.shape[0]
+    p = MvhsParams(mu=mu, lam_k=lam, lam_v=None, A_k=A, A_v=None, B_k=Bm, B_v=None,
+                   lam_d=np.zeros(D), A_w=np.zeros((D, 1)), B_w=np.zeros((1, D)),
+                   W_k=np.eye(D), W_v=None)
+    proj, _, cache = B.mix_fwd(x[None, None], x_prev[None], p, ("k",))
+    return proj["k"][0, 0], cache["paths"]["k"][1][0, 0]
+
 
 def test_lora_zero_input_returns_bias():
     rng = np.random.default_rng(0)
     lam, A, Bm = rng.normal(size=6), rng.normal(size=(6, 3)), rng.normal(size=(3, 6))
-    assert np.allclose(B.lora(np.zeros(6), lam, A, Bm), lam)
-    assert np.allclose(B.lora(rng.normal(size=6), lam, np.zeros((6, 3)), Bm), lam)
+    zero = np.zeros(6)
+    assert np.allclose(mix_one(zero, zero, rng.normal(size=6), lam, A, Bm)[1], lam)
+    x, xp = rng.normal(size=6), rng.normal(size=6)
+    assert np.allclose(mix_one(x, xp, rng.normal(size=6), lam, np.zeros((6, 3)), Bm)[1],
+                       lam)
 
 
 def test_lora_scalar_oracle():
     rng = np.random.default_rng(1)
-    x, lam = rng.normal(size=4), rng.normal(size=4)
+    x, xp, lam = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
     A, Bm = rng.normal(size=(4, 2)), rng.normal(size=(2, 4))
-    got = B.lora(x, lam, A, Bm)
+    _, got = mix_one(x, xp, np.zeros(4), lam, A, Bm)  # mu = 0: m = x
     for i in range(4):
         want = lam[i] + sum(np.tanh(sum(x[d] * A[d, l] for d in range(4))) * Bm[l, i]
                             for l in range(2))
@@ -48,15 +65,15 @@ def test_lora_scalar_oracle():
 def test_ddlerp_identical_inputs_is_identity():
     rng = np.random.default_rng(2)
     x = rng.normal(size=5)
-    out = B.ddlerp(x, x.copy(), rng.normal(size=5), rng.normal(size=5),
-                   rng.normal(size=(5, 3)), rng.normal(size=(3, 5)))
+    out, _ = mix_one(x, x.copy(), rng.normal(size=5), rng.normal(size=5),
+                     rng.normal(size=(5, 3)), rng.normal(size=(3, 5)))
     assert np.allclose(out, x)
 
 
 def test_ddlerp_full_shift():
     rng = np.random.default_rng(3)
     x, xp = rng.normal(size=5), rng.normal(size=5)
-    out = B.ddlerp(x, xp, np.zeros(5), np.ones(5), np.zeros((5, 3)), np.zeros((3, 5)))
+    out, _ = mix_one(x, xp, np.zeros(5), np.ones(5), np.zeros((5, 3)), np.zeros((3, 5)))
     assert np.allclose(out, xp)
 
 
@@ -64,7 +81,7 @@ def test_ddlerp_scalar_oracle():
     rng = np.random.default_rng(4)
     x, xp, mu, lam = (rng.normal(size=3) for _ in range(4))
     A, Bm = rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
-    got = B.ddlerp(x, xp, mu, lam, A, Bm)
+    got, _ = mix_one(x, xp, mu, lam, A, Bm)
     m = x + (xp - x) * mu
     g = lam + np.tanh(m @ A) @ Bm
     assert np.allclose(got, x + (xp - x) * g)
@@ -137,7 +154,7 @@ def test_tm_project_decay_in_unit_interval():
     rng = np.random.default_rng(6)
     for _ in range(20):
         *_, cache = tm_one(bp, rng.normal(size=12), rng.normal(size=12))
-        w = np.exp(cache["lw"])
+        w = np.exp(cache["mix"]["lw"])
         assert np.all(w > 0.0) and np.all(w < 1.0)
 
 
@@ -147,10 +164,10 @@ def test_tm_project_decay_endpoints():
     bp.A_w[...] = 0.0
     bp.lam_d[...] = -40.0  # d -> -inf limit: w -> 1
     *_, cache = tm_one(bp, x, xp)
-    assert np.allclose(np.exp(cache["lw"]), 1.0)
+    assert np.allclose(np.exp(cache["mix"]["lw"]), 1.0)
     bp.lam_d[...] = 10.0  # large d: w -> 0
     *_, cache = tm_one(bp, x, xp)
-    assert np.allclose(np.exp(cache["lw"]), 0.0)
+    assert np.allclose(np.exp(cache["mix"]["lw"]), 0.0)
 
 
 def test_tm_project_matches_formula_trace():
@@ -319,7 +336,7 @@ def test_tm_output_scalar_composition():
     rng = np.random.default_rng(19)
     S0 = rng.normal(size=(2, 6, 6))
     got, _, cache = tm_one(bp, rng.normal(size=12), rng.normal(size=12), S0)
-    r, k, v = (cache["paths"][n][2][0, 0] @ getattr(bp, f"W_{n}") for n in "rkv")
+    r, k, v = (cache["mix"]["paths"][n][2][0, 0] @ getattr(bp, f"W_{n}") for n in "rkv")
     y, _ = step_ref(S0, r, k, v, np.ones(12), bp.u)
     g = cache["g"][0, 0]
     yh = y.reshape(2, 6)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eva.config import ENCODER_PROFILES, EncoderConfig
-from eva.encoder import EncoderState, encode_sequence, encode_sequence_recurrent
+from eva.encoder import (EncoderState, backward_train, encode_sequence,
+                         encode_sequence_recurrent, forward_train)
 from eva.mvhs import select_channels
 from eva.params import init_encoder_params, randomize_params
 from eva.runtime import EncoderRuntime
@@ -77,6 +78,28 @@ def test_runtime_matches_reference_gen1_geometry():
         rt.step(fast, int(tk), int(dt))
     scale = np.abs(ref.mvhs.S).max()
     assert np.abs(fast.mvhs.S - ref.mvhs.S).max() / scale <= 1e-5  # f32 profile
+
+
+@pytest.mark.parametrize("layer", ["block", "mvhs"])
+def test_decay_overflow_matches_stepping(layer):
+    # lam_d = 800: exp(d) overflows to inf; the chunked path caps d and must
+    # stay finite and agree with stepping, whose decay is then w = 0
+    cfg = ENCODER_PROFILES["tiny"]
+    params = init_encoder_params(cfg, seed=9)
+    randomize_params(params, seed=10)
+    (params.blocks[0] if layer == "block" else params.mvhs).lam_d[...] = 800.0
+    tokens, dts = random_stream(11, 100, cfg)
+    cps = [10, 70, 100]
+    snaps_p, _ = encode_sequence(params, tokens, dts, checkpoints=cps, chunk=16)
+    with np.errstate(over="ignore"):
+        snaps_r, _ = encode_sequence_recurrent(params, tokens, dts, checkpoints=cps)
+    assert np.all(np.isfinite(snaps_p))
+    assert np.max(np.abs(snaps_p - snaps_r)) / np.max(np.abs(snaps_r)) <= 1e-12
+    snaps, cache = forward_train(params, tokens[None], dts[None], [50, 100])
+    grads = backward_train(cache, np.ones_like(snaps))
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    # the capped decay is a constant: no gradient reaches its bias
+    assert np.all(grads["blocks.0.lam_d" if layer == "block" else "mvhs.lam_d"] == 0.0)
 
 
 def test_ingest_event_tracks_timestamps(params):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eva.checkpoint import (CheckpointError, dump_tensors, load_checkpoint,
                             load_tensors, save_checkpoint)
@@ -7,8 +9,8 @@ from eva.config import (ENCODER_PROFILES, encoder_config_from_kv,
                         format_kv_text, parse_kv_text)
 from eva.events import SensorGeometry, make_events, read_binary_file, write_binary_file
 from eva.params import init_encoder_params, named_arrays
-from eva.snapshots import (KIND_EC, KIND_QUANT, KIND_REPR, SnapshotError,
-                           dump_snapshot, load_snapshot)
+from eva.snapshots import (KIND_EC, KIND_QUANT, KIND_REPR, KIND_TS, MAGIC,
+                           SnapshotError, dump_snapshot, load_snapshot)
 
 
 def test_kv_text_roundtrip():
@@ -106,3 +108,32 @@ def test_snapshot_rejects_bad_grid():
         dump_snapshot(KIND_REPR, np.zeros((1, 6, 4), np.float32), 0, (2, 2))
     with pytest.raises(SnapshotError):
         load_snapshot(b"EVAX" + b"\x00" * 32)
+    good = dump_snapshot(KIND_REPR, np.zeros((1, 4, 4), np.float32), 0)
+    for bad in (good[:3], good[:10], good[:-1], good + b"\x00",
+                good[:4] + bytes([9]) + good[5:]):  # short, truncated, trailing, kind 9
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+
+_GOOD = dump_snapshot(KIND_QUANT, np.ones((2, 4, 4), np.uint8), 7, (2, 2))
+
+
+def _corrupted(at, byte, cut, tail):
+    """_GOOD with the byte at `at` replaced, cut to `cut` bytes, `tail` appended."""
+    return (_GOOD[:at] + bytes([byte]) + _GOOD[at + 1:])[:cut] + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=96),
+    st.binary(max_size=96).map(lambda b: MAGIC + b),
+    st.builds(_corrupted, st.integers(0, len(_GOOD) - 1), st.integers(0, 255),
+              st.integers(0, len(_GOOD)), st.binary(max_size=8))))
+def test_snapshot_bytes_parse_or_raise_snapshot_error(data):
+    try:
+        snap = load_snapshot(data)
+    except SnapshotError:
+        return
+    assert snap.kind in (KIND_EC, KIND_TS, KIND_QUANT, KIND_REPR)
+    rows, cols = snap.grid
+    assert snap.values.shape[1:] == (rows * snap.tile, cols * snap.tile)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eva import mvhs as M
+from eva import scan
 from eva.config import EncoderConfig
 from eva.params import init_mvhs_params
 from eva.runtime import _MvhsRt
@@ -33,6 +34,17 @@ def project_ref(x, x_prev, mp):
 def stepper(mp, cfg=CFG):
     """The event-by-event layer and a zero state for it."""
     return _MvhsRt(mp, cfg.mvhs_heads, cfg.mvhs_d_head), M.MvhsState.zeros(cfg)
+
+
+def mvhs_seq(xs, mp, S0, checkpoints, carry=None):
+    """The chunked layer `_mvhs_seq` on one (T, D) sequence.
+
+    Returns (snapshots (K, N, Dh, Dh), final state)."""
+    if carry is None:
+        carry = np.zeros(xs.shape[1])
+    snaps, S_fin, _ = M._mvhs_seq(xs[None], carry[None], S0[None], mp, S0.shape[0],
+                                  checkpoints, scan.DEFAULT_CHUNK)
+    return snaps[0], S_fin[0]
 
 
 def force_identity_kv(mp, w_value=-40.0):
@@ -105,7 +117,7 @@ def test_parallel_single_checkpoint_equals_stepping():
     T = 33
     xs = rng.normal(size=(T, 8))
     S0 = np.zeros((2, 4, 4))
-    snaps, S_fin = M.mvhs_parallel(xs, mp, S0, [T])
+    snaps, S_fin = mvhs_seq(xs, mp, S0, [T])
     rt, state = stepper(mp)
     for i in range(T):
         rt.step(xs[i], state)
@@ -120,7 +132,7 @@ def test_parallel_full_trajectory():
     rng = np.random.default_rng(6)
     T = 17
     xs = rng.normal(size=(T, 8))
-    snaps, _ = M.mvhs_parallel(xs, mp, np.zeros((2, 4, 4)), list(range(1, T + 1)))
+    snaps, _ = mvhs_seq(xs, mp, np.zeros((2, 4, 4)), list(range(1, T + 1)))
     rt, state = stepper(mp)
     for i in range(T):
         rt.step(xs[i], state)
@@ -133,7 +145,7 @@ def test_parallel_checkpoints_every_16():
     T = 256
     xs = rng.normal(size=(T, 8))
     cps = list(range(16, T + 1, 16))
-    snaps, _ = M.mvhs_parallel(xs, mp, np.zeros((2, 4, 4)), cps)
+    snaps, _ = mvhs_seq(xs, mp, np.zeros((2, 4, 4)), cps)
     rt, state = stepper(mp)
     j = 0
     for i in range(T):
@@ -148,16 +160,16 @@ def test_parallel_rejects_unsorted_checkpoints():
     mp = random_mvhs(9)
     xs = np.zeros((4, 8))
     with pytest.raises(ValueError):
-        M.mvhs_parallel(xs, mp, np.zeros((2, 4, 4)), [3, 2])
+        mvhs_seq(xs, mp, np.zeros((2, 4, 4)), [3, 2])
 
 
 def test_split_invariance():
     mp = random_mvhs(10)
     rng = np.random.default_rng(11)
     xs = rng.normal(size=(40, 8))
-    snaps, S_whole = M.mvhs_parallel(xs, mp, np.zeros((2, 4, 4)), [40])
-    _, S_half = M.mvhs_parallel(xs[:19], mp, np.zeros((2, 4, 4)), [19])
-    _, S_full = M.mvhs_parallel(xs[19:], mp, S_half, [21], carry=xs[18])
+    snaps, S_whole = mvhs_seq(xs, mp, np.zeros((2, 4, 4)), [40])
+    _, S_half = mvhs_seq(xs[:19], mp, np.zeros((2, 4, 4)), [19])
+    _, S_full = mvhs_seq(xs[19:], mp, S_half, [21], carry=xs[18])
     assert np.allclose(S_full, S_whole, rtol=1e-10, atol=1e-13)
 
 

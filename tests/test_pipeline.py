@@ -82,6 +82,9 @@ def test_out_of_bounds_ignored(small_params):
     pipe = A2SPipeline(small_params, SensorGeometry(8, 8, 8), threads=1)
     assert not pipe.ingest(1, 99, 0, 0)
     assert not pipe.ingest(1, 0, 0, 3)
+    stats = pipe.stats()
+    assert stats["events_ingested"] + stats["events_rejected"] == 2
+    assert stats["events_out_of_bounds"] == 2
 
 
 def test_snapshot_shape_dvs_profile():
@@ -186,6 +189,9 @@ def test_batch_ingest_rejects_out_of_bounds(small_params):
     ev = make_events([1, 2, 3], [0, 99, 1], [0, 0, 0], [0, 0, 3])
     acc, rej = pipe.ingest_events(ev)
     assert (acc, rej) == (1, 2)
+    stats = pipe.stats()
+    assert (stats["events_ingested"], stats["events_rejected"]) == (1, 2)
+    assert stats["events_out_of_bounds"] == 2
     ref = A2SPipeline(small_params, geom, threads=1)
     ref.ingest_events(make_events([1], [0], [0], [0]))
     assert np.array_equal(pipe.snapshot().values, ref.snapshot().values)
@@ -207,6 +213,9 @@ def test_ingest_events_equals_ingest_loop(small_params):
     assert got == (sum(oks), len(oks) - sum(oks))
     assert 10 < got[1] < len(ev) // 2
     assert batch.stats() == loop.stats()
+    stats = batch.stats()
+    assert stats["events_ingested"] + stats["events_rejected"] == len(ev)
+    assert stats["events_out_of_bounds"] == np.count_nonzero((ev["x"] == 99) | (ev["p"] == 2))
     a, b = batch.snapshot(), loop.snapshot()
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.watermarks, b.watermarks)
