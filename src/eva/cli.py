@@ -4,8 +4,8 @@ Subcommands: convert (csv <-> binary), filter (hot pixels), pretrain,
 encode (file -> periodic snapshots), serve, bench, oracle (emit ec/ts
 targets), inspect (parameter / MAC accounting).
 
-Environment: EVA_THREADS sets the ingestion worker count, EVA_PRECISION
-(f32|f64) overrides checkpoint precision at load time.
+Environment: EVA_PRECISION (f32|f64) overrides checkpoint precision at
+load time.
 """
 
 from __future__ import annotations

@@ -28,7 +28,10 @@ from .runtime import EncoderRuntime
 
 @dataclass
 class EncoderState:
-    """Per-stream recurrent state: one per patch pipeline."""
+    """Recurrent state of one stream. The same container holds a batch of
+    streams (every array with a leading batch axis, last_t and event_index
+    as (B,) int64 arrays) for `runtime.EncoderRuntime`; `rows` makes one
+    from the other."""
 
     blocks: list
     mvhs: M.MvhsState
@@ -44,6 +47,28 @@ class EncoderState:
         return EncoderState(blocks=[s.copy() for s in self.blocks],
                             mvhs=self.mvhs.copy(),
                             last_t=self.last_t, event_index=self.event_index)
+
+    def tensors(self) -> list[np.ndarray]:
+        """The recurrent state arrays: each block's S, tm_prev and cm_prev,
+        then the MVHS S and prev."""
+        return ([a for b in self.blocks for a in (b.S, b.tm_prev, b.cm_prev)]
+                + [self.mvhs.S, self.mvhs.prev])
+
+    @classmethod
+    def from_tensors(cls, tensors, last_t=-1, event_index=0) -> "EncoderState":
+        """The state holding `tensors`, in the order `tensors()` lists them."""
+        *blocks, S, prev = tensors
+        return cls([B.BlockState(*blocks[i:i + 3]) for i in range(0, len(blocks), 3)],
+                   M.MvhsState(S, prev), last_t, event_index)
+
+    def rows(self, sel) -> "EncoderState":
+        """Every array indexed by `sel` along a leading batch axis: a slice
+        selects views, an index array copies, and `None` adds a batch axis
+        of one to a single stream's state (views, except last_t and
+        event_index, which become new 1-element arrays)."""
+        return EncoderState.from_tensors([a[sel] for a in self.tensors()],
+                                         np.asarray(self.last_t)[sel],
+                                         np.asarray(self.event_index)[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +111,23 @@ def encode_sequence(params: EncoderParams, tokens, dts,
 
 def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
                               state: EncoderState | None = None, checkpoints=None):
-    """Stepping reference through `EncoderRuntime`; identical contract to
-    encode_sequence."""
+    """Stepping reference through `EncoderRuntime` (batch of one); identical
+    contract to encode_sequence. Raises FloatingPointError on an event
+    whose update is non-finite."""
     cfg = params.config
     T = len(tokens)
     checkpoints = set(checkpoints) if checkpoints is not None else {T}
     state = state.copy() if state is not None else EncoderState.zeros(cfg, params.dtype)
+    row = state.rows(None)
     runtime = EncoderRuntime(params)
+    tokens, dts = np.asarray(tokens), np.asarray(dts)
     snaps = []
     for i in range(T):
-        runtime.step(state, int(tokens[i]), int(dts[i]))
+        if runtime.step(row, tokens[i:i + 1], dts[i:i + 1]) is not None:
+            raise FloatingPointError(f"non-finite update at event {i}")
         if i + 1 in checkpoints:
             snaps.append(state.mvhs.S.copy())
+    state.event_index = int(row.event_index[0])
     snaps = (np.stack(snaps) if snaps else
              np.zeros((0, cfg.mvhs_heads, cfg.mvhs_d_head, cfg.mvhs_d_head), params.dtype))
     return snaps, state

@@ -1,19 +1,23 @@
 """Asynchronous-to-synchronous pipeline.
 
 Each sensor patch owns an independent recurrent encoder state, updated
-event by event in O(1) per event. Snapshots copy the selected output
-channels of every requested patch under that patch's lock and tile them
-into a frame tensor; each tile reports its own last-event watermark so
-consumers can align patches that advance at different rates.
+event by event in O(1) per event. The states of all patches are stacked
+(patch k is row k of one buffer, viewed as one stacked array per state
+tensor), and ingestion advances them in waves: the k-th in-order event
+of every patch with pending events goes through one batched
+`runtime.EncoderRuntime` step, its rows gathered from the buffer and
+scattered back. One lock, held per wave, orders waves and snapshots, so a
+snapshot sees a whole number of events in every patch. A snapshot tiles
+the selected output channels of every patch into a frame tensor; each
+tile reports its own last-event watermark so consumers can align patches
+that advance at different rates.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +28,6 @@ from .events import SensorGeometry, partition_patches
 from .mvhs import select_channels
 from .params import EncoderParams
 from .runtime import EncoderRuntime
-
-
-def env_threads() -> int:
-    return max(int(os.environ.get("EVA_THREADS", "1")), 1)
 
 
 @dataclass
@@ -45,25 +45,19 @@ class FrameSnapshot:
         return self.watermarks.shape
 
     def to_bytes(self) -> bytes:
-        return SN.dump_snapshot(SN.KIND_REPR, self.values.astype(np.float32),
-                                max(self.watermark, 0), self.grid, self.watermarks)
+        return SN.dump_snapshot(SN.KIND_REPR, self.values, max(self.watermark, 0),
+                                self.grid, self.watermarks)
 
     def checksum(self) -> int:
         return zlib.crc32(np.ascontiguousarray(self.values, dtype="<f4").tobytes())
 
 
-class _Patch:
-    __slots__ = ("state", "lock", "rejected", "nonfinite")
-
-    def __init__(self, cfg, dtype):
-        self.state = EncoderState.zeros(cfg, dtype)
-        self.lock = threading.Lock()
-        self.rejected = 0
-        self.nonfinite = 0
-
-
 class A2SPipeline:
-    """Live per-patch recurrent encoding with on-demand snapshots."""
+    """Live per-patch recurrent encoding with on-demand snapshots.
+
+    Patch (r, c) is row r * grid_cols + c of the stacked state. `threads`
+    is accepted for compatibility and ignored: waves batch the patches in
+    one thread."""
 
     def __init__(self, params: EncoderParams, geometry: SensorGeometry,
                  threads: int | None = None):
@@ -71,131 +65,143 @@ class A2SPipeline:
             raise ValueError("geometry patch size must match the encoder config")
         self.params = params
         self.geometry = geometry
-        self.threads = threads if threads is not None else env_threads()
         self.runtime = EncoderRuntime(params)
-        cfg = params.config
-        self._patches = {(r, c): _Patch(cfg, params.dtype)
-                         for r in range(geometry.grid_rows)
-                         for c in range(geometry.grid_cols)}
+        n = geometry.grid_rows * geometry.grid_cols
+        zero = EncoderState.zeros(params.config, params.dtype).tensors()
+        self._layout = [(a.shape, a.size) for a in zero]
+        # every state tensor of patch k lies in row k of one buffer, so a wave
+        # gathers and scatters its patches with one indexing op each
+        self._buf = np.zeros((n, sum(a.size for a in zero)), params.dtype)
+        self._state = self._view(self._buf, np.full(n, -1, np.int64), np.zeros(n, np.int64))
+        self._rejected = np.zeros(n, np.int64)   # out of order or non-finite
+        self._nonfinite = np.zeros(n, np.int64)
         self.ingested = 0
         self.out_of_bounds = 0
         self.snapshots_served = 0
-        self._counter_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     def ingest(self, t: int, x: int, y: int, p: int) -> bool:
         """Absorb one event; returns False (and counts) if out of order for
-        its patch or out of the sensor bounds."""
+        its patch, out of the sensor bounds or non-finite."""
         g = self.geometry
         if not (0 <= x < g.width and 0 <= y < g.height and p in (0, 1)):
-            with self._counter_lock:
+            with self._lock:
                 self.out_of_bounds += 1
             return False
         P = g.patch
-        patch = self._patches[(y // P, x // P)]
-        with patch.lock:
-            if t < patch.state.last_t:
-                patch.rejected += 1
-                return False
-            token = p * P * P + (y % P) * P + (x % P)
-            if not self._step(patch, token, t):
-                return False
-        with self._counter_lock:
-            self.ingested += 1
-        return True
-
-    def _step(self, patch: _Patch, token: int, t: int) -> bool:
-        """Absorb one in-order event under the patch lock. An event that
-        would drive the state non-finite zeroes the patch's block and MVHS
-        state, keeps its watermark and is counted."""
-        try:
-            self.runtime.ingest(patch.state, token, t)
-        except FloatingPointError:
-            fresh = EncoderState.zeros(self.params.config, self.params.dtype)
-            patch.state.blocks, patch.state.mvhs = fresh.blocks, fresh.mvhs
-            patch.rejected += 1
-            patch.nonfinite += 1
-            return False
-        return True
+        pid = (y // P) * g.grid_cols + x // P
+        token = p * P * P + (y % P) * P + x % P
+        with self._lock:
+            return self._wave(np.array([pid]), np.array([token]), np.array([t])) == 1
 
     def ingest_events(self, events: np.ndarray) -> tuple[int, int]:
-        """Batch ingest (events may span patches). Returns (accepted, rejected)."""
+        """Batch ingest (events may span patches, in stream order). Returns
+        (accepted, rejected); the result equals a loop of `ingest`."""
         g = self.geometry
-        valid = ((events["x"] >= 0) & (events["x"] < g.width)
-                 & (events["y"] >= 0) & (events["y"] < g.height)
-                 & ((events["p"] == 0) | (events["p"] == 1)))
-        rejected = int(np.count_nonzero(~valid))
-        if rejected:
-            with self._counter_lock:
-                self.out_of_bounds += rejected
-        by_patch = partition_patches(events[valid], self.geometry)
-        accepted = 0
+        x, y, p = events["x"], events["y"], events["p"]
+        valid = (x >= 0) & (x < g.width) & (y >= 0) & (y < g.height) & (p >= 0) & (p <= 1)
+        if not valid.all():
+            events = events[valid]
+            x, y, p = events["x"], events["y"], events["p"]
+            with self._lock:
+                self.out_of_bounds += len(valid) - len(events)
+        n, P = len(events), g.patch
+        qy, ry = np.divmod(y.astype(np.int64), P)
+        qx, rx = np.divmod(x.astype(np.int64), P)
+        pid = qy * g.grid_cols + qx
+        tok = p.astype(np.int64) * (P * P) + ry * P + rx
+        t = events["t"]
+        # wave k holds the k-th event of every patch that has one: rank each
+        # event within its patch (its index minus that of its patch's first
+        # event, in patch order), then order by (rank, patch)
+        order = np.argsort(pid, kind="stable")
+        by_patch = pid[order]
+        first = np.ones(n, bool)
+        np.not_equal(by_patch[1:], by_patch[:-1], out=first[1:])
+        idx = np.arange(n)
+        rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
+        waves = order[np.argsort(rank, kind="stable")]
+        accepted, lo = 0, 0
+        for hi in np.cumsum(np.bincount(rank)).tolist():
+            sel = waves[lo:hi]
+            with self._lock:
+                accepted += self._wave(pid[sel], tok[sel], t[sel])
+            lo = hi
+        return accepted, len(valid) - accepted
 
-        def run(item):
-            pid, ps = item
-            patch = self._patches[pid]
-            P = self.geometry.patch
-            toks = (ps.events["p"].astype(np.int64) * P * P
-                    + ps.events["y"].astype(np.int64) * P + ps.events["x"])
-            ts = ps.events["t"]
-            acc = rej = 0
-            with patch.lock:
-                for i in range(len(ts)):
-                    t = int(ts[i])
-                    if t < patch.state.last_t:
-                        patch.rejected += 1
-                        rej += 1
-                    elif self._step(patch, int(toks[i]), t):
-                        acc += 1
-                    else:
-                        rej += 1
-            return acc, rej
+    def _wave(self, ids, tokens, ts) -> int:
+        """Advance the distinct patches `ids` by one event each; call under
+        the lock. An event older than its patch's watermark is rejected; one
+        whose update is non-finite zeroes its patch's block and MVHS state,
+        keeps its watermark and is counted. Returns the number accepted."""
+        st = self._state
+        late = ts < st.last_t[ids]
+        if late.any():
+            self._rejected[ids[late]] += 1
+            ids, tokens, ts = ids[~late], tokens[~late], ts[~late]
+            if not len(ids):
+                return 0
+        buf = self._buf[ids]
+        rows = self._view(buf, st.last_t[ids], st.event_index[ids])
+        bad = self.runtime.ingest(rows, tokens, ts)
+        self._buf[ids] = buf
+        st.last_t[ids] = rows.last_t
+        st.event_index[ids] = rows.event_index
+        n_ok = len(ids)
+        if bad is not None:
+            self._rejected[ids[bad]] += 1
+            self._nonfinite[ids[bad]] += 1
+            n_ok -= int(np.count_nonzero(bad))
+        self.ingested += n_ok
+        return n_ok
 
-        items = list(by_patch.items())
-        if self.threads > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(run, items))
-        else:
-            results = [run(it) for it in items]
-        for acc, rej in results:
-            accepted += acc
-            rejected += rej
-        with self._counter_lock:
-            self.ingested += accepted
-        return accepted, rejected
+    def _view(self, buf, last_t, event_index) -> EncoderState:
+        """The batched state whose tensors view the rows of `buf`."""
+        views, start = [], 0
+        for shape, size in self._layout:
+            views.append(buf[:, start:start + size].reshape((len(buf),) + shape))
+            start += size
+        return EncoderState.from_tensors(views, last_t, event_index)
 
     def snapshot(self, patch_ids=None) -> FrameSnapshot:
         """Tile the selected patches' representations (full frame default)."""
         cfg = self.params.config
         g = self.geometry
+        R, C = g.grid_rows, g.grid_cols
         Dh, n_out = cfg.mvhs_d_head, cfg.n_out
-        values = np.zeros((n_out, g.grid_rows * Dh, g.grid_cols * Dh), np.float32)
-        marks = np.full((g.grid_rows, g.grid_cols), -1, dtype=np.int64)
-        ids = patch_ids if patch_ids is not None else self._patches.keys()
-        for pid in ids:
-            if pid not in self._patches:
-                raise KeyError(f"unknown patch id {pid}")
-            patch = self._patches[pid]
-            with patch.lock:
-                rep = select_channels(patch.state.mvhs.S, n_out)
-                marks[pid] = patch.state.last_t
-            r, c = pid
-            values[:, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = rep
-        with self._counter_lock:
+        S, last_t = self._state.mvhs.S, self._state.last_t
+        keep = None
+        if patch_ids is not None:
+            keep = np.zeros((R, C), bool)
+            for pid in patch_ids:
+                r, c = pid
+                if not (0 <= r < R and 0 <= c < C):
+                    raise KeyError(f"unknown patch id {pid}")
+                keep[r, c] = True
+        values = np.empty((n_out, R * Dh, C * Dh), np.float32)
+        # head n of patch (r, c), stack row r * C + c, is tile (r, c) of channel n
+        tiles = values.reshape(n_out, R, Dh, C, Dh).transpose(1, 3, 0, 2, 4)
+        with self._lock:
+            tiles[...] = S[:, :n_out].reshape(R, C, n_out, Dh, Dh)
+            marks = last_t.reshape(R, C).copy()
             self.snapshots_served += 1
+        if keep is not None:
+            tiles[~keep] = 0.0
+            marks[~keep] = -1
         return FrameSnapshot(values, marks, Dh)
 
     def stats(self) -> dict:
-        return {
-            "events_ingested": self.ingested,
-            "events_rejected": (sum(p.rejected for p in self._patches.values())
-                                + self.out_of_bounds),
-            "events_nonfinite": sum(p.nonfinite for p in self._patches.values()),
-            "events_out_of_bounds": self.out_of_bounds,
-            "snapshots_served": self.snapshots_served,
-            "patches": len(self._patches),
-            "grid_rows": self.geometry.grid_rows,
-            "grid_cols": self.geometry.grid_cols,
-        }
+        with self._lock:
+            return {
+                "events_ingested": self.ingested,
+                "events_rejected": int(self._rejected.sum()) + self.out_of_bounds,
+                "events_nonfinite": int(self._nonfinite.sum()),
+                "events_out_of_bounds": self.out_of_bounds,
+                "snapshots_served": self.snapshots_served,
+                "patches": len(self._rejected),
+                "grid_rows": self.geometry.grid_rows,
+                "grid_cols": self.geometry.grid_cols,
+            }
 
 
 # ---------------------------------------------------------------------------

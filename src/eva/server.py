@@ -10,14 +10,18 @@ Frames are `opcode u8 | payload length u32 LE | payload`:
                  for one patch. Reply: SNAPSHOT frame with an `EVAR`
                  container.
   0x03 STATS     Reply: STATS frame with `key = value` text.
-  0x7F ERROR     sent on protocol violations; the connection then closes.
+  0x7F ERROR     sent on protocol violations and on any failure while
+                 serving a request; the connection then closes.
 
 INGEST ordering is guaranteed only within a connection. Out-of-order
-events (per patch) are dropped and counted, never fatal.
+events (per patch) are dropped and counted, never fatal. Each INGEST
+frame goes to the pipeline as one `ingest_events` batch, so its events
+are stepped in waves across patches.
 """
 
 from __future__ import annotations
 
+import logging
 import socket
 import socketserver
 import struct
@@ -27,8 +31,10 @@ import numpy as np
 
 from . import snapshots as SN
 from .config import format_kv_text, parse_kv_text
-from .events import RECORD_BYTES
+from .events import EVENT_DTYPE, RECORD_BYTES
 from .pipeline import A2SPipeline
+
+log = logging.getLogger(__name__)
 
 OP_INGEST = 0x01
 OP_SNAPSHOT = 0x02
@@ -39,13 +45,16 @@ _HEAD = struct.Struct("<BI")
 MAX_PAYLOAD = 64 * 1024 * 1024
 
 
-def _recv_exact(sock, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _recv_exact(sock, n: int) -> bytearray | None:
+    """Read exactly n bytes into one preallocated buffer; None on EOF."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             return None
-        buf += chunk
+        got += k
     return buf
 
 
@@ -66,10 +75,21 @@ def write_frame(sock, op: int, payload: bytes = b"") -> None:
     sock.sendall(_HEAD.pack(op, len(payload)) + payload)
 
 
+def _records_to_events(payload, t_cursor: int) -> np.ndarray:
+    """Decode INGEST records onto absolute times t_cursor + cumsum(dt). A
+    polarity above 1 is clipped to 2, which stays out of bounds in the
+    int8 field instead of wrapping to a valid one."""
+    rec = np.frombuffer(payload, dtype="<u2").reshape(-1, 4).astype(np.int64)
+    ev = np.empty(len(rec), dtype=EVENT_DTYPE)
+    ev["t"] = t_cursor + np.cumsum(rec[:, 0])
+    ev["x"], ev["y"] = rec[:, 1], rec[:, 2]
+    ev["p"] = np.minimum(rec[:, 3], 2)
+    return ev
+
+
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
-        pipe: A2SPipeline = self.server.pipeline
-        t_cursor = 0  # running absolute time for this connection's records
+        self.t_cursor = 0  # running absolute time for this connection's records
         while True:
             try:
                 frame = read_frame(self.request)
@@ -78,38 +98,44 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
             if frame is None:
                 return
-            op, payload = frame
-            if op == OP_INGEST:
-                if len(payload) % RECORD_BYTES:
-                    self._error(f"INGEST payload not a multiple of {RECORD_BYTES}")
+            try:
+                if not self._serve(*frame):
                     return
-                rec = np.frombuffer(payload, dtype="<u2").reshape(-1, 4)
-                accepted = rejected = 0
-                for dt, x, y, p in rec.astype(np.int64):
-                    t_cursor += int(dt)
-                    if pipe.ingest(t_cursor, int(x), int(y), int(p)):
-                        accepted += 1
-                    else:
-                        rejected += 1
-                write_frame(self.request, OP_INGEST,
-                            struct.pack("<QQ", accepted, rejected))
-            elif op == OP_SNAPSHOT:
-                if payload and len(payload) != 4:
-                    self._error("SNAPSHOT payload must be empty or u16 row + u16 col")
-                    return
-                try:
-                    ids = [struct.unpack("<HH", payload)] if payload else None
-                    frame_snap = pipe.snapshot(ids)
-                except KeyError as exc:
-                    self._error(str(exc))
-                    return
-                write_frame(self.request, OP_SNAPSHOT, frame_snap.to_bytes())
-            elif op == OP_STATS:
-                text = format_kv_text(pipe.stats())
-                write_frame(self.request, OP_STATS, text.encode())
-            else:
-                self._error(f"unknown opcode 0x{op:02x}")
+            except Exception as exc:  # a failed request must not kill the thread silently
+                log.exception("request with opcode 0x%02x failed", frame[0])
+                self._error(f"internal error: {type(exc).__name__}: {exc}")
                 return
+
+    def _serve(self, op: int, payload) -> bool:
+        """Answer one request; False once the connection must close."""
+        pipe: A2SPipeline = self.server.pipeline
+        if op == OP_INGEST:
+            if len(payload) % RECORD_BYTES:
+                self._error(f"INGEST payload not a multiple of {RECORD_BYTES}")
+                return False
+            events = _records_to_events(payload, self.t_cursor)
+            if len(events):  # out-of-bounds records advance the cursor too
+                self.t_cursor = int(events["t"][-1])
+            accepted, rejected = pipe.ingest_events(events)
+            write_frame(self.request, OP_INGEST, struct.pack("<QQ", accepted, rejected))
+        elif op == OP_SNAPSHOT:
+            if payload and len(payload) != 4:
+                self._error("SNAPSHOT payload must be empty or u16 row + u16 col")
+                return False
+            try:
+                ids = [struct.unpack("<HH", payload)] if payload else None
+                frame_snap = pipe.snapshot(ids)
+            except KeyError as exc:
+                self._error(str(exc))
+                return False
+            write_frame(self.request, OP_SNAPSHOT, frame_snap.to_bytes())
+        elif op == OP_STATS:
+            text = format_kv_text(pipe.stats())
+            write_frame(self.request, OP_STATS, text.encode())
+        else:
+            self._error(f"unknown opcode 0x{op:02x}")
+            return False
+        return True
 
     def _error(self, message: str):
         try:

@@ -2,10 +2,10 @@
 
 Layout: magic "EVAR", kind u8 (0 = ec f32, 1 = ts f32, 2 = quantized u8,
 3 = representation f32), channels u16, tile side u16, grid rows u16, grid
-cols u16, watermark u64 (max event timestamp, as u64; 0 if none), then the
-payload in channel-major (C, rows*tile, cols*tile) order, then one u64
-watermark per patch (rows * cols entries). Target images use a 1x1 grid
-with tile = P.
+cols u16, watermark u64 (max event timestamp; 0 if none), then the payload
+in channel-major (C, rows*tile, cols*tile) order, then one u64 watermark
+per patch (rows * cols entries). Watermarks are read back as int64, so
+each must be below 2^63. Target images use a 1x1 grid with tile = P.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ KIND_QUANT = 2
 KIND_REPR = 3
 
 _HEADER = struct.Struct("<4sBHHHHQ")
+_WM_LIMIT = 2 ** 63  # watermarks are stored as u64 but read as int64
 
 
 class SnapshotError(ValueError):
@@ -43,6 +44,8 @@ def dump_snapshot(kind: int, values: np.ndarray, watermark: int,
                   patch_watermarks: np.ndarray | None = None) -> bytes:
     C, H, W = values.shape
     rows, cols = grid
+    if rows <= 0 or cols <= 0:
+        raise SnapshotError(f"grid {grid} has no patches")
     if H % rows or W % cols or H // rows != W // cols:
         raise SnapshotError(f"values {values.shape} not square-tileable by grid {grid}")
     tile = H // rows
@@ -51,7 +54,8 @@ def dump_snapshot(kind: int, values: np.ndarray, watermark: int,
     dtype = "<u1" if kind == KIND_QUANT else "<f4"
     header = _HEADER.pack(MAGIC, kind, C, tile, rows, cols, max(watermark, 0))
     wm = np.where(patch_watermarks < 0, 0, patch_watermarks).astype("<u8")
-    return header + np.ascontiguousarray(values, dtype=dtype).tobytes() + wm.tobytes()
+    payload = np.ascontiguousarray(values, dtype=dtype)
+    return b"".join((header, memoryview(payload).cast("B"), wm.tobytes()))
 
 
 def load_snapshot(data: bytes) -> Snapshot:
@@ -62,6 +66,8 @@ def load_snapshot(data: bytes) -> Snapshot:
         raise SnapshotError(f"bad magic {magic!r}")
     if kind not in (KIND_EC, KIND_TS, KIND_QUANT, KIND_REPR):
         raise SnapshotError(f"unknown snapshot kind {kind}")
+    if rows == 0 or cols == 0:
+        raise SnapshotError(f"grid {(rows, cols)} has no patches")
     pos = _HEADER.size
     dtype = np.dtype("<u1") if kind == KIND_QUANT else np.dtype("<f4")
     count = C * rows * tile * cols * tile
@@ -72,6 +78,8 @@ def load_snapshot(data: bytes) -> Snapshot:
     values = values.reshape(C, rows * tile, cols * tile).copy()
     pos += count * dtype.itemsize
     wm = np.frombuffer(data, dtype="<u8", count=rows * cols, offset=pos)
+    if watermark >= _WM_LIMIT or (wm >= _WM_LIMIT).any():
+        raise SnapshotError("watermark of 2^63 or more does not fit int64")
     return Snapshot(kind, values, int(watermark), (rows, cols), tile,
                     wm.reshape(rows, cols).astype(np.int64))
 

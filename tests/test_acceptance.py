@@ -61,12 +61,14 @@ def _stack_case(seed: int, precision: str):
     # event-by-event stepping through all three blocks
     blocks = [_BlockRt(bp, cfg.n_heads) for bp in params.blocks]
     states = [B.BlockState.zeros(cfg) for _ in range(3)]
+    rows = [B.BlockState(st.S[None], st.tm_prev[None], st.cm_prev[None])
+            for st in states]  # a batch of one, viewing each state
     out_r = np.zeros_like(xs)
     for i in range(256):
-        h = xs[i]
-        for blk, st in zip(blocks, states):
+        h = xs[i:i + 1]
+        for blk, st in zip(blocks, rows):
             h = blk.step(h, st)
-        out_r[i] = h
+        out_r[i] = h[0]
     # chunked-parallel
     h = xs[None]
     finals = []
@@ -104,6 +106,7 @@ def _mvhs_case(seed: int, T: int) -> float:
     xs = rng.normal(size=(T, cfg.d_model))
     rt = _MvhsRt(mp, cfg.mvhs_heads, cfg.mvhs_d_head)
     state = MvhsState.zeros(cfg)
+    row = MvhsState(state.S[None], state.prev[None])  # a batch of one
     # per-event k, v and decay, written out from the layer's formulas
     prev = np.vstack([np.zeros(cfg.d_model), xs[:-1]])
     m = xs + (prev - xs) * mp.mu
@@ -111,7 +114,7 @@ def _mvhs_case(seed: int, T: int) -> float:
     v = (xs + (prev - xs) * (mp.lam_v + np.tanh(m @ mp.A_v) @ mp.B_v)) @ mp.W_v
     w = np.exp(-np.exp(mp.lam_d + np.tanh(m @ mp.A_w) @ mp.B_w))
     for i in range(T):
-        rt.step(xs[i], state)
+        rt.step(xs[i:i + 1], row)
     S = state.S
     # prefix-sum formula, evaluated directly per head
     Dh = cfg.mvhs_d_head

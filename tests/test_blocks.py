@@ -106,13 +106,19 @@ def cm_one(x, x_prev, bp):
     return o[0, 0]
 
 
+def as_row(state):
+    """A batch of one viewing a single stream's BlockState: stepping it
+    updates `state` in place."""
+    return B.BlockState(state.S[None], state.tm_prev[None], state.cm_prev[None])
+
+
 def rt_one(bp, x, S=None, tm_prev=None, cm_prev=None):
-    """_BlockRt.step on one token: (out, state after)."""
+    """_BlockRt.step on one token, as a batch of one: (out, state after)."""
     state = B.BlockState.zeros(CFG)
     for name, val in (("S", S), ("tm_prev", tm_prev), ("cm_prev", cm_prev)):
         if val is not None:
             setattr(state, name, val.copy())
-    return _BlockRt(bp, CFG.n_heads).step(x.copy(), state), state
+    return _BlockRt(bp, CFG.n_heads).step(x[None].copy(), as_row(state))[0], state
 
 
 def block_step_oracle(x, S, tm_prev, cm_prev, bp, n_heads=2):
@@ -181,6 +187,16 @@ def test_tm_project_matches_formula_trace():
     seq, (S_f, tm_c, cm_c) = B.block_seq_fwd(x[None, None], S[None], tm_prev[None],
                                              cm_prev[None], bp, CFG.n_heads)
     for got in ((out, st.S, st.tm_prev, st.cm_prev), (seq[0, 0], S_f[0], tm_c[0], cm_c[0])):
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=1e-12)
+    # a batch of three streams in one step: each row follows its own formula
+    xs, tms, cms = (rng.normal(size=(3, 12)) for _ in range(3))
+    Ss = rng.normal(size=(3, 2, 6, 6))
+    batch = B.BlockState(Ss.copy(), tms.copy(), cms.copy())
+    outs = _BlockRt(bp, CFG.n_heads).step(xs, batch)
+    for i in range(3):
+        want = block_step_oracle(xs[i], Ss[i], tms[i], cms[i], bp)
+        got = (outs[i], batch.S[i], batch.tm_prev[i], batch.cm_prev[i])
         for g, w in zip(got, want):
             assert np.allclose(g, w, rtol=1e-12)
 
@@ -387,10 +403,10 @@ def test_block_identity_with_zero_outputs():
     bp.W_o[...] = 0.0
     bp.W_cv[...] = 0.0
     rt = _BlockRt(bp, CFG.n_heads)
-    state = B.BlockState.zeros(CFG)
+    state = as_row(B.BlockState.zeros(CFG))
     rng = np.random.default_rng(27)
     for _ in range(5):
-        x = rng.normal(size=12)
+        x = rng.normal(size=(1, 12))
         assert np.allclose(rt.step(x, state), x)
 
 
@@ -413,12 +429,13 @@ def _stack_outputs_recurrent(params, xs):
     cfg = params.config
     blocks = [_BlockRt(bp, cfg.n_heads) for bp in params.blocks]
     states = [B.BlockState.zeros(cfg) for _ in params.blocks]
+    rows = [as_row(st) for st in states]
     outs = np.zeros_like(xs)
     for i in range(len(xs)):
-        h = xs[i]
-        for blk, st in zip(blocks, states):
+        h = xs[i:i + 1]
+        for blk, st in zip(blocks, rows):
             h = blk.step(h, st)
-        outs[i] = h
+        outs[i] = h[0]
     return outs, states
 
 

@@ -42,7 +42,7 @@ def test_vector_ablation_runs():
     from eva.encoder import EncoderState
     from eva.runtime import EncoderRuntime
     st = EncoderState.zeros(cfg)
-    EncoderRuntime(params).step(st, 3, 10)
+    assert EncoderRuntime(params).step(st.rows(None), np.array([3]), np.array([10])) is None
     assert st.mvhs.S.shape == (8, 1, 1)
     assert np.all(np.isfinite(st.mvhs.S))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,8 +60,9 @@ def test_runtime_matches_reference_long_stream(params):
     _, ref = encode_sequence(params, tokens, dts)
     rt = EncoderRuntime(params)
     fast = EncoderState.zeros(CFG)
-    for tk, dt in zip(tokens, dts):
-        rt.step(fast, int(tk), int(dt))
+    row = fast.rows(None)  # a batch of one, viewing fast's arrays
+    for i in range(len(tokens)):
+        assert rt.step(row, tokens[i:i + 1], dts[i:i + 1]) is None  # finite
     assert np.max(np.abs(fast.mvhs.S - ref.mvhs.S)) / np.max(np.abs(ref.mvhs.S)) <= 1e-12
     for bf, br in zip(fast.blocks, ref.blocks):
         assert np.allclose(bf.S, br.S, rtol=1e-12, atol=1e-15)
@@ -73,25 +76,45 @@ def test_runtime_matches_reference_gen1_geometry():
     dts = rng.integers(0, 500, size=100)
     _, ref = encode_sequence(params, tokens, dts)
     fast = EncoderState.zeros(cfg)
+    row = fast.rows(None)
     rt = EncoderRuntime(params)
-    for tk, dt in zip(tokens, dts):
-        rt.step(fast, int(tk), int(dt))
+    for i in range(len(tokens)):
+        rt.step(row, tokens[i:i + 1], dts[i:i + 1])
     scale = np.abs(ref.mvhs.S).max()
     assert np.abs(fast.mvhs.S - ref.mvhs.S).max() / scale <= 1e-5  # f32 profile
 
 
+@pytest.mark.parametrize("d_lora,d_w,mvhs_heads,mvhs_d_head",
+                         [(4, 6, 2, 8), (6, 3, 3, 4), (4, 4, 4, 6)])
+def test_runtime_matches_chunked_unequal_lora_widths(d_lora, d_w, mvhs_heads, mvhs_d_head):
+    # the runtime stacks the mixes with the decay in one LoRA, zero-padding
+    # the narrower width and, in the matrix-state layer, the narrower of
+    # the model width 16 and the state width; the chunked path keeps them apart
+    cfg = EncoderConfig(d_model=16, n_blocks=2, n_heads=2, d_ffn=24, d_lora=d_lora,
+                        d_w=d_w, mvhs_heads=mvhs_heads, mvhs_d_head=mvhs_d_head,
+                        n_out=2, patch=4, precision="f64")
+    params = init_encoder_params(cfg, seed=12)
+    randomize_params(params, seed=13)
+    tokens, dts = random_stream(14, 120, cfg)
+    _, st_p = encode_sequence(params, tokens, dts, chunk=16)
+    _, st_r = encode_sequence_recurrent(params, tokens, dts)
+    for a, b in zip(st_r.tensors(), st_p.tensors()):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
 @pytest.mark.parametrize("layer", ["block", "mvhs"])
 def test_decay_overflow_matches_stepping(layer):
-    # lam_d = 800: exp(d) overflows to inf; the chunked path caps d and must
-    # stay finite and agree with stepping, whose decay is then w = 0
+    # lam_d = 800: exp(d) would overflow to inf; both modes cap d, so they
+    # stay finite, warn about nothing and agree (w = e^-60)
     cfg = ENCODER_PROFILES["tiny"]
     params = init_encoder_params(cfg, seed=9)
     randomize_params(params, seed=10)
     (params.blocks[0] if layer == "block" else params.mvhs).lam_d[...] = 800.0
     tokens, dts = random_stream(11, 100, cfg)
     cps = [10, 70, 100]
-    snaps_p, _ = encode_sequence(params, tokens, dts, checkpoints=cps, chunk=16)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snaps_p, _ = encode_sequence(params, tokens, dts, checkpoints=cps, chunk=16)
         snaps_r, _ = encode_sequence_recurrent(params, tokens, dts, checkpoints=cps)
     assert np.all(np.isfinite(snaps_p))
     assert np.max(np.abs(snaps_p - snaps_r)) / np.max(np.abs(snaps_r)) <= 1e-12
@@ -103,20 +126,19 @@ def test_decay_overflow_matches_stepping(layer):
 
 
 def test_ingest_event_tracks_timestamps(params):
+    # two streams in one batch: each row keeps its own watermark and count
     rt = EncoderRuntime(params)
-    st = EncoderState.zeros(CFG)
-    rt.ingest(st, 3, 100)
-    assert st.last_t == 100 and st.event_index == 1
-    rt.ingest(st, 4, 130)
-    assert st.last_t == 130 and st.event_index == 2
-    assert select_channels(st.mvhs.S, CFG.n_out).shape == (2, 8, 8)
+    st = EncoderState.zeros(CFG).rows(None).rows(np.zeros(2, np.intp))
+    assert rt.ingest(st, np.array([3, 5]), np.array([100, 7])) is None
+    assert st.last_t.tolist() == [100, 7] and st.event_index.tolist() == [1, 1]
+    assert rt.ingest(st, np.array([4, 6]), np.array([130, 9])) is None
+    assert st.last_t.tolist() == [130, 9] and st.event_index.tolist() == [2, 2]
+    assert select_channels(st.mvhs.S[0], CFG.n_out).shape == (2, 8, 8)
 
 
 def test_first_event_gap_is_zero(params):
     # stream start: dt = 0 regardless of the absolute timestamp
     rt = EncoderRuntime(params)
-    a = EncoderState.zeros(CFG)
-    b = EncoderState.zeros(CFG)
-    rt.ingest(a, 5, 0)
-    rt.ingest(b, 5, 999_999)
-    assert np.array_equal(a.mvhs.S, b.mvhs.S)
+    st = EncoderState.zeros(CFG).rows(None).rows(np.zeros(2, np.intp))
+    rt.ingest(st, np.array([5, 5]), np.array([0, 999_999]))
+    assert np.array_equal(st.mvhs.S[0], st.mvhs.S[1])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,11 +110,20 @@ def test_snapshot_rejects_bad_grid():
         dump_snapshot(KIND_REPR, np.zeros((1, 6, 4), np.float32), 0, (2, 2))
     with pytest.raises(SnapshotError):
         load_snapshot(b"EVAX" + b"\x00" * 32)
+    with pytest.raises(SnapshotError):
+        dump_snapshot(KIND_REPR, np.zeros((1, 0, 0), np.float32), 0, (0, 0))
+    with pytest.raises(SnapshotError):  # a header with a zero grid
+        load_snapshot(MAGIC + bytes([KIND_REPR]) + struct.pack("<HHHHQ", 1, 4, 0, 1, 0))
     good = dump_snapshot(KIND_REPR, np.zeros((1, 4, 4), np.float32), 0)
     for bad in (good[:3], good[:10], good[:-1], good + b"\x00",
                 good[:4] + bytes([9]) + good[5:]):  # short, truncated, trailing, kind 9
         with pytest.raises(SnapshotError):
             load_snapshot(bad)
+    # a u64 watermark of 2^63 or more would read back negative as int64
+    for slot, value in ((-1, 2 ** 64 - 1), (0, 2 ** 63), (1, 2 ** 63)):
+        with pytest.raises(SnapshotError):
+            load_snapshot(_with_watermark(slot, value))
+    assert load_snapshot(_with_watermark(1, 2 ** 63 - 1)).patch_watermarks[0, 1] == 2 ** 63 - 1
 
 
 _GOOD = dump_snapshot(KIND_QUANT, np.ones((2, 4, 4), np.uint8), 7, (2, 2))
@@ -123,12 +134,20 @@ def _corrupted(at, byte, cut, tail):
     return (_GOOD[:at] + bytes([byte]) + _GOOD[at + 1:])[:cut] + tail
 
 
+def _with_watermark(slot, value):
+    """_GOOD with the u64 watermark `value` in the header (slot -1) or in
+    per-patch slot 0..3."""
+    at = 13 if slot < 0 else len(_GOOD) - 8 * (4 - slot)  # header: 4s B 4H Q
+    return _GOOD[:at] + struct.pack("<Q", value) + _GOOD[at + 8:]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.binary(max_size=96),
     st.binary(max_size=96).map(lambda b: MAGIC + b),
     st.builds(_corrupted, st.integers(0, len(_GOOD) - 1), st.integers(0, 255),
-              st.integers(0, len(_GOOD)), st.binary(max_size=8))))
+              st.integers(0, len(_GOOD)), st.binary(max_size=8)),
+    st.builds(_with_watermark, st.integers(-1, 3), st.integers(0, 2 ** 64 - 1))))
 def test_snapshot_bytes_parse_or_raise_snapshot_error(data):
     try:
         snap = load_snapshot(data)
@@ -137,3 +156,7 @@ def test_snapshot_bytes_parse_or_raise_snapshot_error(data):
     assert snap.kind in (KIND_EC, KIND_TS, KIND_QUANT, KIND_REPR)
     rows, cols = snap.grid
     assert snap.values.shape[1:] == (rows * snap.tile, cols * snap.tile)
+    assert snap.watermark >= 0 and np.all(snap.patch_watermarks >= 0)
+    # what parses dumps back to the same bytes
+    assert dump_snapshot(snap.kind, snap.values, snap.watermark, snap.grid,
+                         snap.patch_watermarks) == data

@@ -32,8 +32,16 @@ def project_ref(x, x_prev, mp):
 
 
 def stepper(mp, cfg=CFG):
-    """The event-by-event layer and a zero state for it."""
-    return _MvhsRt(mp, cfg.mvhs_heads, cfg.mvhs_d_head), M.MvhsState.zeros(cfg)
+    """The event-by-event layer on one stream, from a zero state. Returns
+    (step, state): step(x) absorbs one input (D,) through a batch of one
+    that views `state`."""
+    rt = _MvhsRt(mp, cfg.mvhs_heads, cfg.mvhs_d_head)
+    state = M.MvhsState.zeros(cfg)
+    row = M.MvhsState(state.S[None], state.prev[None])
+
+    def step(x):
+        assert rt.step(x[None], row) is None  # the update was finite
+    return step, state
 
 
 def mvhs_seq(xs, mp, S0, checkpoints, carry=None):
@@ -63,9 +71,9 @@ def test_pure_accumulation_two_events():
     force_identity_kv(mp)
     e1 = np.zeros(8)
     e1[0] = 1.0  # head 0, channel 0
-    rt, state = stepper(mp)
-    rt.step(e1, state)
-    rt.step(e1, state)
+    step, state = stepper(mp)
+    step(e1)
+    step(e1)
     want = np.zeros((2, 4, 4))
     want[0, 0, 0] = 2.0
     assert np.allclose(state.S, want)
@@ -93,14 +101,14 @@ def test_recurrent_matches_closed_form_T512():
     T = 512
     xs = rng.normal(size=(T, 8))
     prev = np.zeros(8)
-    rt, state = stepper(mp)
+    step, state = stepper(mp)
     ks, vs, ws = [], [], []
     for i in range(T):
         k, v, w = project_ref(xs[i], prev, mp)
         ks.append(k)
         vs.append(v)
         ws.append(w)
-        rt.step(xs[i], state)
+        step(xs[i])
         prev = xs[i]
     k, v, w = np.array(ks), np.array(vs), np.array(ws)
     S = state.S
@@ -118,9 +126,9 @@ def test_parallel_single_checkpoint_equals_stepping():
     xs = rng.normal(size=(T, 8))
     S0 = np.zeros((2, 4, 4))
     snaps, S_fin = mvhs_seq(xs, mp, S0, [T])
-    rt, state = stepper(mp)
+    step, state = stepper(mp)
     for i in range(T):
-        rt.step(xs[i], state)
+        step(xs[i])
     S = state.S
     assert snaps.shape == (1, 2, 4, 4)
     assert np.allclose(snaps[0], S, rtol=1e-10, atol=1e-13)
@@ -133,9 +141,9 @@ def test_parallel_full_trajectory():
     T = 17
     xs = rng.normal(size=(T, 8))
     snaps, _ = mvhs_seq(xs, mp, np.zeros((2, 4, 4)), list(range(1, T + 1)))
-    rt, state = stepper(mp)
+    step, state = stepper(mp)
     for i in range(T):
-        rt.step(xs[i], state)
+        step(xs[i])
         assert np.allclose(snaps[i], state.S, rtol=1e-10, atol=1e-13)
 
 
@@ -146,10 +154,10 @@ def test_parallel_checkpoints_every_16():
     xs = rng.normal(size=(T, 8))
     cps = list(range(16, T + 1, 16))
     snaps, _ = mvhs_seq(xs, mp, np.zeros((2, 4, 4)), cps)
-    rt, state = stepper(mp)
+    step, state = stepper(mp)
     j = 0
     for i in range(T):
-        rt.step(xs[i], state)
+        step(xs[i])
         if i + 1 in cps:
             rel = np.max(np.abs(snaps[j] - state.S)) / np.max(np.abs(state.S))
             assert rel <= 1e-9
@@ -177,11 +185,36 @@ def test_state_is_event_driven():
     # no new events -> unchanged state, regardless of wall-clock time
     mp = random_mvhs(12)
     rng = np.random.default_rng(13)
-    rt, state = stepper(mp)
+    step, state = stepper(mp)
     for _ in range(5):
-        rt.step(rng.normal(size=8), state)
+        step(rng.normal(size=8))
     before = state.S.copy()
     assert np.array_equal(state.S, before)  # nothing mutates without an event
+
+
+def test_batched_rows_step_independently():
+    # three streams in one batch, one of them fed an Inf at step 5: the
+    # finite rows match their own single-stream stepping and the bad row is
+    # reported (this layer leaves zeroing its state to EncoderRuntime.step)
+    mp = random_mvhs(14)
+    rng = np.random.default_rng(15)
+    xs = rng.normal(size=(20, 3, 8))
+    xs[5, 1, 0] = np.inf
+    rt = _MvhsRt(mp, CFG.mvhs_heads, CFG.mvhs_d_head)
+    batch = M.MvhsState(np.zeros((3, 2, 4, 4)), np.zeros((3, 8)))
+    with np.errstate(invalid="ignore"):
+        for i in range(20):
+            bad = rt.step(xs[i], batch)
+            if i == 5:
+                assert bad.tolist() == [False, True, False]
+            else:
+                assert i > 5 or bad is None
+                assert bad is None or not bad[[0, 2]].any()
+    for b in (0, 2):
+        step, state = stepper(mp)
+        for i in range(20):
+            step(xs[i, b])
+        assert np.allclose(batch.S[b], state.S, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

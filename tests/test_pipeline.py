@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eva.config import ENCODER_PROFILES, EncoderConfig
-from eva.encoder import encode_events, encode_sequence
+from eva.encoder import encode_events, encode_sequence, encode_sequence_recurrent
 from eva.events import SensorGeometry, make_events, synth_generate
 from eva.params import init_encoder_params
 from eva.pipeline import A2SPipeline, bench, encode_offline
@@ -25,8 +25,8 @@ def test_single_event_matches_reference_composition(small_params):
     assert pipe.ingest(100, 3, 2, 1)
     token = 1 * 64 + 2 * 8 + 3
     _, ref = encode_sequence(small_params, [token], [0])
-    got = pipe._patches[(0, 0)].state
-    assert np.allclose(got.mvhs.S, ref.mvhs.S, rtol=1e-12)
+    got = pipe._state.mvhs.S[0]  # patch (0, 0) is row 0 of the stacks
+    assert np.allclose(got, ref.mvhs.S, rtol=1e-12)
 
 
 def test_stream_matches_batch_encoding(small_params):
@@ -175,12 +175,20 @@ def test_bench_empty():
     assert rep["events"] == 0
 
 
-def test_env_threads(monkeypatch):
-    from eva.pipeline import env_threads
+def test_env_threads(small_params, monkeypatch):
+    # EVA_THREADS no longer selects anything: ingestion is bitwise unchanged
+    geom = SensorGeometry(16, 16, 8)
+    ev = synth_generate("uniform_noise", geom, 50_000, 4000.0, seed=8)
+    monkeypatch.delenv("EVA_THREADS", raising=False)
+    plain = A2SPipeline(small_params, geom)
+    got_plain = plain.ingest_events(ev)
     monkeypatch.setenv("EVA_THREADS", "3")
-    assert env_threads() == 3
-    monkeypatch.delenv("EVA_THREADS")
-    assert env_threads() == 1
+    env = A2SPipeline(small_params, geom)
+    assert env.ingest_events(ev) == got_plain
+    assert env.stats() == plain.stats()
+    a, b = env.snapshot(), plain.snapshot()
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.watermarks, b.watermarks)
 
 
 def test_batch_ingest_rejects_out_of_bounds(small_params):
@@ -217,14 +225,78 @@ def test_ingest_events_equals_ingest_loop(small_params):
     assert stats["events_ingested"] + stats["events_rejected"] == len(ev)
     assert stats["events_out_of_bounds"] == np.count_nonzero((ev["x"] == 99) | (ev["p"] == 2))
     a, b = batch.snapshot(), loop.snapshot()
+    # waves step many patches per matmul and the loop one, so the f64 states
+    # may differ in the last bits; their f32 snapshots stay bitwise equal
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.watermarks, b.watermarks)
 
 
-def _assert_zero_state(st):
-    for arr in [st.mvhs.S, st.mvhs.prev] + [a for bs in st.blocks
-                                           for a in (bs.S, bs.tm_prev, bs.cm_prev)]:
-        assert np.all(arr == 0.0)
+def _patch_events(ev, geom, pid):
+    """The events of patch pid = (row, col), in patch-local coordinates."""
+    P = geom.patch
+    mine = ev[(ev["y"] // P == pid[0]) & (ev["x"] // P == pid[1])].copy()
+    mine["x"] %= P
+    mine["y"] %= P
+    return mine
+
+
+def _reference(params, ev, geom, pid):
+    """encode_sequence_recurrent on patch pid's own events."""
+    from eva.embedding import event_to_token_dt
+    P = geom.patch
+    tokens, dts = event_to_token_dt(_patch_events(ev, geom, pid), P, P, None)
+    return encode_sequence_recurrent(params, tokens, dts)[1]
+
+
+def test_waves_shrink_with_unequal_patch_counts(small_params):
+    # patch k of the 2x2 grid gets 40, 25, 9 and 1 events, so the later
+    # waves step fewer patches; every patch must match its own stepping
+    geom = SensorGeometry(16, 16, 8)
+    rng = np.random.default_rng(9)
+    parts = []
+    for (r, c), n in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [40, 25, 9, 1]):
+        parts.append(make_events(np.sort(rng.integers(0, 50_000, n)),
+                                 c * 8 + rng.integers(0, 8, n), r * 8 + rng.integers(0, 8, n),
+                                 rng.integers(0, 2, n)))
+    ev = np.concatenate(parts)
+    ev = ev[np.argsort(ev["t"], kind="stable")]
+    pipe = A2SPipeline(small_params, geom)
+    assert pipe.ingest_events(ev) == (len(ev), 0)
+    for k, pid in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        ref = _reference(small_params, ev, geom, pid)
+        got = pipe._state.rows(slice(k, k + 1))
+        for g, w in zip(got.tensors(), ref.tensors()):
+            assert np.max(np.abs(g[0] - w)) <= 1e-12 * max(np.max(np.abs(w)), 1e-300)
+        assert got.event_index[0] == ref.event_index
+        assert got.last_t[0] == _patch_events(ev, geom, pid)["t"][-1]
+
+
+def test_nonfinite_row_does_not_touch_its_wave(small_params):
+    # one wave steps patch (0, 0), whose event hits an Inf embedding row,
+    # and patch (1, 1), whose event does not
+    params = small_params.astype(np.float64)
+    bad = 1 * 64 + 2 * 8 + 3  # the token of event (x=3, y=2, p=1)
+    params.embed[bad, 0] = np.inf
+    geom = SensorGeometry(16, 16, 8)
+    ev = make_events([10, 20, 30, 40], [0, 9, 3, 10], [0, 9, 2, 11], [0, 1, 1, 0])
+    pipe = A2SPipeline(params, geom)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert pipe.ingest_events(ev) == (3, 1)
+    stats = pipe.stats()
+    assert stats["events_nonfinite"] == 1 and stats["events_rejected"] == 1
+    _assert_zero_state(pipe, 0)
+    assert pipe._state.last_t[0] == 10 and pipe._state.event_index[0] == 1
+    assert pipe.snapshot().watermarks[0, 0] == 10
+    ref = _reference(params, ev, geom, (1, 1))
+    got = pipe._state.rows(slice(3, 4))
+    for g, w in zip(got.tensors(), ref.tensors()):
+        assert np.max(np.abs(g[0] - w)) <= 1e-12 * np.max(np.abs(w))
+    assert got.last_t[0] == 40 and got.event_index[0] == 2
+
+
+def _assert_zero_state(pipe, k):
+    for arr in pipe._state.tensors():
+        assert np.all(arr[k] == 0.0)
 
 
 @pytest.mark.parametrize("poison", ["block W_o", "mvhs W_k"])
@@ -238,9 +310,8 @@ def test_nonfinite_event_resets_patch(small_params, poison):
     pipe = A2SPipeline(params, geom, threads=1)
     with np.errstate(invalid="ignore", over="ignore"):
         assert not pipe.ingest(100, 3, 2, 1)
-    patch = pipe._patches[(0, 0)].state
-    assert patch.last_t == -1 and patch.event_index == 0
-    _assert_zero_state(patch)
+    assert pipe._state.last_t[0] == -1 and pipe._state.event_index[0] == 0
+    _assert_zero_state(pipe, 0)
     stats = pipe.stats()
     assert stats["events_nonfinite"] == 1
     assert stats["events_rejected"] == 1 and stats["events_ingested"] == 0
@@ -259,7 +330,7 @@ def test_nonfinite_event_keeps_watermark(small_params):
     assert pipe.ingest(100, 0, 0, 0)
     with np.errstate(invalid="ignore", over="ignore"):
         assert not pipe.ingest(200, 3, 2, 1)
-    _assert_zero_state(pipe._patches[(0, 0)].state)
+    _assert_zero_state(pipe, 0)
     assert pipe.snapshot().watermarks[0, 0] == 100
     assert not pipe.ingest(50, 0, 0, 0)  # still older than the watermark
     assert pipe.ingest(150, 0, 0, 0)

@@ -83,6 +83,43 @@ def test_dt_accumulates_across_frames(server):
         assert snap.patch_watermarks[0, 0] == 25
 
 
+def test_out_of_bounds_record_advances_cursor(server):
+    host, port = server.address
+    with EvaClient(host, port) as client:
+        assert client.ingest_records(np.array([[10, 99, 0, 0]], dtype="<u2").tobytes()) == (0, 1)
+        assert client.ingest_records(np.array([[15, 0, 0, 0]], dtype="<u2").tobytes()) == (1, 0)
+        snap = client.snapshot(patch=(0, 0))
+        assert snap.patch_watermarks[0, 0] == 25
+
+
+def test_polarity_above_one_is_out_of_bounds(server):
+    # 256 would wrap to polarity 0 in an int8 field
+    host, port = server.address
+    recs = np.array([[10, 0, 0, 256], [5, 0, 0, 2], [5, 0, 0, 1]], dtype="<u2")
+    with EvaClient(host, port) as client:
+        assert client.ingest_records(recs.tobytes()) == (1, 2)
+        assert int(client.stats()["events_out_of_bounds"]) == 2
+
+
+def test_unexpected_exception_gets_error_frame(server, monkeypatch):
+    def broken(events):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(server.pipeline, "ingest_events", broken)
+    host, port = server.address
+    sock = socket.create_connection((host, port), timeout=10)
+    try:
+        write_frame(sock, OP_INGEST, np.array([[1, 0, 0, 0]], dtype="<u2").tobytes())
+        op, payload = read_frame(sock)
+        assert op == OP_ERROR
+        assert b"RuntimeError: boom" in payload
+        assert read_frame(sock) is None  # then the server closes the connection
+    finally:
+        sock.close()
+    monkeypatch.undo()
+    with EvaClient(host, port) as client:  # and keeps serving others
+        assert client.ingest_records(np.array([[1, 0, 0, 0]], dtype="<u2").tobytes()) == (1, 0)
+
+
 def test_protocol_violation_gets_error_frame(server):
     host, port = server.address
     sock = socket.create_connection((host, port), timeout=10)
