@@ -47,11 +47,12 @@ def _load_events(path: str, geometry: SensorGeometry | None):
 
 
 def _save_events(path: str, events, geometry: SensorGeometry):
+    """Returns the number of saturated gaps (always 0 for csv)."""
     if path.endswith(".csv"):
         with open(path, "w") as fh:
             write_csv(events, fh)
-    else:
-        write_binary_file(path, events, geometry)
+        return 0
+    return write_binary_file(path, events, geometry)
 
 
 def _load_params(args):
@@ -69,8 +70,10 @@ def _encoder_config(args) -> EncoderConfig:
 
 def cmd_convert(args):
     events, geometry = _load_events(args.input, _geometry(args.geometry))
-    _save_events(args.output, events, geometry)
+    saturated = _save_events(args.output, events, geometry)
     print(f"wrote {len(events)} events to {args.output}")
+    if saturated:
+        print(f"{saturated} gaps over 65535 us saturated (the stream reads back shorter)")
 
 
 def cmd_filter(args):

@@ -32,16 +32,16 @@ class EncoderConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        for name in ("d_model", "n_blocks", "n_heads", "d_ffn", "d_lora", "d_w",
+                     "mvhs_heads", "mvhs_d_head", "patch"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.d_model % self.n_heads:
             raise ValueError("n_heads must divide d_model")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
         if not (0 < self.n_out <= self.mvhs_heads):
             raise ValueError("need 0 < n_out <= mvhs_heads")
-        for name in ("d_model", "n_blocks", "d_ffn", "d_lora", "d_w",
-                     "mvhs_heads", "mvhs_d_head", "patch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     @property
     def d_head(self) -> int:

@@ -155,14 +155,19 @@ def write_csv(events: np.ndarray, writer) -> None:
 # Binary format: 8-byte records of little-endian u16 (dt, x, y, p).
 # File container adds magic `EVA1` and a u16 (height, width) header.
 # Timestamps are stream-relative: the first record carries dt=0, so unpack
-# rebuilds absolute t from base 0. dt saturates at 65535.
+# rebuilds absolute t from base 0. dt saturates at 65535 us: a longer gap
+# reads back shortened to 65535 us, so `write_binary_file` returns the
+# number of saturated records and `eva convert` prints it.
 # ---------------------------------------------------------------------------
+
+def _gaps(events: np.ndarray) -> np.ndarray:
+    return np.diff(events["t"], prepend=events["t"][:1])
+
 
 def pack_binary(events: np.ndarray) -> bytes:
     if len(events) == 0:
         return b""
-    dt = np.diff(events["t"], prepend=events["t"][0])
-    dt = np.minimum(dt, 0xFFFF)
+    dt = np.minimum(_gaps(events), 0xFFFF)
     rec = np.empty((len(events), 4), dtype="<u2")
     rec[:, 0] = dt
     rec[:, 1] = events["x"]
@@ -182,11 +187,14 @@ def unpack_binary(data: bytes, geometry: SensorGeometry | None = None) -> np.nda
     return ev
 
 
-def write_binary_file(path, events: np.ndarray, geometry: SensorGeometry) -> None:
+def write_binary_file(path, events: np.ndarray, geometry: SensorGeometry) -> int:
+    """Write a `.evt` file; returns the number of records whose gap
+    saturated at 65535 us."""
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(np.array([geometry.height, geometry.width], dtype="<u2").tobytes())
         fh.write(pack_binary(events))
+    return int(np.count_nonzero(_gaps(events) > 0xFFFF))
 
 
 def read_binary_file(path) -> tuple[np.ndarray, SensorGeometry]:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import snapshots as SN
-from .encoder import EncoderState
+from .encoder import EncoderState, encode_events
 from .events import SensorGeometry, partition_patches
-from .mvhs import select_channels
 from .params import EncoderParams
 from .runtime import EncoderRuntime
 
@@ -227,28 +226,22 @@ def encode_offline(params: EncoderParams, events: np.ndarray,
         boundaries = list(range(t0 + period_us, t1 + 1, period_us))
         if not boundaries or boundaries[-1] < t1:
             boundaries.append(t1)
-    states = {pid: None for pid in by_patch}
-    cursors = {pid: 0 for pid in by_patch}
-    frames = []
-    for t_ref in boundaries:
-        values = np.zeros((n_out, g.grid_rows * Dh, g.grid_cols * Dh), np.float32)
-        marks = np.full((g.grid_rows, g.grid_cols), -1, dtype=np.int64)
-        for pid, ps in by_patch.items():
-            ts = ps.events["t"]
-            hi = int(np.searchsorted(ts, t_ref, side="right"))
-            lo = cursors[pid]
-            if hi > lo:
-                from .encoder import encode_events
-                _, states[pid] = encode_events(params, ps.events[lo:hi], states[pid])
-                cursors[pid] = hi
-            st = states[pid]
-            if st is not None:
-                r, c = pid
-                values[:, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = \
-                    select_channels(st.mvhs.S, n_out)
-                marks[pid] = st.last_t
-        frames.append((t_ref, FrameSnapshot(values, marks, Dh)))
-    return frames
+    n = len(boundaries)
+    values = np.zeros((n, n_out, g.grid_rows * Dh, g.grid_cols * Dh), np.float32)
+    marks = np.full((n, g.grid_rows, g.grid_cols), -1, dtype=np.int64)
+    for (r, c), ps in by_patch.items():
+        # one encode per patch, snapshotting at each distinct boundary index;
+        # boundaries before the patch's first event keep zeros and -1
+        ts = ps.events["t"]
+        hi = np.searchsorted(ts, boundaries, side="right")
+        cps, pos = np.unique(hi, return_inverse=True)
+        snaps, _ = encode_events(params, ps.events, checkpoints=cps[cps > 0])
+        seen = hi > 0
+        at = pos[seen] - (cps[0] == 0)
+        values[seen, :, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = snaps[at, :n_out]
+        marks[seen, r, c] = ts[hi[seen] - 1]
+    return [(t_ref, FrameSnapshot(values[i], marks[i], Dh))
+            for i, t_ref in enumerate(boundaries)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,31 @@ The state is one matrix per head, S[a, b], updated per token as
 
 with the read-out y[a] = sum_b (S_prev[a, b] + u[a] k[a] v[b]) r[b].
 
-Within a chunk the decay products are evaluated as exp of cumulative sums
-of lw, which keeps every factor in (0, 1] and underflows harmlessly to 0;
-state is carried across chunks in full precision. The backward passes
-recompute within-chunk quantities from the cached chunk-boundary states.
+The read-out scan is two-level (the secondary chunks of Gated Linear
+Attention, Yang et al., arXiv 2312.06635). A sequence is cut into outer
+chunks of at most `DEFAULT_CHUNK` tokens, and each outer chunk into
+sub-chunks of `_SUB` tokens, the last one zero-padded (r = k = v = lw = 0
+leaves the state unchanged). For every sub-chunk at once, batched over
+(B * M) for M sub-chunks, `_state_out` gives its own state contribution
+dS_j; a sequential carry S_{j+1} = exp(cw_last_j) * S_j + dS_j over the
+M cheap (B, N, Dh, Dh) states then gives each sub-chunk's start state, and
+one batched `_sub_readout` evaluates every sub-chunk from its start state.
+Only that read-out builds the masked (B * M, s, s, N, Dh) decay tensor, so
+the quadratic cost stays at the sub-chunk size. The backward pass is the
+adjoint of the same three steps: `_sub_readout_bwd`, the reverse carry,
+then `_state_out_bwd`. The outer chunk bounds the memory of the batched
+sub-chunk tensors; the backward pass recomputes the sub-chunk start states
+from the cached outer-chunk start states.
+
+Decay products are exp of differences of cumulative sums of lw within one
+sub-chunk (or one state-only chunk), so every exponent is <= 0 and every
+factor lies in [0, 1], underflowing harmlessly to 0. The decay
+pre-activation cap `blocks._D_CAP` keeps lw >= -60, so every cumulative
+sum is finite (>= -60 per token) and a difference of two never forms
+inf - inf. In a read-out sub-chunk a cumulative sum is at most
+60 * _SUB = 240 in magnitude, so its f32 rounding shifts an exponent by
+about 1e-5. Across sub-chunks the decay is applied as a product of exp(cw_last) in the
+carry, which loses no precision to cancellation.
 
 `decay_scan_*` (with read-out, token mixing) and `state_scan_*` (state
 only, the matrix-state layer) share one state-update kernel, `_state_out`
@@ -25,17 +46,21 @@ from __future__ import annotations
 
 import numpy as np
 
+# Outer chunk, for offline encoding and training alike. With two-level
+# chunking it no longer sets the per-token arithmetic, only the size of the
+# batched sub-chunk temporaries and the number of outer-chunk calls. On a
+# 2-core host, 64 was the fastest setting within noise for both the `dvs`
+# f32 `encode_offline` windows and the `small` f64 training step; 128 was
+# 15-20% slower on the former, 32 no faster on either.
 DEFAULT_CHUNK = 64
+# Sub-chunk of the read-out scan, whose masked decay tensor is s x s: 4
+# measured best on the same two jobs (8 was 0-18% slower offline and no
+# faster in training, 16 twice as slow offline).
+_SUB = 4
 
 
 def _rev_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(a, axis), axis), axis)
-
-
-def _chunk_cw(lw: np.ndarray):
-    cw = np.cumsum(lw, axis=1)  # inclusive prefix of log-decays
-    cwe = cw - lw               # exclusive prefix
-    return cw, cwe
 
 
 def _intra_decay(cw: np.ndarray, cwe: np.ndarray) -> np.ndarray:
@@ -88,64 +113,108 @@ def _state_out_bwd(k, v, cw, S_in, dS_out):
     return dk, dv, dcw, dS_in
 
 
-def scan_chunk_forward(r, k, v, lw, u, S_in):
-    """One chunk of the full recurrence with read-out. Returns (y, S_out)."""
-    cw, cwe = _chunk_cw(lw)
-    e_cwe = np.exp(cwe)
-    y_carry = _carry_readout(S_in, r, e_cwe)
-    sv = _sv_matrix(v, r)
-    dk = _intra_decay(cw, cwe) * k[:, None]          # (B, C, C, N, Dh)
-    y_intra = np.einsum("bctna,bctn->bcna", dk, sv)
+def _sub_readout(r, k, v, cw, cwe, u, S_in):
+    """Read-out of independent sub-chunks (leading axis), each from its own
+    start state S_in, with log-decay prefixes cw (inclusive), cwe (exclusive)."""
+    y_carry = _carry_readout(S_in, r, np.exp(cwe))
+    dk = _intra_decay(cw, cwe) * k[:, None]          # (B, s, s, N, Dh)
+    y_intra = np.einsum("bctna,bctn->bcna", dk, _sv_matrix(v, r))
     sv_diag = (v * r).sum(-1)
-    y = y_carry + y_intra + u[None, None] * k * sv_diag[..., None]
-    return y, _state_out(k, v, cw, S_in)
+    return y_carry + y_intra + u[None, None] * k * sv_diag[..., None]
 
 
-def scan_chunk_backward(r, k, v, lw, u, S_in, dY, dS_out):
-    """Adjoint of scan_chunk_forward. Returns (dr, dk, dv, dlw, du, dS_in)."""
-    cw, cwe = _chunk_cw(lw)
+def _sub_readout_bwd(r, k, v, cw, cwe, u, S_in, dY):
+    """Adjoint of _sub_readout. Returns (dr, dk, dv, dcw, dcwe, du, dS_in)."""
     e_cwe = np.exp(cwe)
     dmat = _intra_decay(cw, cwe)
-    dk_mat = dmat * k[:, None]
     sv = _sv_matrix(v, r)
     sv_diag = (v * r).sum(-1)
 
-    dk, dv, dcw, dS_in = _state_out_bwd(k, v, cw, S_in, dS_out)
-    dcwe = np.zeros_like(cwe)
-    dr = np.zeros_like(r)
-
     # carry read-out: y_carry = e_cwe * (S_in r)
-    y_carry = _carry_readout(S_in, r, e_cwe)
-    dcwe += dY * y_carry
+    dcwe = dY * _carry_readout(S_in, r, e_cwe)
     g1 = dY * e_cwe
-    dr += _seq(np.matmul(_seq(g1), S_in))
-    dS_in += np.matmul(_seq(g1).transpose(0, 1, 3, 2), _seq(r))
+    dr = _seq(np.matmul(_seq(g1), S_in))
+    dS_in = np.matmul(_seq(g1).transpose(0, 1, 3, 2), _seq(r))
 
     # intra read-out: y_intra[c, a] = sum_{t<c} dmat[c,t,a] k[t,a] sv[c,t]
-    t1 = dY[:, :, None] * dmat  # (B, C, C, N, Dh)
+    t1 = dY[:, :, None] * dmat  # (B, s, s, N, Dh)
     dk_intra = np.einsum("bctna,bctn->btna", t1, sv)
-    dk += dk_intra
     dsv = (t1 * k[:, None]).sum(-1)
-    y_intra = np.einsum("bctna,bctn->bcna", dk_mat, sv)
-    dcwe += dY * y_intra
-    dcw -= k * dk_intra
+    dcwe += dY * np.einsum("bctna,bctn->bcna", dmat * k[:, None], sv)
+    dcw = -k * dk_intra
 
     # diagonal bonus: y_diag = u * k * sv_diag
     dY_k = dY * k
     du = (dY_k * sv_diag[..., None]).sum((0, 1))
-    dk += dY * u[None, None] * sv_diag[..., None]
+    dk = dk_intra + dY * u[None, None] * sv_diag[..., None]
     dsv_diag = (dY_k * u[None, None]).sum(-1, keepdims=True)
 
     # sv[c, t, n] = v[t, n] . r[c, n];  sv_diag[c, n] = v[c, n] . r[c, n]
-    dsv_bn = dsv.transpose(0, 3, 1, 2)  # (B, N, C, T)
-    dr += _seq(np.matmul(dsv_bn, _seq(v)))
-    dv += _seq(np.matmul(dsv_bn.transpose(0, 1, 3, 2), _seq(r)))
-    dr += dsv_diag * v
-    dv += dsv_diag * r
+    dsv_bn = dsv.transpose(0, 3, 1, 2)  # (B, N, s, s)
+    dr += _seq(np.matmul(dsv_bn, _seq(v))) + dsv_diag * v
+    dv = _seq(np.matmul(dsv_bn.transpose(0, 1, 3, 2), _seq(r))) + dsv_diag * r
+    return dr, dk, dv, dcw, dcwe, du, dS_in
 
-    # cw_i = sum_{j<=i} lw_j, cwe_i = sum_{j<i} lw_j
-    dlw = _rev_cumsum(dcw, 1) + (_rev_cumsum(dcwe, 1) - dcwe)
-    return dr, dk, dv, dlw, du, dS_in
+
+def _split(a, M, s):
+    """(B, L, ...) -> (B * M, s, ...): sub-chunks of s tokens, the last one
+    zero-padded to full length."""
+    B, L = a.shape[:2]
+    if M * s != L:
+        a = np.concatenate([a, np.zeros((B, M * s - L) + a.shape[2:], a.dtype)], axis=1)
+    return a.reshape((B * M, s) + a.shape[2:])
+
+
+def _subchunks(r, k, v, lw, S_in):
+    """Sub-chunk inputs of one outer chunk, their log-decay prefixes, decays
+    and start states. Returns (M, s, (r, k, v, cw, cwe), w_last, starts,
+    S_out) with sequences (B * M, s, N, Dh), w_last (B, M, N, Dh, 1) and
+    starts (B, M, N, Dh, Dh)."""
+    B, L = r.shape[:2]
+    s = min(_SUB, L)
+    M = -(-L // s)
+    r, k, v, lw = (_split(a, M, s) for a in (r, k, v, lw))
+    cw = np.cumsum(lw, axis=1)
+    own = _state_out(k, v, cw, 0.0)
+    own = own.reshape((B, M) + own.shape[1:])
+    w_last = np.exp(cw[:, -1]).reshape((B, M) + cw.shape[2:] + (1,))
+    starts = np.empty_like(own)
+    S = S_in
+    for j in range(M):
+        starts[:, j] = S
+        S = w_last[:, j] * S + own[:, j]
+    return M, s, (r, k, v, cw, cw - lw), w_last, starts, S
+
+
+def scan_chunk_forward(r, k, v, lw, u, S_in):
+    """One outer chunk of the full recurrence with read-out, two-level.
+    Returns (y, S_out)."""
+    B, L = r.shape[:2]
+    M, s, (r, k, v, cw, cwe), _, starts, S_out = _subchunks(r, k, v, lw, S_in)
+    y = _sub_readout(r, k, v, cw, cwe, u, starts.reshape((B * M,) + S_in.shape[1:]))
+    return y.reshape((B, M * s) + y.shape[2:])[:, :L], S_out
+
+
+def scan_chunk_backward(r, k, v, lw, u, S_in, dY, dS_out):
+    """Adjoint of scan_chunk_forward. Returns (dr, dk, dv, dlw, du, dS_in)."""
+    B, L = r.shape[:2]
+    M, s, (r, k, v, cw, cwe), w_last, starts, _ = _subchunks(r, k, v, lw, S_in)
+    flat = (B * M,) + S_in.shape[1:]
+    dr, dk, dv, dcw, dcwe, du, dstarts = _sub_readout_bwd(
+        r, k, v, cw, cwe, u, starts.reshape(flat), _split(dY, M, s))
+    # reverse carry: dS_ends[:, j] is the adjoint of the state after sub-chunk j
+    dstarts = dstarts.reshape(starts.shape)
+    dS_ends = np.empty_like(dstarts)
+    dS = dS_out
+    for j in reversed(range(M)):
+        dS_ends[:, j] = dS
+        dS = dstarts[:, j] + w_last[:, j] * dS
+    dk_s, dv_s, dcw_s, _ = _state_out_bwd(k, v, cw, starts.reshape(flat),
+                                          dS_ends.reshape(flat))
+    # cw_i = sum_{j<=i} lw_j, cwe_i = sum_{j<i} lw_j, within each sub-chunk
+    dlw = _rev_cumsum(dcw + dcw_s, 1) + (_rev_cumsum(dcwe, 1) - dcwe)
+    out = (dr, dk + dk_s, dv + dv_s, dlw)
+    return (*(a.reshape((B, M * s) + a.shape[2:])[:, :L] for a in out), du, dS)
 
 
 def decay_scan_forward(r, k, v, lw, u, S0, chunk: int = DEFAULT_CHUNK,

@@ -31,11 +31,6 @@ from .params import EncoderParams, init_encoder_params, named_arrays
 from .targets import chunk_targets
 
 
-# scan span for training forward/backward; profiling at desk scale shows the
-# quadratic within-chunk tensors dominate the step beyond ~32 tokens
-TRAIN_CHUNK = 32
-
-
 @dataclass
 class TrainSample:
     tokens: np.ndarray       # (T,)
@@ -87,8 +82,7 @@ def batch_loss(model: Model, batch: list[TrainSample], want_grads: bool = True):
     ends = batch[0].chunk_ends
     Bsz, K = len(batch), len(ends)
 
-    snaps, cache = E.forward_train(model.params, tokens, dts, list(ends),
-                                   chunk=TRAIN_CHUNK)
+    snaps, cache = E.forward_train(model.params, tokens, dts, list(ends))
     sel = snaps[:, :, :cfg.n_out].reshape(Bsz * K, cfg.n_out, cfg.mvhs_d_head,
                                           cfg.mvhs_d_head)
     mses = {}

@@ -316,6 +316,60 @@ def test_tm_parallel_unit_decay_is_prefix_sum():
     assert np.allclose(S_fin[0], want, rtol=1e-10)
 
 
+@pytest.mark.parametrize("T", [1, scan._SUB - 1, scan._SUB + 1,
+                               scan.DEFAULT_CHUNK + 1, 2 * scan.DEFAULT_CHUNK + 3])
+def test_tm_parallel_sub_chunk_edges_match_recurrent(T):
+    # lengths at the sub-chunk and outer-chunk edges, for several chunks
+    rng = np.random.default_rng(T)
+    D, N = 6, 2
+    r, k, v = (rng.normal(size=(T, D)) for _ in range(3))
+    lw = -np.exp(rng.normal(size=(T, D)))
+    u = rng.normal(size=D)
+    S0 = rng.normal(size=(N, D // N, D // N))
+    S = S0.copy()
+    y_r = np.zeros((T, D))
+    for i in range(T):
+        y_r[i], S = step_ref(S, r[i], k[i], v[i], np.exp(lw[i]), u)
+    for chunk in (scan.DEFAULT_CHUNK, scan._SUB + 3, scan._SUB, 1):
+        y_p, S_p = scan_seq(r, k, v, lw, u, S0, chunk)
+        assert np.max(np.abs(y_p - y_r)) / np.max(np.abs(y_r)) <= 1e-12, chunk
+        assert np.max(np.abs(S_p - S)) / np.max(np.abs(S)) <= 1e-12, chunk
+
+
+def test_decay_scan_backward_matches_finite_differences():
+    # outer chunks of 2 * _SUB + 3 tokens, each ending in a zero-padded
+    # sub-chunk; the last outer chunk is shorter and ragged as well
+    chunk = 2 * scan._SUB + 3
+    T = 2 * chunk + scan._SUB + 2
+    rng = np.random.default_rng(7)
+    shape = (1, T, 2, 2)
+    r, k, v = (rng.normal(size=shape) for _ in range(3))
+    lw = -np.exp(rng.normal(size=shape))
+    u, S0 = rng.normal(size=(2, 2)), rng.normal(size=(1, 2, 2, 2))
+    dY, dS = rng.normal(size=shape), rng.normal(size=S0.shape)
+
+    def loss():
+        y, S_fin = scan.decay_scan_forward(r, k, v, lw, u, S0, chunk)
+        return float(np.sum(dY * y) + np.sum(dS * S_fin))
+
+    _, _, cache = scan.decay_scan_forward(r, k, v, lw, u, S0, chunk, want_cache=True)
+    grads = scan.decay_scan_backward(cache, dY, dS)
+    eps = 1e-4
+    worst = 0.0
+    for arr, g in zip((r, k, v, lw, u, S0), grads):
+        assert g.shape == arr.shape
+        for idx in np.ndindex(arr.shape):
+            old = arr[idx]
+            arr[idx] = old + eps
+            lp = loss()
+            arr[idx] = old - eps
+            lm = loss()
+            arr[idx] = old
+            fd = (lp - lm) / (2 * eps)
+            worst = max(worst, abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-3))
+    assert worst <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # TM output stage and CM sublayer
 # ---------------------------------------------------------------------------

@@ -38,6 +38,23 @@ def test_convert_roundtrip(tmp_path):
     assert csv2.read_text() == csv_path.read_text()
 
 
+def test_convert_reports_saturated_gaps(tmp_path, capsys):
+    # one 100 ms gap: the .evt record saturates at 65535 us, and both the
+    # writer and `eva convert` say so
+    ev = make_events([0, 500, 100_500, 101_000], [1, 2, 3, 4], [1, 1, 1, 1], [0, 1, 0, 1])
+    geom = SensorGeometry(8, 8, 8)
+    assert write_binary_file(tmp_path / "a.evt", ev, geom) == 1
+    assert write_binary_file(tmp_path / "b.evt", ev[:2], geom) == 0
+    back, _ = read_binary_file(tmp_path / "a.evt")
+    assert back["t"].tolist() == [0, 500, 66_035, 66_535]
+    csv_path = tmp_path / "events.csv"
+    with open(csv_path, "w") as fh:
+        write_csv(ev, fh)
+    capsys.readouterr()
+    assert main(["convert", str(csv_path), str(tmp_path / "c.evt"), "--geometry", "8x8"]) == 0
+    assert "1 gaps over 65535 us saturated" in capsys.readouterr().out
+
+
 def test_filter_cli(tmp_path):
     geom = SensorGeometry(8, 8, 8)
     hot = make_events(np.linspace(0, 9000, 50).astype(int), [3] * 50, [3] * 50, [1] * 50)

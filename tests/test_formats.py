@@ -67,6 +67,64 @@ def test_checkpoint_keeps_extra_tensors(tmp_path):
     assert np.array_equal(rest["heads.mrp.conv1_W"], extra["heads.mrp.conv1_W"])
 
 
+_TINY = ENCODER_PROFILES["tiny"]
+_CKPT = dump_tensors(_TINY, named_arrays(init_encoder_params(_TINY, seed=0)))
+_META_END = 8 + struct.unpack_from("<I", _CKPT, 4)[0]
+
+
+def _tiny_named(**changes):
+    named = dict(named_arrays(init_encoder_params(_TINY, seed=0)))
+    for name, arr in changes.items():
+        if arr is None:
+            del named[name]
+        else:
+            named[name] = arr
+    return named
+
+
+def test_checkpoint_malformed_inputs_raise_checkpoint_error(tmp_path):
+    meta = b"d_model = x\n"
+    for data in (b"EVAW", b"EVAW\x00\x00\x00",
+                 _CKPT[:8] + b"\xff" + _CKPT[9:],  # metadata not UTF-8
+                 b"EVAW" + struct.pack("<I", len(meta)) + meta,
+                 _CKPT[:_META_END - 1],  # metadata cut short
+                 _CKPT[:_META_END + 5]):  # cut inside the first tensor
+        with pytest.raises(CheckpointError):
+            load_tensors(data)
+    path = tmp_path / "m.evaw"
+    for named in (_tiny_named(embed=np.zeros((3, 5), np.float32)),
+                  _tiny_named(**{"blocks.0.W_o": np.zeros((8, 9), np.float32)}),
+                  _tiny_named(ln0_g=None)):
+        path.write_bytes(dump_tensors(_TINY, named))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def _ckpt_corrupted(at, byte, cut, tail):
+    """_CKPT with the byte at `at` replaced, cut to `cut` bytes, `tail` appended."""
+    return (_CKPT[:at] + bytes([byte]) + _CKPT[at + 1:])[:cut] + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=96),
+    st.binary(max_size=96).map(lambda b: b"EVAW" + b),
+    st.builds(_ckpt_corrupted,
+              st.one_of(st.integers(0, _META_END + 16), st.integers(0, len(_CKPT) - 1)),
+              st.integers(0, 255), st.integers(0, len(_CKPT)), st.binary(max_size=8))))
+def test_checkpoint_bytes_parse_or_raise_checkpoint_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.evaw"
+    path.write_bytes(data)
+    try:
+        load_tensors(data)
+        params, _, _ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    template = named_arrays(init_encoder_params(params.config, seed=0))
+    got = named_arrays(params)
+    assert {k: v.shape for k, v in got.items()} == {k: v.shape for k, v in template.items()}
+
+
 def test_binary_file_roundtrip(tmp_path):
     geom = SensorGeometry(32, 48, 16)
     ev = make_events([0, 10, 15], [1, 40, 47], [2, 30, 31], [0, 1, 1])

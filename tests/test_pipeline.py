@@ -1,11 +1,12 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eva.config import ENCODER_PROFILES, EncoderConfig
 from eva.encoder import encode_events, encode_sequence, encode_sequence_recurrent
-from eva.events import SensorGeometry, make_events, synth_generate
+from eva.events import SensorGeometry, make_events, partition_patches, synth_generate
 from eva.params import init_encoder_params
 from eva.pipeline import A2SPipeline, bench, encode_offline
 
@@ -156,6 +157,44 @@ def test_encode_offline_periodic(small_params):
     # final periodic frame equals the single-shot encode
     single = encode_offline(small_params, ev, geom)[-1][1]
     assert np.allclose(frames[-1][1].values, single.values, rtol=1e-12)
+
+
+def test_encode_offline_matches_per_boundary_encodes():
+    # one encode per patch must give every boundary's frame: patch (0, 1)
+    # is silent in the second period, (1, 0) starts after the second
+    # boundary and (1, 1) never fires
+    params = init_encoder_params(replace(SMALL, precision="f32"), seed=0)
+    geom = SensorGeometry(16, 16, 8)
+    rng = np.random.default_rng(9)
+    spans = {(0, 0): [(0, 39_990, 300)], (0, 1): [(0, 9_999, 60), (20_001, 39_990, 90)],
+             (1, 0): [(25_000, 39_990, 80)]}
+    parts = []
+    for (r, c), pieces in spans.items():
+        for lo, hi, n in pieces:
+            t = rng.integers(lo, hi + 1, size=n)
+            t[:2] = lo, hi
+            parts.append(make_events(t, c * 8 + rng.integers(0, 8, n),
+                                     r * 8 + rng.integers(0, 8, n), rng.integers(0, 2, n)))
+    ev = np.concatenate(parts)
+    ev = ev[np.argsort(ev["t"], kind="stable")]
+    frames = encode_offline(params, ev, geom, period_us=10_000)
+    assert [t for t, _ in frames] == [10_000, 20_000, 30_000, 39_990]
+    Dh, n_out = SMALL.mvhs_d_head, SMALL.n_out
+    by_patch = partition_patches(ev, geom)
+    for t_ref, snap in frames:
+        want = np.zeros_like(snap.values)
+        marks = np.full((2, 2), -1, np.int64)
+        for (r, c), ps in by_patch.items():
+            upto = ps.events[ps.events["t"] <= t_ref]
+            if len(upto):
+                snaps, _ = encode_events(params, upto)
+                want[:, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = snaps[-1, :n_out]
+                marks[r, c] = upto["t"][-1]
+        assert np.array_equal(snap.watermarks, marks)
+        assert np.max(np.abs(snap.values - want)) <= 1e-5 * np.max(np.abs(want))
+    assert frames[1][1].watermarks[0, 1] == frames[0][1].watermarks[0, 1] > 0
+    assert frames[1][1].watermarks[1, 0] == -1 < frames[2][1].watermarks[1, 0]
+    assert np.all(frames[-1][1].values[:, Dh:, Dh:] == 0.0)
 
 
 def test_bench_report(small_params):
