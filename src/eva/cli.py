@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: convert (csv <-> binary), filter (hot pixels), pretrain,
-encode (file -> periodic snapshots), serve, bench, oracle (emit ec/ts
-targets), inspect (parameter / MAC accounting).
+encode (file -> periodic snapshots), serve, oracle (emit ec/ts targets),
+inspect (parameter / MAC accounting).
 
 Environment: EVA_PRECISION (f32|f64) overrides checkpoint precision at
 load time.
@@ -22,9 +22,8 @@ from .checkpoint import load_checkpoint
 from .config import (ENCODER_PROFILES, TRAIN_PROFILES, EncoderConfig,
                      encoder_config_from_kv, parse_kv_text)
 from .events import (SensorGeometry, filter_hot_pixels, parse_csv, partition_patches,
-                     read_binary_file, synth_generate, write_binary_file, write_csv)
-from .params import init_encoder_params
-from .pipeline import A2SPipeline, bench as bench_stream, encode_offline
+                     read_binary_file, write_binary_file, write_csv)
+from .pipeline import A2SPipeline, encode_offline
 from .server import EvaServer
 from .targets import event_count, time_surface
 
@@ -134,21 +133,6 @@ def cmd_serve(args):
     print("shut down")
 
 
-def cmd_bench(args):
-    params = _load_params(args) if args.checkpoint else \
-        init_encoder_params(ENCODER_PROFILES[args.profile], seed=0)
-    geometry = _geometry(args.geometry, params.config.patch) or \
-        SensorGeometry(128, 128, params.config.patch)
-    if args.input:
-        events, geometry = _load_events(args.input, geometry)
-    else:
-        events = synth_generate("moving_bar", geometry, args.duration_us,
-                                args.rate, seed=0)
-    report = bench_stream(params, geometry, events)
-    for k, v in report.items():
-        print(f"{k} = {v}")
-
-
 def cmd_oracle(args):
     geometry = _geometry(args.geometry)
     events, geometry = _load_events(args.input, geometry)
@@ -241,15 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", required=True)
     p.add_argument("--listen", default="127.0.0.1:7733")
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("bench", help="measure per-event ingestion cost")
-    p.add_argument("--checkpoint")
-    p.add_argument("--profile", default="dvs", choices=sorted(ENCODER_PROFILES))
-    p.add_argument("--input")
-    p.add_argument("--geometry")
-    p.add_argument("--rate", type=float, default=100_000.0)
-    p.add_argument("--duration-us", type=int, default=1_000_000)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("oracle", help="emit handcrafted ec/ts target images")
     p.add_argument("--input", required=True)

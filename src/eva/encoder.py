@@ -21,7 +21,7 @@ from . import blocks as B
 from . import mvhs as M
 from . import scan
 from .config import EncoderConfig
-from .embedding import embed_events
+from .embedding import embed_events, event_to_token_dt
 from .params import EncoderParams
 from .runtime import EncoderRuntime
 
@@ -135,7 +135,6 @@ def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
 
 def encode_events(params: EncoderParams, events, state=None, checkpoints=None):
     """Encode patch-local events, tracking the timestamp cursor."""
-    from .embedding import event_to_token_dt
     cfg = params.config
     prev_t = None if state is None or state.last_t < 0 else state.last_t
     tokens, dts = event_to_token_dt(events, cfg.patch, cfg.patch, prev_t)

@@ -180,6 +180,8 @@ def unpack_binary(data: bytes, geometry: SensorGeometry | None = None) -> np.nda
     if len(data) % RECORD_BYTES:
         raise EventFormatError(f"byte length {len(data)} not a multiple of {RECORD_BYTES}")
     rec = np.frombuffer(data, dtype="<u2").reshape(-1, 4)
+    if np.any(rec[:, 3] > 1):  # checked before the int8 field could wrap it
+        raise EventFormatError("polarity outside {0, 1}")
     ev = make_events(np.cumsum(rec[:, 0].astype(np.int64)), rec[:, 1], rec[:, 2], rec[:, 3])
     if len(ev):
         ev["t"] -= rec[0, 0]  # first record's dt is a base offset of zero
@@ -202,8 +204,13 @@ def read_binary_file(path) -> tuple[np.ndarray, SensorGeometry]:
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
             raise EventFormatError(f"bad magic {magic!r}")
-        h, w = np.frombuffer(fh.read(4), dtype="<u2")
-        geometry = SensorGeometry(int(h), int(w))
+        header = fh.read(4)
+        if len(header) < 4:
+            raise EventFormatError("file ends inside the sensor size header")
+        h, w = (int(v) for v in np.frombuffer(header, dtype="<u2"))
+        if not (h and w):
+            raise EventFormatError(f"sensor size {h}x{w} has no area")
+        geometry = SensorGeometry(h, w)
         events = unpack_binary(fh.read(), geometry)
     return events, geometry
 

@@ -42,13 +42,6 @@ class MvhsState:
         return MvhsState(self.S.copy(), self.prev.copy())
 
 
-def select_channels(S: np.ndarray, n_out: int) -> np.ndarray:
-    """Keep the lowest-indexed `n_out` head matrices (copying)."""
-    if not 0 < n_out <= S.shape[0]:
-        raise ValueError(f"n_out must be in [1, {S.shape[0]}], got {n_out}")
-    return S[:n_out].copy()
-
-
 def _mvhs_seq(x, carry, S0, mp: MvhsParams, n_heads: int, checkpoints,
               chunk: int, want_cache: bool = False):
     """Batched core: x (B, T, D). Returns (snaps, S_fin, new_carry[, cache])."""

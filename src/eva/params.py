@@ -174,10 +174,6 @@ def encoder_params_from_named(cfg: EncoderConfig, named: dict[str, np.ndarray]) 
                          ln0_b=named["ln0_b"], blocks=blocks, mvhs=mvhs)
 
 
-def zeros_like_named(named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in named.items()}
-
-
 def randomize_params(params: EncoderParams, seed: int, scale: float = 0.5) -> None:
     """Overwrite every tensor with uniform noise (test utility: exercises
     all gradient paths, unlike the structured init)."""

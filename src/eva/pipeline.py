@@ -16,8 +16,6 @@ that advance at different rates.
 from __future__ import annotations
 
 import threading
-import time
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +44,6 @@ class FrameSnapshot:
     def to_bytes(self) -> bytes:
         return SN.dump_snapshot(SN.KIND_REPR, self.values, max(self.watermark, 0),
                                 self.grid, self.watermarks)
-
-    def checksum(self) -> int:
-        return zlib.crc32(np.ascontiguousarray(self.values, dtype="<f4").tobytes())
 
 
 class A2SPipeline:
@@ -242,40 +237,3 @@ def encode_offline(params: EncoderParams, events: np.ndarray,
         marks[seen, r, c] = ts[hi[seen] - 1]
     return [(t_ref, FrameSnapshot(values[i], marks[i], Dh))
             for i, t_ref in enumerate(boundaries)]
-
-
-# ---------------------------------------------------------------------------
-# Benchmarking
-# ---------------------------------------------------------------------------
-
-def bench(params: EncoderParams, geometry: SensorGeometry, events: np.ndarray) -> dict:
-    """Ingest a stream one event at a time, timing per-event cost.
-
-    Reports throughput, latency percentiles, and the ratio of the mean
-    per-event cost over the last decile of the stream to the first decile
-    (O(1) updates keep this near 1).
-    """
-    pipe = A2SPipeline(params, geometry, threads=1)
-    n = len(events)
-    if n == 0:
-        return {"events": 0, "events_per_sec": 0.0, "mean_us": 0.0,
-                "p99_us": 0.0, "decile_ratio": 0.0, "constant_cost_ok": True,
-                "checksum": pipe.snapshot().checksum()}
-    stamps = np.empty(n + 1, dtype=np.int64)
-    stamps[0] = time.perf_counter_ns()
-    for i, ev in enumerate(events):
-        pipe.ingest(int(ev["t"]), int(ev["x"]), int(ev["y"]), int(ev["p"]))
-        stamps[i + 1] = time.perf_counter_ns()
-    lat = np.diff(stamps) / 1000.0  # microseconds
-    dec = max(n // 10, 1)
-    total_s = (stamps[-1] - stamps[0]) / 1e9
-    ratio = float(lat[-dec:].mean() / lat[:dec].mean())
-    return {
-        "events": n,
-        "events_per_sec": n / total_s,
-        "mean_us": float(lat.mean()),
-        "p99_us": float(np.percentile(lat, 99)),
-        "decile_ratio": ratio,
-        "constant_cost_ok": ratio <= 2.0,
-        "checksum": pipe.snapshot().checksum(),
-    }

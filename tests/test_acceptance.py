@@ -21,7 +21,7 @@ from eva.events import (SensorGeometry, filter_hot_pixels, make_events, pack_bin
                         unpack_binary, write_binary_file, write_csv)
 from eva.mvhs import MvhsState
 from eva.params import init_encoder_params, named_arrays, randomize_params
-from eva.pipeline import A2SPipeline, bench, encode_offline
+from eva.pipeline import A2SPipeline, encode_offline
 from eva.runtime import _BlockRt, _MvhsRt
 from eva.server import EvaClient, EvaServer
 from eva.snapshots import dump_snapshot, load_snapshot, KIND_REPR
@@ -324,14 +324,24 @@ def test_criterion_8_a2s_round_trip(tmp_path):
     q_off = quantize_repr(offline.values)
     q_close = int(np.abs(q_live.astype(int) - q_off.astype(int)).max()) <= 1
 
-    latency = bench(params, file_geom, file_events)
+    # constant per-event cost: time a one-at-a-time ingest loop over the
+    # whole stream; the last decile's mean may be at most twice the first's
+    loop = A2SPipeline(params, file_geom, threads=1)
+    stamps = np.empty(len(file_events) + 1, dtype=np.int64)
+    stamps[0] = time.perf_counter_ns()
+    for i, ev in enumerate(file_events):
+        loop.ingest(int(ev["t"]), int(ev["x"]), int(ev["y"]), int(ev["p"]))
+        stamps[i + 1] = time.perf_counter_ns()
+    lat = np.diff(stamps)
+    dec = len(lat) // 10
+    decile_ratio = float(lat[-dec:].mean() / lat[:dec].mean())
     dt = time.perf_counter() - t0
     ok = (acc == 100_000 and rej == 0 and rel <= 1e-3 and marks_equal
-          and q_close and latency["decile_ratio"] <= 2.0 and dt < 120)
+          and q_close and decile_ratio <= 2.0 and dt < 120)
     report("criterion 8 (offline encode vs live serve, 100k events)", ok,
            f"rel={rel:.2e} (<=1e-3), watermarks equal={marks_equal}, "
            f"quantized within 1 count={q_close}, decile ratio="
-           f"{latency['decile_ratio']:.2f} (<=2), {dt:.0f}s")
+           f"{decile_ratio:.2f} (<=2), {dt:.0f}s")
 
 
 # criterion 9 -------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from eva.config import ENCODER_PROFILES, EncoderConfig
 from eva.encoder import (EncoderState, backward_train, encode_sequence,
                          encode_sequence_recurrent, forward_train)
-from eva.mvhs import select_channels
 from eva.params import init_encoder_params, randomize_params
 from eva.runtime import EncoderRuntime
 
@@ -153,7 +152,7 @@ def test_ingest_event_tracks_timestamps(params):
     assert st.last_t.tolist() == [100, 7] and st.event_index.tolist() == [1, 1]
     assert rt.ingest(st, np.array([4, 6]), np.array([130, 9])) is None
     assert st.last_t.tolist() == [130, 9] and st.event_index.tolist() == [2, 2]
-    assert select_channels(st.mvhs.S[0], CFG.n_out).shape == (2, 8, 8)
+    assert st.mvhs.S[0][:CFG.n_out].shape == (2, 8, 8)
 
 
 def test_first_event_gap_is_zero(params):

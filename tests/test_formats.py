@@ -9,7 +9,8 @@ from eva.checkpoint import (CheckpointError, dump_tensors, load_checkpoint,
                             load_tensors, save_checkpoint)
 from eva.config import (ENCODER_PROFILES, encoder_config_from_kv,
                         format_kv_text, parse_kv_text)
-from eva.events import SensorGeometry, make_events, read_binary_file, write_binary_file
+from eva.events import (BINARY_MAGIC, EventFormatError, SensorGeometry, make_events,
+                        pack_binary, read_binary_file, unpack_binary, write_binary_file)
 from eva.params import init_encoder_params, named_arrays
 from eva.snapshots import (KIND_EC, KIND_QUANT, KIND_REPR, KIND_TS, MAGIC,
                            SnapshotError, dump_snapshot, load_snapshot)
@@ -133,6 +134,64 @@ def test_binary_file_roundtrip(tmp_path):
     back, geom2 = read_binary_file(path)
     assert (geom2.height, geom2.width) == (32, 48)
     assert np.array_equal(back, ev)
+
+
+def test_binary_file_header_errors_are_typed(tmp_path):
+    path = tmp_path / "bad.evt"
+    for data in (b"EVA1\x01",                            # ends inside the size header
+                 b"EVA1" + struct.pack("<2H", 0, 0),    # a 0 x 0 sensor
+                 b"EVA1" + struct.pack("<2H", 4, 0)):
+        path.write_bytes(data)
+        with pytest.raises(EventFormatError):
+            read_binary_file(path)
+
+
+def test_unpack_rejects_polarity_past_the_int8_field():
+    # 256 and 257 must not wrap to polarity 0 and 1
+    for p in (2, 256, 257):
+        with pytest.raises(EventFormatError, match="polarity"):
+            unpack_binary(struct.pack("<4H", 0, 1, 2, p))
+
+
+_EVT = (BINARY_MAGIC + struct.pack("<2H", 32, 48)
+        + pack_binary(make_events([0, 10, 15, 70, 70, 900], [1, 40, 47, 0, 5, 31],
+                                  [2, 30, 31, 0, 3, 4], [0, 1, 1, 0, 1, 0])))
+
+
+def _evt_corrupted(at, byte, cut, tail):
+    """_EVT with the byte at `at` replaced, cut to `cut` bytes, `tail` appended."""
+    return (_EVT[:at] + bytes([byte]) + _EVT[at + 1:])[:cut] + tail
+
+
+def _first_gap_zeroed(records):
+    return b"\x00\x00" + records[2:] if records else b""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda b: BINARY_MAGIC + b),
+    st.builds(_evt_corrupted, st.integers(0, len(_EVT) - 1), st.integers(0, 255),
+              st.integers(0, len(_EVT)), st.binary(max_size=8))))
+def test_event_bytes_parse_or_raise_event_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.evt"
+    path.write_bytes(data)
+    try:
+        events, geom = read_binary_file(path)
+    except EventFormatError:
+        pass
+    else:
+        assert (geom.height, geom.width) == struct.unpack("<2H", data[4:8])
+        assert np.all(events["x"] < geom.width) and np.all(events["y"] < geom.height)
+        # what parses packs back to the same records (the first gap is the base 0)
+        assert pack_binary(events) == _first_gap_zeroed(data[8:])
+    for records in (data, data[8:]):
+        try:
+            events = unpack_binary(records)
+        except EventFormatError:
+            continue
+        assert np.all(np.diff(events["t"]) >= 0) and np.all(events["p"] <= 1)
+        assert pack_binary(events) == _first_gap_zeroed(records)
 
 
 def test_snapshot_roundtrip_f32():

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from eva import mvhs as M
 from eva import scan
 from eva.config import EncoderConfig
-from eva.params import init_mvhs_params
+from eva.events import SensorGeometry, make_events
+from eva.params import init_encoder_params, init_mvhs_params
+from eva.pipeline import A2SPipeline
 from eva.runtime import _MvhsRt
 
 CFG = EncoderConfig(d_model=8, n_blocks=1, n_heads=2, d_ffn=16, d_lora=4,
@@ -218,29 +222,40 @@ def test_batched_rows_step_independently():
 
 
 # ---------------------------------------------------------------------------
-# select_channels
+# output channels: a snapshot keeps the first n_out head matrices
 # ---------------------------------------------------------------------------
 
 def test_select_channels_shapes():
-    S = np.arange(8 * 16 * 16, dtype=float).reshape(8, 16, 16)
-    rep = M.select_channels(S, 4)
-    assert rep.shape == (4, 16, 16)
-    assert np.array_equal(rep, S[:4])
-
-    S2 = np.zeros((16, 8, 8))
-    assert M.select_channels(S2, 16).shape == (16, 8, 8)
+    geom = SensorGeometry(8, 12, 4)  # a 2 x 3 grid of patches
+    for n_out in (1, 2):
+        cfg = replace(CFG, n_out=n_out, precision="f32")
+        pipe = A2SPipeline(init_encoder_params(cfg, seed=0), geom)
+        S = pipe._state.mvhs.S  # (patches, heads, Dh, Dh), patch (r, c) at row 3r + c
+        S[...] = np.arange(S.size, dtype=S.dtype).reshape(S.shape)
+        snap = pipe.snapshot()
+        assert snap.values.shape == (n_out, 2 * 4, 3 * 4)
+        for r in range(2):
+            for c in range(3):
+                tile = snap.values[:, 4 * r:4 * (r + 1), 4 * c:4 * (c + 1)]
+                assert np.array_equal(tile, S[3 * r + c, :n_out])
 
 
 def test_select_channels_identity_and_copy():
-    S = np.ones((4, 3, 3))
-    rep = M.select_channels(S, 4)
-    rep[...] = 7.0
-    assert np.all(S == 1.0)  # snapshot never aliases the live state
+    geom = SensorGeometry(8, 8, 4)
+    pipe = A2SPipeline(init_encoder_params(CFG, seed=0), geom)
+    pipe.ingest_events(make_events([0, 5, 9, 12], [0, 5, 1, 7], [1, 6, 2, 3], [0, 1, 1, 0]))
+    snap = pipe.snapshot()
+    values, marks = snap.values.copy(), snap.watermarks.copy()
+    assert values.any()
+    snap.values[...] = 7.0  # a snapshot never aliases the live state
+    snap.watermarks[...] = 7
+    again = pipe.snapshot()
+    assert np.array_equal(again.values, values)
+    assert np.array_equal(again.watermarks, marks)
 
 
 def test_select_channels_rejects_bad_n_out():
-    S = np.zeros((4, 3, 3))
     with pytest.raises(ValueError):
-        M.select_channels(S, 0)
+        replace(CFG, n_out=0)
     with pytest.raises(ValueError):
-        M.select_channels(S, 5)
+        replace(CFG, n_out=CFG.mvhs_heads + 1)
