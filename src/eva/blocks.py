@@ -29,9 +29,16 @@ from .config import EncoderConfig
 from .params import LN_EPS, BlockParams
 
 
+def matrix_state_zeros(n_heads: int, d_head: int, dtype) -> np.ndarray:
+    """Zero matrix states (N, Dh, Dh), stored heads-innermost: a view of
+    (Dh, Dh, N) memory, the order `runtime` steps in (see there)."""
+    return np.zeros((d_head, d_head, n_heads), dtype).transpose(2, 0, 1)
+
+
 @dataclass
 class BlockState:
-    """Recurrent state of one block for one stream."""
+    """Recurrent state of one block for one stream. `zeros` stores S
+    heads-innermost and `copy` keeps whatever memory order S has."""
 
     S: np.ndarray        # (N, Dh, Dh)
     tm_prev: np.ndarray  # (D,) last normalized TM input
@@ -41,13 +48,13 @@ class BlockState:
     def zeros(cls, cfg: EncoderConfig, dtype=None) -> "BlockState":
         dtype = dtype or cfg.dtype
         return cls(
-            S=np.zeros((cfg.n_heads, cfg.d_head, cfg.d_head), dtype),
+            S=matrix_state_zeros(cfg.n_heads, cfg.d_head, dtype),
             tm_prev=np.zeros(cfg.d_model, dtype),
             cm_prev=np.zeros(cfg.d_model, dtype),
         )
 
     def copy(self) -> "BlockState":
-        return BlockState(self.S.copy(), self.tm_prev.copy(), self.cm_prev.copy())
+        return BlockState(self.S.copy(order="K"), self.tm_prev.copy(), self.cm_prev.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,15 @@ class EncoderState:
     """Recurrent state of one stream. The same container holds a batch of
     streams (every array with a leading batch axis, last_t and event_index
     as (B,) int64 arrays) for `runtime.EncoderRuntime`; `rows` makes one
-    from the other."""
+    from the other.
+
+    The matrix states (each block's S and the MVHS S) have the shape
+    (N, Dh, Dh), or (B, N, Dh, Dh) batched, but `zeros` stores them
+    heads-innermost, in memory order (Dh, Dh, N) or (Dh, Dh, B, N), and
+    `copy` and `rows` keep that order. `runtime` steps every per-head op
+    over the B * N contiguous floats of one (i, j) entry instead of one
+    8-long row at a time. States with other strides step correctly,
+    only slower."""
 
     blocks: list
     mvhs: M.MvhsState
@@ -54,21 +62,22 @@ class EncoderState:
         return ([a for b in self.blocks for a in (b.S, b.tm_prev, b.cm_prev)]
                 + [self.mvhs.S, self.mvhs.prev])
 
-    @classmethod
-    def from_tensors(cls, tensors, last_t=-1, event_index=0) -> "EncoderState":
-        """The state holding `tensors`, in the order `tensors()` lists them."""
-        *blocks, S, prev = tensors
-        return cls([B.BlockState(*blocks[i:i + 3]) for i in range(0, len(blocks), 3)],
-                   M.MvhsState(S, prev), last_t, event_index)
-
     def rows(self, sel) -> "EncoderState":
         """Every array indexed by `sel` along a leading batch axis: a slice
         selects views, an index array copies, and `None` adds a batch axis
         of one to a single stream's state (views, except last_t and
-        event_index, which become new 1-element arrays)."""
-        return EncoderState.from_tensors([a[sel] for a in self.tensors()],
-                                         np.asarray(self.last_t)[sel],
-                                         np.asarray(self.event_index)[sel])
+        event_index, which become new 1-element arrays). Matrix states are
+        indexed in their (Dh, Dh, ..., N) memory view, so a copy keeps the
+        heads-innermost order."""
+        def pick(S):
+            m = np.moveaxis(S, (-2, -1), (0, 1))[:, :, sel]
+            if not np.may_share_memory(m, S):  # numpy lays a gather out batch-outermost
+                m = np.ascontiguousarray(m)
+            return np.moveaxis(m, (0, 1), (-2, -1))
+        return EncoderState([B.BlockState(pick(b.S), b.tm_prev[sel], b.cm_prev[sel])
+                             for b in self.blocks],
+                            M.MvhsState(pick(self.mvhs.S), self.mvhs.prev[sel]),
+                            np.asarray(self.last_t)[sel], np.asarray(self.event_index)[sel])
 
 
 # ---------------------------------------------------------------------------

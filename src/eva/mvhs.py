@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scan
 from .config import EncoderConfig
-from .blocks import mix_bwd, mix_fwd
+from .blocks import matrix_state_zeros, mix_bwd, mix_fwd
 from .params import MvhsParams
 
 
@@ -34,12 +34,12 @@ class MvhsState:
     def zeros(cls, cfg: EncoderConfig, dtype=None) -> "MvhsState":
         dtype = dtype or cfg.dtype
         return cls(
-            S=np.zeros((cfg.mvhs_heads, cfg.mvhs_d_head, cfg.mvhs_d_head), dtype),
+            S=matrix_state_zeros(cfg.mvhs_heads, cfg.mvhs_d_head, dtype),
             prev=np.zeros(cfg.d_model, dtype),
         )
 
     def copy(self) -> "MvhsState":
-        return MvhsState(self.S.copy(), self.prev.copy())
+        return MvhsState(self.S.copy(order="K"), self.prev.copy())
 
 
 def _mvhs_seq(x, carry, S0, mp: MvhsParams, n_heads: int, checkpoints,

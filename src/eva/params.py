@@ -173,12 +173,3 @@ def encoder_params_from_named(cfg: EncoderConfig, named: dict[str, np.ndarray]) 
     return EncoderParams(config=cfg, embed=named["embed"], ln0_g=named["ln0_g"],
                          ln0_b=named["ln0_b"], blocks=blocks, mvhs=mvhs)
 
-
-def randomize_params(params: EncoderParams, seed: int, scale: float = 0.5) -> None:
-    """Overwrite every tensor with uniform noise (test utility: exercises
-    all gradient paths, unlike the structured init)."""
-    rng = np.random.default_rng(seed)
-    for name, arr in named_arrays(params).items():
-        arr[...] = rng.uniform(-scale, scale, size=arr.shape).astype(arr.dtype)
-        if name.endswith("lam_d"):
-            arr[...] = arr + SLOW_DECAY_BIAS

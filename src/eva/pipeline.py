@@ -1,16 +1,27 @@
 """Asynchronous-to-synchronous pipeline.
 
 Each sensor patch owns an independent recurrent encoder state, updated
-event by event in O(1) per event. The states of all patches are stacked
-(patch k is row k of one buffer, viewed as one stacked array per state
-tensor), and ingestion advances them in waves: the k-th in-order event
-of every patch with pending events goes through one batched
-`runtime.EncoderRuntime` step, its rows gathered from the buffer and
-scattered back. One lock, held per wave, orders waves and snapshots, so a
-snapshot sees a whole number of events in every patch. A snapshot tiles
-the selected output channels of every patch into a frame tensor; each
-tile reports its own last-event watermark so consumers can align patches
-that advance at different rates.
+event by event in O(1) per event. The states of all patches are stacked,
+and ingestion advances them in waves: the k-th in-order event of every
+patch with pending events goes through one batched
+`runtime.EncoderRuntime` step. One lock, held per `ingest`/
+`ingest_events` call, orders ingestion and snapshots, so a snapshot sees
+a whole number of events in every patch. A snapshot tiles the selected
+output channels of every patch into a frame tensor; each tile reports its
+own last-event watermark so consumers can align patches that advance at
+different rates.
+
+The stacks keep the runtime's heads-innermost order (see `runtime`): the
+block matrix states of all patches are one (n_blocks * Dh * Dh, patches,
+N) store, the MVHS states one (Dh * Dh, patches, N) store, and the
+vectors (each block's tm_prev and cm_prev, then the MVHS prev) one
+patch-major buffer. A call gathers the patches it touches from each of
+the three with one `take` (runs of N floats from the two matrix stores),
+ordered by descending event count, so that wave k steps a prefix of the
+gathered copy in place; then it scatters the copy back. That is three
+gathers and three scatters per call, whatever its size and number of
+waves. With the patch axis innermost instead, the gather and scatter
+would copy single floats and cost about 10x more.
 """
 
 from __future__ import annotations
@@ -21,8 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import snapshots as SN
+from .blocks import BlockState
 from .encoder import EncoderState, encode_events
 from .events import SensorGeometry, partition_patches
+from .mvhs import MvhsState
 from .params import EncoderParams
 from .runtime import EncoderRuntime
 
@@ -49,9 +62,10 @@ class FrameSnapshot:
 class A2SPipeline:
     """Live per-patch recurrent encoding with on-demand snapshots.
 
-    Patch (r, c) is row r * grid_cols + c of the stacked state. `threads`
-    is accepted for compatibility and ignored: waves batch the patches in
-    one thread."""
+    Patch (r, c) is row r * grid_cols + c of the stacked state
+    (`_state`, a batched `EncoderState` viewing the stores). `threads` is
+    accepted for compatibility and ignored: waves batch the patches in one
+    thread."""
 
     def __init__(self, params: EncoderParams, geometry: SensorGeometry,
                  threads: int | None = None):
@@ -60,16 +74,16 @@ class A2SPipeline:
         self.params = params
         self.geometry = geometry
         self.runtime = EncoderRuntime(params)
+        cfg = params.config
         n = geometry.grid_rows * geometry.grid_cols
-        zero = EncoderState.zeros(params.config, params.dtype).tensors()
-        self._layout = [(a.shape, a.size) for a in zero]
-        # every state tensor of patch k lies in row k of one buffer, so a wave
-        # gathers and scatters its patches with one indexing op each
-        self._buf = np.zeros((n, sum(a.size for a in zero)), params.dtype)
-        self._state = self._view(self._buf, np.full(n, -1, np.int64), np.zeros(n, np.int64))
-        self._rejected = np.zeros(n, np.int64)   # out of order or non-finite
-        self._nonfinite = np.zeros(n, np.int64)
+        self._S = np.zeros((cfg.n_blocks * cfg.d_head ** 2, n, cfg.n_heads), params.dtype)
+        self._S_mvhs = np.zeros((cfg.mvhs_d_head ** 2, n, cfg.mvhs_heads), params.dtype)
+        self._vec = np.zeros((n, (2 * cfg.n_blocks + 1) * cfg.d_model), params.dtype)
+        self._state = self._view(self._S, self._S_mvhs, self._vec,
+                                 np.full(n, -1, np.int64), np.zeros(n, np.int64))
         self.ingested = 0
+        self.out_of_order = 0
+        self.nonfinite = 0
         self.out_of_bounds = 0
         self.snapshots_served = 0
         self._lock = threading.Lock()
@@ -86,7 +100,7 @@ class A2SPipeline:
         pid = (y // P) * g.grid_cols + x // P
         token = p * P * P + (y % P) * P + x % P
         with self._lock:
-            return self._wave(np.array([pid]), np.array([token]), np.array([t])) == 1
+            return self._run(np.array([pid]), np.array([token]), np.array([t]), [1]) == 1
 
     def ingest_events(self, events: np.ndarray) -> tuple[int, int]:
         """Batch ingest (events may span patches, in stream order). Returns
@@ -100,62 +114,86 @@ class A2SPipeline:
             with self._lock:
                 self.out_of_bounds += len(valid) - len(events)
         n, P = len(events), g.patch
+        if not n:
+            return 0, len(valid)
         qy, ry = np.divmod(y.astype(np.int64), P)
         qx, rx = np.divmod(x.astype(np.int64), P)
         pid = qy * g.grid_cols + qx
         tok = p.astype(np.int64) * (P * P) + ry * P + rx
-        t = events["t"]
-        # wave k holds the k-th event of every patch that has one: rank each
+        # wave k holds the k-th event of every patch that has one. Rank each
         # event within its patch (its index minus that of its patch's first
-        # event, in patch order), then order by (rank, patch)
+        # event, in patch order) and give the patches slots by descending
+        # event count, so that wave k is the first bincount(rank)[k] slots;
+        # then order the events by (rank, slot)
         order = np.argsort(pid, kind="stable")
         by_patch = pid[order]
         first = np.ones(n, bool)
         np.not_equal(by_patch[1:], by_patch[:-1], out=first[1:])
         idx = np.arange(n)
         rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
-        waves = order[np.argsort(rank, kind="stable")]
-        accepted, lo = 0, 0
-        for hi in np.cumsum(np.bincount(rank)).tolist():
-            sel = waves[lo:hi]
-            with self._lock:
-                accepted += self._wave(pid[sel], tok[sel], t[sel])
-            lo = hi
+        starts = np.flatnonzero(first)
+        by_count = np.argsort(-np.diff(starts, append=n), kind="stable")
+        slot = np.empty(len(starts), np.int64)
+        slot[by_count] = np.arange(len(starts))
+        waves = order[np.argsort(rank * len(starts) + slot[np.cumsum(first) - 1])]
+        with self._lock:
+            accepted = self._run(by_patch[starts[by_count]], tok[waves], events["t"][waves],
+                                 np.bincount(rank).tolist())
         return accepted, len(valid) - accepted
 
-    def _wave(self, ids, tokens, ts) -> int:
-        """Advance the distinct patches `ids` by one event each; call under
-        the lock. An event older than its patch's watermark is rejected; one
-        whose update is non-finite zeroes its patch's block and MVHS state,
-        keeps its watermark and is counted. Returns the number accepted."""
+    def _run(self, ids, tokens, ts, sizes) -> int:
+        """Advance the distinct patches `ids` by waves of events; call under
+        the lock. Wave k steps the first sizes[k] patches (sizes do not
+        increase) by one event each, from the next sizes[k] entries of
+        `tokens` and `ts`. The patches are gathered once, each wave steps a
+        prefix of the gathered copy in place, and the copy is scattered
+        back. Returns the number of events accepted."""
         st = self._state
-        late = ts < st.last_t[ids]
-        if late.any():
-            self._rejected[ids[late]] += 1
-            ids, tokens, ts = ids[~late], tokens[~late], ts[~late]
-            if not len(ids):
-                return 0
-        buf = self._buf[ids]
-        rows = self._view(buf, st.last_t[ids], st.event_index[ids])
-        bad = self.runtime.ingest(rows, tokens, ts)
-        self._buf[ids] = buf
-        st.last_t[ids] = rows.last_t
-        st.event_index[ids] = rows.event_index
-        n_ok = len(ids)
-        if bad is not None:
-            self._rejected[ids[bad]] += 1
-            self._nonfinite[ids[bad]] += 1
-            n_ok -= int(np.count_nonzero(bad))
-        self.ingested += n_ok
-        return n_ok
+        S, S_mvhs, vec = self._S.take(ids, 1), self._S_mvhs.take(ids, 1), self._vec[ids]
+        last_t, event_index = st.last_t[ids], st.event_index[ids]
+        accepted, lo = 0, 0
+        for n in sizes:
+            rows = self._view(S[:, :n], S_mvhs[:, :n], vec[:n], last_t[:n], event_index[:n])
+            accepted += self._wave(rows, tokens[lo:lo + n], ts[lo:lo + n])
+            lo += n
+        self._S[:, ids] = S
+        self._S_mvhs[:, ids] = S_mvhs
+        self._vec[ids] = vec
+        st.last_t[ids] = last_t
+        st.event_index[ids] = event_index
+        return accepted
 
-    def _view(self, buf, last_t, event_index) -> EncoderState:
-        """The batched state whose tensors view the rows of `buf`."""
-        views, start = [], 0
-        for shape, size in self._layout:
-            views.append(buf[:, start:start + size].reshape((len(buf),) + shape))
-            start += size
-        return EncoderState.from_tensors(views, last_t, event_index)
+    def _wave(self, rows, tokens, ts) -> int:
+        """Advance every row of the batched state `rows` by one event, in
+        place. An event older than its row's watermark is rejected and
+        counted, and its row is not stepped; one whose update is non-finite
+        zeroes its row's block and MVHS state, keeps its watermark and is
+        counted. Returns the number accepted."""
+        late = ts < rows.last_t
+        if late.any():
+            self.out_of_order += int(np.count_nonzero(late))
+            ok = np.flatnonzero(~late)
+            sub = rows.rows(ok)
+            n_ok = self._wave(sub, tokens[ok], ts[ok]) if len(ok) else 0
+            for a, b in zip(_arrays(rows), _arrays(sub)):
+                a[ok] = b
+            return n_ok
+        bad = self.runtime.ingest(rows, tokens, ts)
+        n_bad = 0 if bad is None else int(np.count_nonzero(bad))
+        self.nonfinite += n_bad
+        self.ingested += len(ts) - n_bad
+        return len(ts) - n_bad
+
+    def _view(self, S, S_mvhs, vec, last_t, event_index) -> EncoderState:
+        """The batched state of the patches stored in (S, S_mvhs, vec),
+        the layout of the stacks, whose arrays view those stores."""
+        cfg = self.params.config
+        B, Dh, Dm = len(vec), cfg.d_head, cfg.mvhs_d_head
+        S = S.reshape(-1, Dh, Dh, B, cfg.n_heads).transpose(0, 3, 4, 1, 2)
+        vecs = vec.reshape(B, -1, cfg.d_model).swapaxes(0, 1)
+        blocks = [BlockState(S[i], vecs[2 * i], vecs[2 * i + 1]) for i in range(len(S))]
+        mvhs = MvhsState(S_mvhs.reshape(Dm, Dm, B, cfg.mvhs_heads).transpose(2, 3, 0, 1), vecs[-1])
+        return EncoderState(blocks, mvhs, last_t, event_index)
 
     def snapshot(self, patch_ids=None) -> FrameSnapshot:
         """Tile the selected patches' representations (full frame default)."""
@@ -173,7 +211,9 @@ class A2SPipeline:
                     raise KeyError(f"unknown patch id {pid}")
                 keep[r, c] = True
         values = np.empty((n_out, R * Dh, C * Dh), np.float32)
-        # head n of patch (r, c), stack row r * C + c, is tile (r, c) of channel n
+        # head n of patch (r, c), stack row r * C + c, is tile (r, c) of channel
+        # n; copied in the memory order of `values`, which is the faster order
+        # for heads-innermost states
         tiles = values.reshape(n_out, R, Dh, C, Dh).transpose(1, 3, 0, 2, 4)
         with self._lock:
             tiles[...] = S[:, :n_out].reshape(R, C, n_out, Dh, Dh)
@@ -188,14 +228,19 @@ class A2SPipeline:
         with self._lock:
             return {
                 "events_ingested": self.ingested,
-                "events_rejected": int(self._rejected.sum()) + self.out_of_bounds,
-                "events_nonfinite": int(self._nonfinite.sum()),
+                "events_rejected": self.out_of_order + self.nonfinite + self.out_of_bounds,
+                "events_out_of_order": self.out_of_order,
+                "events_nonfinite": self.nonfinite,
                 "events_out_of_bounds": self.out_of_bounds,
                 "snapshots_served": self.snapshots_served,
-                "patches": len(self._rejected),
+                "patches": len(self._vec),
                 "grid_rows": self.geometry.grid_rows,
                 "grid_cols": self.geometry.grid_cols,
             }
+
+
+def _arrays(state: EncoderState) -> list[np.ndarray]:
+    return state.tensors() + [state.last_t, state.event_index]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from eva.events import (SensorGeometry, filter_hot_pixels, make_events, pack_bin
                         parse_csv, read_binary_file, synth_generate,
                         unpack_binary, write_binary_file, write_csv)
 from eva.mvhs import MvhsState
-from eva.params import init_encoder_params, named_arrays, randomize_params
+from eva.params import init_encoder_params, named_arrays
 from eva.pipeline import A2SPipeline, encode_offline
 from eva.runtime import _BlockRt, _MvhsRt
 from eva.server import EvaClient, EvaServer
@@ -28,6 +28,7 @@ from eva.snapshots import dump_snapshot, load_snapshot, KIND_REPR
 from eva.targets import (StreamingEventCount, StreamingTimeSurface, event_count,
                          quantize_repr, time_surface)
 from eva.train import batch_loss, build_synthetic_corpus, init_model, pretrain
+from helpers import randomize_params
 
 SPECS = (
     TargetSpec("ec", "mrp", window_us=100_000),

@@ -4,9 +4,9 @@ import pytest
 from eva import blocks as B
 from eva import scan
 from eva.config import EncoderConfig
-from eva.params import (MvhsParams, init_block_params, init_encoder_params,
-                        randomize_params)
+from eva.params import MvhsParams, init_block_params, init_encoder_params
 from eva.runtime import _BlockRt
+from helpers import randomize_params
 
 CFG = EncoderConfig(d_model=12, n_blocks=1, n_heads=2, d_ffn=20, d_lora=4,
                     d_w=4, mvhs_heads=2, mvhs_d_head=6, n_out=2, patch=4,

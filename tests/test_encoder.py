@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eva import blocks as B
+from eva import mvhs as M
 from eva.config import ENCODER_PROFILES, EncoderConfig
 from eva.encoder import (EncoderState, backward_train, encode_sequence,
                          encode_sequence_recurrent, forward_train)
-from eva.params import init_encoder_params, randomize_params
+from eva.params import init_encoder_params
 from eva.runtime import EncoderRuntime
+from helpers import randomize_params
 
 CFG = EncoderConfig(d_model=16, n_blocks=2, n_heads=2, d_ffn=24, d_lora=4,
                     d_w=4, mvhs_heads=2, mvhs_d_head=8, n_out=2, patch=4,
@@ -161,3 +164,44 @@ def test_first_event_gap_is_zero(params):
     st = EncoderState.zeros(CFG).rows(None).rows(np.zeros(2, np.intp))
     rt.ingest(st, np.array([5, 5]), np.array([0, 999_999]))
     assert np.array_equal(st.mvhs.S[0], st.mvhs.S[1])
+
+
+def _heads_innermost(S):
+    """Whether the matrix states S (..., N, Dh, Dh) are stored in memory
+    order (Dh, Dh, ..., N)."""
+    return np.moveaxis(S, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+def test_state_copies_keep_heads_innermost(params):
+    st = EncoderState.zeros(CFG)
+    batch = st.rows(None).rows(np.array([0, 0, 0]))
+    for s in (st, st.copy(), st.rows(None), batch, batch.copy(), batch.rows(np.array([2, 0]))):
+        for S in [b.S for b in s.blocks] + [s.mvhs.S]:
+            assert _heads_innermost(S), S.strides
+    # stepping keeps the order, and a copy made after it too
+    EncoderRuntime(params).step(batch, np.array([1, 2, 3]), np.array([0.0, 5.0, 9.0]))
+    assert all(_heads_innermost(b.S) for b in batch.copy().blocks)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_runtime_step_ignores_state_strides(params, dtype, tol):
+    # the same three streams held in C order and heads-innermost step to
+    # the same states and outputs
+    p = params.astype(dtype)
+    rt = EncoderRuntime(p)
+    inner = EncoderState.zeros(CFG, dtype).rows(None).rows(np.zeros(3, np.intp))
+    rng = np.random.default_rng(30)
+    for a in inner.tensors():
+        a[...] = rng.normal(size=a.shape)
+    c_order = EncoderState([B.BlockState(*(np.array(a, order="C") for a in (b.S, b.tm_prev, b.cm_prev)))
+                            for b in inner.blocks],
+                           M.MvhsState(np.array(inner.mvhs.S, order="C"), inner.mvhs.prev.copy()),
+                           inner.last_t.copy(), inner.event_index.copy())
+    assert _heads_innermost(inner.mvhs.S) and inner.mvhs.S.strides != c_order.mvhs.S.strides
+    tokens, dts = random_stream(31, 60)
+    for t in range(0, 60, 3):
+        assert rt.step(inner, tokens[t:t + 3], dts[t:t + 3].astype(float)) is None
+        assert rt.step(c_order, tokens[t:t + 3], dts[t:t + 3].astype(float)) is None
+    for a, b in zip(inner.tensors(), c_order.tensors()):
+        assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+    assert np.array_equal(inner.event_index, c_order.event_index)

@@ -5,8 +5,8 @@ import pytest
 
 from eva.config import ENCODER_PROFILES, TargetSpec, TrainConfig
 from eva.events import SensorGeometry, slice_samples, synth_generate
-from eva.params import randomize_params
 from eva.train import batch_loss, init_model, prepare_sample
+from helpers import randomize_params
 
 SPECS = (
     TargetSpec("ec", "mrp", window_us=50_000),

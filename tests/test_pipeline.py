@@ -383,3 +383,69 @@ def test_nonfinite_event_keeps_watermark(small_params):
     stats = pipe.stats()
     assert stats["events_nonfinite"] == 1
     assert stats["events_rejected"] == 2 and stats["events_ingested"] == 2
+
+
+def _heads_innermost(S):
+    """Whether the matrix states S (..., N, Dh, Dh) are stored in memory
+    order (Dh, Dh, ..., N)."""
+    return np.moveaxis(S, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+def test_stacked_states_are_heads_innermost(small_params):
+    pipe = A2SPipeline(small_params, SensorGeometry(16, 16, 8))
+    pipe.ingest_events(make_events([1, 2, 3], [0, 9, 1], [0, 9, 1], [0, 1, 1]))
+    st = pipe._state
+    for s in (st, st.copy(), st.rows(np.array([3, 0]))):
+        for S in [b.S for b in s.blocks] + [s.mvhs.S]:
+            assert _heads_innermost(S), S.strides
+
+
+def test_snapshot_tile_is_not_transposed(small_params):
+    # two patches fed alternately, so every wave steps B = 2; the tile of
+    # patch (1, 0) is its head matrix from encode_events, not the transpose
+    geom = SensorGeometry(16, 16, 8)
+    rng = np.random.default_rng(12)
+    n = 30
+    ev = make_events(np.arange(n) * 100, rng.integers(0, 8, n), rng.integers(0, 8, n) + 8 * (np.arange(n) % 2),
+                     rng.integers(0, 2, n))
+    pipe = A2SPipeline(small_params, geom)
+    assert pipe.ingest_events(ev) == (n, 0)
+    _, want = encode_events(small_params, _patch_events(ev, geom, (1, 0)))
+    got = pipe._state.mvhs.S[2]  # patch (1, 0) is row 2 of the 2x2 grid
+    W = want.mvhs.S
+    assert np.max(np.abs(got - W)) <= 1e-12 * np.max(np.abs(W))
+    assert np.max(np.abs(W - W.swapaxes(-1, -2))) > 1e-3 * np.max(np.abs(W))
+    tile = pipe.snapshot().values[:, 8:16, 0:8]
+    assert np.array_equal(tile, got[:SMALL.n_out].astype(np.float32))
+
+
+def _rejection_frame():
+    """Six events: two accepted, two late, one out of bounds, and one (token
+    `_POISON` of patch (0, 0)) whose update is non-finite."""
+    return make_events([100, 50, 200, 150, 300, 400], [0, 1, 9, 10, 99, 3],
+                       [0, 1, 9, 10, 0, 2], [0, 0, 0, 1, 0, 1])
+
+
+_POISON = 1 * 64 + 2 * 8 + 3  # the token of event (x=3, y=2, p=1)
+
+
+def _poisoned(params):
+    params = params.astype(np.float64)  # a copy: the fixture is shared
+    params.embed[_POISON, 0] = np.inf
+    return params
+
+
+def test_out_of_order_has_its_own_key(small_params):
+    params, ev = _poisoned(small_params), _rejection_frame()
+    geom = SensorGeometry(16, 16, 8)
+    batch, loop = A2SPipeline(params, geom), A2SPipeline(params, geom)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert batch.ingest_events(ev) == (2, 4)
+        oks = [loop.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) for e in ev]
+    assert oks == [True, False, True, False, False, False]
+    for stats in (batch.stats(), loop.stats()):
+        assert (stats["events_out_of_order"], stats["events_nonfinite"],
+                stats["events_out_of_bounds"]) == (2, 1, 1)
+        assert stats["events_rejected"] == 4
+        assert stats["events_ingested"] + stats["events_out_of_order"] + \
+            stats["events_nonfinite"] + stats["events_out_of_bounds"] == len(ev)

@@ -1,14 +1,17 @@
 import socket
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eva.config import EncoderConfig
 from eva.events import SensorGeometry, pack_binary, synth_generate
 from eva.params import init_encoder_params
 from eva.pipeline import A2SPipeline, encode_offline
-from eva.server import (OP_ERROR, OP_INGEST, EvaClient, EvaServer,
+from eva.server import (MAX_PAYLOAD, OP_ERROR, OP_INGEST, EvaClient, EvaServer,
                         read_frame, write_frame)
 
 CFG = EncoderConfig(d_model=16, n_blocks=1, n_heads=2, d_ffn=24, d_lora=4,
@@ -166,3 +169,78 @@ def test_concurrent_snapshot_clients(server):
     for snap in outputs:
         for wm in snap.patch_watermarks.ravel():
             assert int(wm) in valid
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the server thread meets the Inf
+def test_stats_count_each_kind_of_rejection():
+    # token 83 (x=3, y=2, p=1 within its patch) has an Inf embedding row
+    params = init_encoder_params(CFG, seed=0).astype(np.float64)
+    params.embed[1 * 64 + 2 * 8 + 3, 0] = np.inf
+    recs = [
+        [[1000, 0, 0, 0], [0, 9, 9, 0]],            # patches (0, 0) and (1, 1) reach t = 1000
+        [[10, 1, 1, 0], [5, 10, 10, 1],             # t = 10, 15 on a new connection: late
+         [5, 77, 0, 0],                             # out of bounds
+         [5, 11, 2, 1],                             # patch (0, 1), token 83: non-finite
+         [5, 2, 12, 0]],                            # patch (1, 0): accepted
+    ]
+    with EvaServer(A2SPipeline(params, GEOM)) as srv:
+        host, port = srv.address
+        with EvaClient(host, port) as first:
+            assert first.ingest_records(np.array(recs[0], dtype="<u2").tobytes()) == (2, 0)
+        with EvaClient(host, port) as second:
+            assert second.ingest_records(np.array(recs[1], dtype="<u2").tobytes()) == (1, 4)
+            stats = {k: int(v) for k, v in second.stats().items()}
+    assert stats["events_ingested"] == 3
+    assert (stats["events_out_of_order"], stats["events_nonfinite"],
+            stats["events_out_of_bounds"]) == (2, 1, 1)
+    assert stats["events_rejected"] == 4
+    assert stats["events_ingested"] + stats["events_out_of_order"] + \
+        stats["events_nonfinite"] + stats["events_out_of_bounds"] == 7
+
+
+class _ChunkedSocket:
+    """recv_into over a byte string, at most chunks[i] bytes per call
+    (then whatever is asked), returning 0 only at the end of the data."""
+
+    def __init__(self, data: bytes, chunks):
+        self.data, self.pos, self.chunks = data, 0, list(chunks)
+
+    def recv_into(self, view):
+        step = self.chunks.pop(0) if self.chunks else len(view)
+        k = min(len(view), step, len(self.data) - self.pos)
+        view[:k] = self.data[self.pos:self.pos + k]
+        self.pos += k
+        return k
+
+
+def _frame_corrupted(op, payload, at, byte, cut):
+    """A valid frame with the byte at `at` replaced (if inside), cut to `cut` bytes."""
+    data = struct.pack("<BI", op, len(payload)) + payload
+    if at < len(data):
+        data = data[:at] + bytes([byte]) + data[at + 1:]
+    return data[:cut]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+           st.binary(max_size=48),
+           st.builds(_frame_corrupted, st.integers(0, 255), st.binary(max_size=40),
+                     st.integers(0, 60), st.integers(0, 255), st.integers(0, 60))),
+       st.lists(st.integers(1, 9), max_size=12))
+def test_read_frame_parses_or_raises_value_error(data, chunks):
+    sock = _ChunkedSocket(data, chunks)
+    try:
+        frame = read_frame(sock)
+    except ValueError:
+        assert len(data) >= 5 and struct.unpack("<BI", data[:5])[1] > MAX_PAYLOAD
+        return
+    if len(data) < 5:
+        assert frame is None
+        return
+    op, length = struct.unpack("<BI", data[:5])
+    assert length <= MAX_PAYLOAD
+    if len(data) < 5 + length:
+        assert frame is None
+    else:
+        assert frame[0] == op
+        assert len(frame[1]) == length and bytes(frame[1]) == data[5:5 + length]

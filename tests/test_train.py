@@ -6,9 +6,9 @@ from eva import losses as L
 from eva.config import ENCODER_PROFILES, TargetSpec, TrainConfig
 from eva.events import SensorGeometry, slice_samples, synth_generate
 from eva.optim import Adam, adam_step
-from eva.params import randomize_params
 from eva.train import (batch_loss, build_synthetic_corpus, init_model, prepare_sample,
                        pretrain)
+from helpers import randomize_params
 
 SPECS = (
     TargetSpec("ec", "mrp", window_us=50_000),
