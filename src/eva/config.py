@@ -136,6 +136,12 @@ class TrainConfig:
             raise ValueError("chunk_len must divide seq_len")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0 (0 = no cap)")
+        if self.head_width < 1:
+            raise ValueError("head_width must be positive")
 
 
 TRAIN_PROFILES = {

@@ -1,18 +1,39 @@
 """Convolutional read-out heads mapping a matrix-state snapshot to a
 2 x P x P target image.
 
-Structure: 3x3 conv (ReLU), then a 4x4/stride-2 transposed conv (ReLU) per
-doubling needed to reach the patch side, then a 1x1 projection. Heads are
-training scaffolding only; they are dropped after pretraining.
+Structure per head: 3x3 conv (ReLU), then a 4x4/stride-2 transposed conv
+(ReLU) per doubling needed to reach the patch side, then a 1x1
+projection. Heads are training scaffolding only; they are dropped after
+pretraining.
 
-The 3x3 conv runs as one im2col GEMM; the transposed conv scatters its 16
-kernel taps onto a strided output buffer.
+Every head of a model reads the same snapshot, so `head_forward` and
+`head_backward` evaluate all of them in one pass over a dict
+`task -> params` of heads of equal geometry, channels-last throughout:
+- one im2col of the input, (N, C*9) for N = B*H*W pixels;
+- conv1 of every head as one GEMM against their filters side by side,
+  giving (N, heads*width), with bias and ReLU in place; the post-ReLU
+  activation h is the only conv1 cache (h > 0 is the mask);
+- the 1x1 projections as one GEMM against a block-diagonal
+  (heads*width, heads*2) matrix;
+- in the backward, one GEMM each for the projection and conv1 weight
+  gradients, and one for the input gradient, which sums over the heads,
+  so one 9-tap col2im remains.
+The GEMMs run over row blocks of `_BLOCK` activation floats, so a block
+stays in cache from conv1 to the projection and back: over the whole
+activation at once (25 MB for `small`) they were bound by memory
+traffic, not arithmetic. The transposed convs (only when
+d_head < patch) run per head on a NCHW view of that head's channels;
+they scatter their 16 kernel taps onto a strided output buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+# Floats of conv1 activation per row block (256 KB in f64), small enough
+# that a block's activation and gradient stay in a core's L2 cache.
+_BLOCK = 1 << 15
 
 
 def init_head(n_in: int, d_head: int, patch: int, width: int,
@@ -45,30 +66,14 @@ def n_upsamples(head: dict) -> int:
     return sum(1 for k in head if k.startswith("up") and k.endswith("_W"))
 
 
-def _conv3x3_fwd(x, W, b):
-    Bn, C, H, Wd = x.shape
-    F = W.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))       # (B, C, H, W, 3, 3)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        Bn * H * Wd, C * 9)
-    out = cols @ W.reshape(F, C * 9).T
-    out = out.reshape(Bn, H, Wd, F).transpose(0, 3, 1, 2) + b[None, :, None, None]
-    return out, cols
-
-
-def _conv3x3_bwd(cols, x_shape, W, dout):
-    Bn, C, H, Wd = x_shape
-    F = W.shape[0]
-    dflat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, F)
-    dW = (dflat.T @ cols).reshape(F, C, 3, 3)
-    dcols = (dflat @ W.reshape(F, C * 9)).reshape(Bn, H, Wd, C, 3, 3)
-    dxp = np.zeros((Bn, C, H + 2, Wd + 2), dtype=dout.dtype)
-    for p in range(3):
-        for q in range(3):
-            dxp[:, :, p:p + H, q:q + Wd] += dcols[:, :, :, :, p, q].transpose(0, 3, 1, 2)
-    db = dflat.sum(0)
-    return dxp[:, :, 1:-1, 1:-1], dW, db
+def _geometry(heads: dict) -> tuple[int, int]:
+    """(width, n_upsamples) shared by every head; ValueError if they differ."""
+    shapes = [{k: v.shape for k, v in head.items()} for head in heads.values()]
+    if not shapes:
+        raise ValueError("no heads")
+    if any(s != shapes[0] for s in shapes[1:]):
+        raise ValueError("heads differ in geometry; one pass needs equal shapes")
+    return shapes[0]["conv1_W"][0], n_upsamples(next(iter(heads.values())))
 
 
 def _convT_fwd(x, W, b):
@@ -103,45 +108,117 @@ def _convT_bwd(x, W, dout):
     return dx, dW, db
 
 
-def head_forward(head: dict, x: np.ndarray, want_cache: bool = False):
-    """x: (B, n_in, d_head, d_head) -> prediction (B, 2, P, P)."""
-    cache = {"x_shape": x.shape}
-    h, cols = _conv3x3_fwd(x, head["conv1_W"], head["conv1_b"])
-    cache["cols1"] = cols
-    cache["pre1"] = h
-    h = np.maximum(h, 0.0)
-    for j in range(n_upsamples(head)):
-        cache[f"in_up{j}"] = h
-        h = _convT_fwd(h, head[f"up{j}_W"], head[f"up{j}_b"])
-        cache[f"pre_up{j}"] = h
-        h = np.maximum(h, 0.0)
-    cache["feat"] = h
-    out = np.tensordot(h.transpose(0, 2, 3, 1), head["proj_W"],
-                       axes=([3], [0])).transpose(0, 3, 1, 2) \
-        + head["proj_b"][None, :, None, None]
-    if want_cache:
-        return out, cache
+def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
+    """The (k, n) blocks of `mats` on the diagonal of one zero matrix."""
+    k, n = mats[0].shape
+    out = np.zeros((len(mats) * k, len(mats) * n), mats[0].dtype)
+    for t, m in enumerate(mats):
+        out[t * k:(t + 1) * k, t * n:(t + 1) * n] = m
     return out
 
 
-def head_backward(head: dict, cache: dict, dout: np.ndarray):
-    """Returns (grads dict, dx)."""
-    grads = {}
-    feat = cache["feat"]
-    F = feat.shape[1]
-    feat_flat = feat.transpose(0, 2, 3, 1).reshape(-1, F)
-    dout_flat = dout.transpose(0, 2, 3, 1).reshape(-1, 2)
-    grads["proj_W"] = feat_flat.T @ dout_flat
-    grads["proj_b"] = dout_flat.sum(0)
-    dh = (dout_flat @ head["proj_W"].T).reshape(
-        feat.shape[0], feat.shape[2], feat.shape[3], F).transpose(0, 3, 1, 2)
-    for j in reversed(range(n_upsamples(head))):
-        dh = dh * (cache[f"pre_up{j}"] > 0)
-        dh, dW, db = _convT_bwd(cache[f"in_up{j}"], head[f"up{j}_W"], dh)
-        grads[f"up{j}_W"] = dW
-        grads[f"up{j}_b"] = db
-    dh = dh * (cache["pre1"] > 0)
-    dx, dW, db = _conv3x3_bwd(cache["cols1"], cache["x_shape"], head["conv1_W"], dh)
-    grads["conv1_W"] = dW
-    grads["conv1_b"] = db
-    return grads, dx
+def _stacked(heads: dict, C: int, F: int):
+    """conv1 filters (nh*F, C*9), conv1 bias (nh*F,) and the block-diagonal
+    projection (nh*F, nh*2) of every head, heads side by side."""
+    W1 = np.concatenate([hd["conv1_W"].reshape(F, C * 9) for hd in heads.values()])
+    b1 = np.concatenate([hd["conv1_b"] for hd in heads.values()])
+    return W1, b1, _block_diag([hd["proj_W"] for hd in heads.values()])
+
+
+def head_forward(heads: dict, x: np.ndarray, want_cache: bool = False):
+    """heads: task -> params; x: (B, n_in, d_head, d_head).
+
+    Returns {task: prediction (B, 2, P, P)}, and the cache if asked.
+    """
+    F, ups = _geometry(heads)
+    Bn, C, H, Wd = x.shape
+    nh, N = len(heads), Bn * H * Wd
+    W1, b1, Wp = _stacked(heads, C, F)
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = sliding_window_view(xp, (3, 3), axis=(1, 2)).reshape(N, C * 9)
+    side = H << ups
+    h = np.empty((N, nh * F), x.dtype)
+    out = np.empty((Bn * side * side, nh * 2), x.dtype)
+    rows = max(1, _BLOCK // (nh * F))
+    for r in range(0, N, rows):
+        hb = np.matmul(cols[r:r + rows], W1.T, out=h[r:r + rows])
+        hb += b1
+        np.maximum(hb, 0.0, out=hb)
+        if not ups:
+            np.matmul(hb, Wp, out=out[r:r + rows])
+    cache = {"x_shape": x.shape, "cols": cols, "h": h}
+    if ups:
+        feat = np.empty((len(out), nh * F), x.dtype)
+        feat_px = feat.reshape(Bn, side, side, nh, F)
+        for t, hd in enumerate(heads.values()):
+            acts = [h[:, t * F:(t + 1) * F].reshape(Bn, H, Wd, F).transpose(0, 3, 1, 2)]
+            for j in range(ups):
+                f = _convT_fwd(acts[-1], hd[f"up{j}_W"], hd[f"up{j}_b"])
+                acts.append(np.maximum(f, 0.0, out=f))
+            cache[f"acts{t}"] = acts
+            feat_px[:, :, :, t] = acts[-1].transpose(0, 2, 3, 1)
+        cache["feat"] = feat
+        np.matmul(feat, Wp, out=out)
+    out += np.concatenate([hd["proj_b"] for hd in heads.values()])
+    out = out.reshape(Bn, side, side, nh, 2).transpose(3, 0, 4, 1, 2)
+    preds = dict(zip(heads, out))
+    if want_cache:
+        return preds, cache
+    return preds
+
+
+def head_backward(heads: dict, cache: dict, douts: dict):
+    """douts: task -> d(loss)/d(prediction), (B, 2, P, P).
+
+    Returns ({task: grads dict}, dx), dx summed over every head.
+    """
+    F, ups = _geometry(heads)
+    Bn, C, H, Wd = cache["x_shape"]
+    nh, N = len(heads), Bn * H * Wd
+    h, cols = cache["h"], cache["cols"]
+    W1, _, Wp = _stacked(heads, C, F)
+    side = H << ups
+    dout = np.empty((Bn * side * side, nh * 2), h.dtype)
+    for t, task in enumerate(heads):
+        dout.reshape(Bn, side, side, nh, 2)[:, :, :, t] = douts[task].transpose(0, 2, 3, 1)
+    grads = {task: {} for task in heads}
+    if ups:
+        dWp = cache["feat"].T @ dout
+        dfeat = dout @ Wp.T
+        dh = np.empty_like(h)
+        for t, (task, hd) in enumerate(heads.items()):
+            acts = cache[f"acts{t}"]
+            d = dfeat[:, t * F:(t + 1) * F].reshape(Bn, side, side, F).transpose(0, 3, 1, 2)
+            for j in reversed(range(ups)):
+                d, grads[task][f"up{j}_W"], grads[task][f"up{j}_b"] = \
+                    _convT_bwd(acts[j], hd[f"up{j}_W"], d * (acts[j + 1] > 0))
+            dh.reshape(Bn, H, Wd, nh, F)[:, :, :, t] = d.transpose(0, 2, 3, 1)
+    else:
+        dWp = np.zeros_like(Wp)
+    dW1 = np.zeros_like(W1)
+    db1 = np.zeros(nh * F, h.dtype)
+    dcols = np.empty_like(cols)
+    rows = max(1, _BLOCK // (nh * F))
+    for r in range(0, N, rows):
+        hb = h[r:r + rows]
+        if ups:
+            dhb = dh[r:r + rows]
+        else:
+            dWp += hb.T @ dout[r:r + rows]
+            dhb = dout[r:r + rows] @ Wp.T
+        dhb *= hb > 0
+        dW1 += dhb.T @ cols[r:r + rows]
+        db1 += dhb.sum(0)
+        np.matmul(dhb, W1, out=dcols[r:r + rows])
+    for t, task in enumerate(heads):
+        g = grads[task]
+        g["proj_W"] = dWp[t * F:(t + 1) * F, 2 * t:2 * t + 2]
+        g["proj_b"] = douts[task].sum((0, 2, 3))
+        g["conv1_W"] = dW1[t * F:(t + 1) * F].reshape(F, C, 3, 3)
+        g["conv1_b"] = db1[t * F:(t + 1) * F]
+    dcols = dcols.reshape(Bn, H, Wd, C, 3, 3)
+    dxp = np.zeros((Bn, H + 2, Wd + 2, C), dtype=h.dtype)
+    for p in range(3):
+        for q in range(3):
+            dxp[:, p:p + H, q:q + Wd] += dcols[..., p, q]
+    return grads, dxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)

@@ -2,8 +2,8 @@
 
 A prepared sample carries the tokenized input window, the chunk-end
 indices, and the precomputed target images per task. Each optimizer step
-runs the chunked-parallel encoder forward, applies the per-task read-out
-heads at every chunk end, combines per-task MSEs under uncertainty
+runs the chunked-parallel encoder forward, applies every task's read-out
+head at every chunk end in one pass, combines per-task MSEs under uncertainty
 weighting, backpropagates through heads and encoder, and takes one Adam
 step on every trainable tensor (encoder, heads, loss weights).
 
@@ -12,6 +12,7 @@ Single-worker runs are bit-deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import time
@@ -85,30 +86,25 @@ def batch_loss(model: Model, batch: list[TrainSample], want_grads: bool = True):
     snaps, cache = E.forward_train(model.params, tokens, dts, list(ends))
     sel = snaps[:, :, :cfg.n_out].reshape(Bsz * K, cfg.n_out, cfg.mvhs_d_head,
                                           cfg.mvhs_d_head)
-    mses = {}
-    preds = {}
-    hcaches = {}
-    for task, head in model.heads.items():
-        if want_grads:
-            preds[task], hcaches[task] = H.head_forward(head, sel, want_cache=True)
-        else:
-            preds[task] = H.head_forward(head, sel)
-        target = np.concatenate([s.targets[task] for s in batch]).astype(sel.dtype)
-        mses[task] = L.task_mse(preds[task], target)
+    targets = {task: np.concatenate([s.targets[task] for s in batch]).astype(sel.dtype)
+               for task in model.heads}
+    if want_grads:
+        preds, hcache = H.head_forward(model.heads, sel, want_cache=True)
+    else:
+        preds = H.head_forward(model.heads, sel)
+    mses = {task: L.task_mse(preds[task], targets[task]) for task in model.heads}
     total = L.combine(mses, model.weights)
     if not want_grads:
         return mses, total, None
 
     dL, ds = L.combine_backward(mses, model.weights)
+    dpreds = {task: dL[task] * 2.0 * (preds[task] - targets[task]) / preds[task].size
+              for task in model.heads}
+    hgrads, d_sel = H.head_backward(model.heads, hcache, dpreds)
     grads: dict[str, np.ndarray] = {}
-    d_sel = np.zeros_like(sel)
-    for task, head in model.heads.items():
-        target = np.concatenate([s.targets[task] for s in batch]).astype(sel.dtype)
-        dpred = dL[task] * 2.0 * (preds[task] - target) / preds[task].size
-        hgrads, dx = H.head_backward(head, hcaches[task], dpred)
-        for k, v in hgrads.items():
+    for task in model.heads:
+        for k, v in hgrads[task].items():
             grads[f"heads.{task}.{k}"] = v
-        d_sel += dx
         grads[f"loss_s.{task}"] = np.asarray(ds[task], dtype=sel.dtype)
     dSnaps = np.zeros_like(snaps)
     dSnaps[:, :, :cfg.n_out] = d_sel.reshape(Bsz, K, cfg.n_out, cfg.mvhs_d_head,
@@ -122,6 +118,8 @@ def pretrain(samples: list[TrainSample], model: Model, train_cfg: TrainConfig,
     """Runs the optimizer loop; returns (model, history).
 
     history is a list of per-step dicts {"step", "epoch", "total", <task>: mse}.
+    With a run_dir, steps.csv gets one row per step as it runs (see
+    `_write_step_row`); the other artifacts are written at the end.
     """
     if not samples:
         raise ValueError("empty dataset")
@@ -133,29 +131,64 @@ def pretrain(samples: list[TrainSample], model: Model, train_cfg: TrainConfig,
     history: list[dict] = []
     step = 0
     t0 = time.perf_counter()
-    for epoch in range(train_cfg.epochs):
-        opt.lr = train_cfg.lr * (train_cfg.lr_decay ** epoch)
-        order = rng.permutation(len(samples))
-        for start in range(0, len(order), train_cfg.batch_size):
-            batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
-            mses, total, grads = batch_loss(model, batch)
-            opt.step(named, grads)
-            step += 1
-            rec = {"step": step, "epoch": epoch, "total": total, **mses}
-            history.append(rec)
-            if log and (step % 25 == 0 or step == 1):
-                tasks = " ".join(f"{k}={v:.4g}" for k, v in mses.items())
-                log(f"step {step} epoch {epoch} total={total:.4g} {tasks}")
+    with (open(os.path.join(run_dir, "steps.csv"), "w", newline="", buffering=1)
+          if run_dir else contextlib.nullcontext()) as steps_fh:
+        steps_csv = csv.writer(steps_fh) if steps_fh else None
+        for epoch in range(train_cfg.epochs):
+            opt.lr = train_cfg.lr * (train_cfg.lr_decay ** epoch)
+            order = rng.permutation(len(samples))
+            for start in range(0, len(order), train_cfg.batch_size):
+                batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
+                t_loss = time.perf_counter()
+                mses, total, grads = batch_loss(model, batch)
+                t_adam = time.perf_counter()
+                opt.step(named, grads)
+                t_end = time.perf_counter()
+                step += 1
+                rec = {"step": step, "epoch": epoch, "total": total, **mses}
+                history.append(rec)
+                if steps_csv:
+                    _write_step_row(steps_csv, rec, t_adam - t_loss, t_end - t_adam,
+                                    named, grads)
+                if log and (step % 25 == 0 or step == 1):
+                    tasks = " ".join(f"{k}={v:.4g}" for k, v in mses.items())
+                    log(f"step {step} epoch {epoch} total={total:.4g} {tasks}")
+                if train_cfg.max_steps and step >= train_cfg.max_steps:
+                    break
+            if run_dir:
+                save_checkpoint(os.path.join(run_dir, f"epoch{epoch:03d}.evaw"),
+                                model.params)
             if train_cfg.max_steps and step >= train_cfg.max_steps:
                 break
-        if run_dir:
-            save_checkpoint(os.path.join(run_dir, f"epoch{epoch:03d}.evaw"),
-                            model.params)
-        if train_cfg.max_steps and step >= train_cfg.max_steps:
-            break
     if run_dir:
         _write_run_dir(run_dir, model, train_cfg, history, time.perf_counter() - t0)
     return model, history
+
+
+def _grad_group(name: str) -> str:
+    """Group of a named tensor in steps.csv: embed_ln0, block<i>, mvhs, heads or loss_s."""
+    top, _, rest = name.partition(".")
+    if top == "blocks":
+        return "block" + rest.partition(".")[0]
+    return "embed_ln0" if top in ("embed", "ln0_g", "ln0_b") else top
+
+
+def _write_step_row(writer, rec: dict, loss_s: float, adam_s: float,
+                    names, grads: dict[str, np.ndarray]) -> None:
+    """One steps.csv row: step, epoch, batch_loss and Adam.step wall ms, the
+    total and per-task MSEs, then the gradient norm of each group, in the
+    order of `names`."""
+    sq: dict[str, float] = {}
+    for name in names:
+        group = _grad_group(name)
+        sq[group] = sq.get(group, 0.0) + float(np.sum(grads[name] ** 2))
+    losses = {k: v for k, v in rec.items() if k not in ("step", "epoch")}
+    if rec["step"] == 1:
+        writer.writerow(["step", "epoch", "batch_loss_ms", "adam_ms", *losses,
+                         *(f"gnorm.{k}" for k in sq)])
+    writer.writerow([rec["step"], rec["epoch"], f"{1e3 * loss_s:.3f}",
+                     f"{1e3 * adam_s:.3f}", *losses.values(),
+                     *(float(np.sqrt(v)) for v in sq.values())])
 
 
 def _write_run_dir(run_dir: str, model: Model, train_cfg: TrainConfig,

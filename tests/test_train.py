@@ -144,7 +144,7 @@ def test_head_zero_projection_zero_image():
     rng = np.random.default_rng(4)
     head = H.init_head(2, 4, 4, width=8, rng=rng)
     head["proj_W"][...] = 0.0
-    out = H.head_forward(head, np.zeros((3, 2, 4, 4)))
+    out = H.head_forward({"t": head}, np.zeros((3, 2, 4, 4)))["t"]
     assert np.all(out == 0.0)
 
 
@@ -152,8 +152,10 @@ def test_head_output_shapes_both_geometries():
     rng = np.random.default_rng(5)
     up = H.init_head(16, 8, 16, width=8, rng=rng)   # 16x8x8 -> 2x16x16
     flat = H.init_head(4, 16, 16, width=8, rng=rng)  # 4x16x16 -> 2x16x16
-    assert H.head_forward(up, rng.normal(size=(2, 16, 8, 8))).shape == (2, 2, 16, 16)
-    assert H.head_forward(flat, rng.normal(size=(2, 4, 16, 16))).shape == (2, 2, 16, 16)
+    assert H.head_forward({"t": up}, rng.normal(size=(2, 16, 8, 8)))["t"].shape \
+        == (2, 2, 16, 16)
+    assert H.head_forward({"t": flat}, rng.normal(size=(2, 4, 16, 16)))["t"].shape \
+        == (2, 2, 16, 16)
     with pytest.raises(ValueError):
         H.init_head(2, 5, 16, width=8, rng=rng)
 
@@ -162,9 +164,11 @@ def test_head_gradients_cover_every_parameter():
     rng = np.random.default_rng(6)
     head = H.init_head(3, 4, 8, width=6, rng=rng)  # includes one upsample
     x = rng.normal(size=(4, 3, 4, 4))
-    out, cache = H.head_forward(head, x, want_cache=True)
+    out, cache = H.head_forward({"t": head}, x, want_cache=True)
+    out = out["t"]
     assert np.all(np.isfinite(out))
-    grads, dx = H.head_backward(head, cache, np.ones_like(out))
+    grads, dx = H.head_backward({"t": head}, cache, {"t": np.ones_like(out)})
+    grads = grads["t"]
     assert set(grads) == set(head)
     for name, g in grads.items():
         assert np.any(g != 0.0), f"dead parameter {name}"
@@ -178,10 +182,11 @@ def test_head_gradient_finite_differences():
     proj = rng.normal(size=(2, 2, 8, 8))
 
     def loss():
-        return float(np.sum(H.head_forward(head, x) * proj))
+        return float(np.sum(H.head_forward({"t": head}, x)["t"] * proj))
 
-    out, cache = H.head_forward(head, x, want_cache=True)
-    grads, dx = H.head_backward(head, cache, proj)
+    out, cache = H.head_forward({"t": head}, x, want_cache=True)
+    grads, dx = H.head_backward({"t": head}, cache, {"t": proj})
+    grads = grads["t"]
     eps = 1e-6
     for name, arr in head.items():
         idx = tuple(rng.integers(0, s) for s in arr.shape)
@@ -193,6 +198,41 @@ def test_head_gradient_finite_differences():
         arr[idx] = old
         fd = (lp - lm) / (2 * eps)
         assert abs(fd - grads[name][idx]) <= 1e-6 * max(1.0, abs(fd)), name
+
+
+@pytest.mark.parametrize("n_in,d_head,patch", [(2, 8, 8), (3, 4, 8)],
+                         ids=["flat", "one_upsample"])
+def test_fused_heads_match_one_head_calls(n_in, d_head, patch):
+    rng = np.random.default_rng(8)
+    heads = {t: H.init_head(n_in, d_head, patch, width=6, rng=rng) for t in ("a", "b")}
+    for head in heads.values():
+        for k in head:
+            if k.endswith("_b"):
+                head[k][...] = rng.normal(size=head[k].shape) * 0.1
+    x = rng.normal(size=(3, n_in, d_head, d_head))
+    douts = {t: rng.normal(size=(3, 2, patch, patch)) for t in heads}
+    preds, cache = H.head_forward(heads, x, want_cache=True)
+    grads, dx = H.head_backward(heads, cache, douts)
+    dx_sum = np.zeros_like(x)
+    for t, head in heads.items():
+        one, one_cache = H.head_forward({t: head}, x, want_cache=True)
+        np.testing.assert_allclose(preds[t], one[t], rtol=1e-13, atol=1e-15)
+        one_grads, one_dx = H.head_backward({t: head}, one_cache, {t: douts[t]})
+        assert set(grads[t]) == set(head)
+        for k, g in one_grads[t].items():
+            np.testing.assert_allclose(grads[t][k], g, rtol=1e-12, atol=1e-14, err_msg=k)
+        dx_sum += one_dx
+    np.testing.assert_allclose(dx, dx_sum, rtol=1e-12, atol=1e-14)
+
+
+def test_fused_heads_reject_mismatched_geometry():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(2, 2, 4, 4))
+    for other in (H.init_head(2, 4, 4, width=6, rng=rng),   # another width
+                  H.init_head(2, 4, 8, width=4, rng=rng)):  # an upsample
+        heads = {"a": H.init_head(2, 4, 4, width=4, rng=rng), "b": other}
+        with pytest.raises(ValueError):
+            H.head_forward(heads, x)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +293,24 @@ def test_pretrain_reduces_loss_quickly():
     assert last < first
 
 
+@pytest.mark.parametrize("field,value", [("epochs", 0), ("max_steps", -1),
+                                         ("head_width", 0)])
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError):
+        TrainConfig(seq_len=16, chunk_len=8, **{field: value})
+
+
+def test_first_step_total_does_not_depend_on_want_grads():
+    # the benchmark checks the same equality on its first pretraining step
+    _, _, model, samples = tiny_setup(seed=16)
+    batch = samples[:2]
+    mses, total, _ = batch_loss(model, batch, want_grads=True)
+    ref_mses, ref, grads = batch_loss(model, batch, want_grads=False)
+    assert grads is None
+    assert total == ref
+    assert mses == ref_mses  # per task too: a total can hide a last-bit change
+
+
 def test_pretrain_rejects_empty_dataset():
     _, tc, model, _ = tiny_setup()
     with pytest.raises(ValueError):
@@ -279,7 +337,7 @@ def test_run_dir_artifacts(tmp_path):
     from dataclasses import replace
     tc = replace(tc, epochs=1, max_steps=3)
     run = tmp_path / "run"
-    pretrain(samples, model, tc, run_dir=str(run))
+    _, history = pretrain(samples, model, tc, run_dir=str(run))
     assert (run / "config.txt").exists()
     assert (run / "losses.csv").exists()
     assert (run / "final.evaw").exists()
@@ -287,6 +345,17 @@ def test_run_dir_artifacts(tmp_path):
     lines = (run / "losses.csv").read_text().splitlines()
     assert lines[0] == "epoch,task,loss"
     assert any("mrp_ec_50000" in line for line in lines)
+    steps = (run / "steps.csv").read_text().splitlines()
+    groups = ["embed_ln0", "block0", "mvhs", "heads", "loss_s"]  # tiny: one block
+    assert steps[0].split(",") == (["step", "epoch", "batch_loss_ms", "adam_ms", "total"]
+                                   + [sp.name for sp in SPECS]
+                                   + [f"gnorm.{g}" for g in groups])
+    assert len(steps) == 1 + len(history) == 1 + 2  # 4 samples, batch 2, one epoch
+    for row, rec in zip(steps[1:], history):
+        cells = row.split(",")
+        assert len(cells) == len(steps[0].split(","))
+        assert cells[:2] == [str(rec["step"]), str(rec["epoch"])]
+        assert float(cells[4]) == rec["total"]
     from eva.checkpoint import load_checkpoint
     params, rest, _ = load_checkpoint(run / "final.evaw")
     assert any(k.startswith("heads.") for k in rest)
@@ -349,7 +418,7 @@ def test_chunked_loss_coarse_is_subaverage_of_fine():
         sel = snaps[0, :, :cfg.n_out]
         out = {}
         for task, head in model.heads.items():
-            pred = H.head_forward(head, sel)
+            pred = H.head_forward({task: head}, sel)[task]
             err = (pred - sample.targets[task]) ** 2
             out[task] = err.mean(axis=(1, 2, 3))
         return out
