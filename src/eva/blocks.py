@@ -231,7 +231,7 @@ def tm_sublayer_fwd(a, carry, S0, bp: BlockParams, n_heads: int,
     return o, S_fin, new_carry, cache
 
 
-def tm_sublayer_bwd(cache, do, dS_fin=None):
+def tm_sublayer_bwd(cache, do):
     """Returns (da, d_carry, grads dict keyed by BlockParams field name)."""
     bp: BlockParams = cache["bp"]
     B, T, D = do.shape
@@ -248,9 +248,7 @@ def tm_sublayer_bwd(cache, do, dS_fin=None):
     dg_proj = dsg * (sig_g * (1.0 + cache["g"] * (1.0 - sig_g)))
 
     dy = headln_bwd(cache["headln"], dyn)
-    if dS_fin is None:
-        dS_fin = np.zeros_like(cache["scan"]["s_ins"][0])
-    dr, dk, dv, dlw, du, _ = scan.decay_scan_backward(cache["scan"], dy, dS_fin)
+    dr, dk, dv, dlw, du, _ = scan.decay_scan_backward(cache["scan"], dy)
     grads["u"] = du.reshape(D)
 
     dproj = {"r": dr.reshape(B, T, D), "k": dk.reshape(B, T, D),
@@ -339,12 +337,12 @@ def block_seq_fwd(x, S0, tm_prev, cm_prev, bp: BlockParams, n_heads: int,
     return out, state, cache
 
 
-def block_seq_bwd(cache, dout, dS_fin=None):
+def block_seq_bwd(cache, dout):
     """Returns (dx, grads dict keyed by BlockParams field name)."""
     db, _, cm_grads = cm_sublayer_bwd(cache["cm"], dout)
     dh, dln2_g, dln2_b = ln_bwd(cache["ln2"], db)
     dh += dout
-    da, _, tm_grads = tm_sublayer_bwd(cache["tm"], dh, dS_fin)
+    da, _, tm_grads = tm_sublayer_bwd(cache["tm"], dh)
     dx, dln1_g, dln1_b = ln_bwd(cache["ln1"], da)
     dx += dh
     grads = {**tm_grads, **cm_grads,

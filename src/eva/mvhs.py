@@ -58,11 +58,9 @@ def _mvhs_seq(x, carry, S0, mp: MvhsParams, n_heads: int, checkpoints,
     return snaps, S_fin, new_carry
 
 
-def _mvhs_seq_bwd(cache, dSnaps, dS_fin=None):
+def _mvhs_seq_bwd(cache, dSnaps):
     """Returns (dx, d_carry, grads dict keyed by MvhsParams field name)."""
     B, T, Ds = cache["mix"]["lw"].shape
-    if dS_fin is None:
-        dS_fin = np.zeros_like(cache["scan"]["s_ins"][0])
-    dk, dv, dlw, _ = scan.state_scan_backward(cache["scan"], dSnaps, dS_fin)
+    dk, dv, dlw, _ = scan.state_scan_backward(cache["scan"], dSnaps)
     return mix_bwd(cache["mix"], {"k": dk.reshape(B, T, Ds), "v": dv.reshape(B, T, Ds)},
                    dlw.reshape(B, T, Ds))

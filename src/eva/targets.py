@@ -121,6 +121,11 @@ def quantize_repr(values: np.ndarray, scale: float = 0.125) -> np.ndarray:
 # Target construction for training samples
 # ---------------------------------------------------------------------------
 
+def _pixel_index(events: np.ndarray, P: int) -> np.ndarray:
+    """Flat index of each event's (p, y, x) cell in a (2, P, P) image."""
+    return (events["p"].astype(np.int64) * P + events["y"]) * P + events["x"]
+
+
 def chunk_targets(spec, input_events: np.ndarray, future_events: np.ndarray,
                   chunk_ends, P: int) -> np.ndarray:
     """Target image per chunk end, stacked (K, 2, P, P).
@@ -128,21 +133,41 @@ def chunk_targets(spec, input_events: np.ndarray, future_events: np.ndarray,
     A trailing-window ("mrp") target sees the events absorbed so far; a
     future ("nrp") target sees the events strictly after the chunk end
     within `horizon_us`, drawn from the rest of the input plus the
-    sample's future tail.
+    sample's future tail. Every chunk end is built at once, bitwise equal
+    to `event_count` or `time_surface` of that end's events.
     """
-    out = np.zeros((len(chunk_ends), 2, P, P), dtype=np.float64)
-    pool = np.concatenate([input_events, future_events])
-    for j, end in enumerate(chunk_ends):
-        t_end = int(input_events["t"][end - 1])
-        if spec.role == "mrp":
-            seen = input_events[:end]
-            if spec.kind == "ec":
-                out[j] = event_count(seen, t_end - spec.window_us, t_end, P).values
-            else:
-                out[j] = time_surface(seen, t_end, spec.tau_us, P).values
-        else:
-            # (t_end, t_end + horizon]: integer timestamps make the open
-            # left edge equal to a closed edge at t_end + 1
-            future = pool[end:]
-            out[j] = event_count(future, t_end + 1, t_end + spec.horizon_us, P).values
-    return out
+    ends = np.asarray(chunk_ends, dtype=np.int64)
+    K, n_cells = len(ends), 2 * P * P
+    if K == 0:
+        return np.zeros((0, 2, P, P), dtype=np.float64)
+    t = input_events["t"]
+    t_end = t[ends - 1]
+    if spec.role == "mrp" and spec.kind == "ts":
+        if np.any(np.maximum.accumulate(t)[ends - 1] > t_end):
+            raise ValueError("time surface requires all event t <= t_ref")
+        # last timestamp per cell: each chunk's own maximum, then a running
+        # maximum over chunks; events after the last end are never seen
+        chunk_of = np.searchsorted(ends, np.arange(len(t)), side="right")
+        seen = chunk_of < K
+        last = np.full((K, n_cells), -1, dtype=np.int64)
+        np.maximum.at(last, (chunk_of[seen], _pixel_index(input_events, P)[seen]), t[seen])
+        np.maximum.accumulate(last, axis=0, out=last)
+        img = np.where(last >= 0, np.exp((last - t_end[:, None]) / float(spec.tau_us)), 0.0)
+        return img.reshape(K, 2, P, P)
+    # event counts: which events each chunk end counts, then one bincount
+    # over (chunk end, cell)
+    if spec.role == "mrp":
+        events = input_events
+        lo, hi = t_end - spec.window_us, t_end
+        member = np.arange(len(events))[None, :] < ends[:, None]
+    else:
+        # (t_end, t_end + horizon]: integer timestamps make the open
+        # left edge equal to a closed edge at t_end + 1
+        events = np.concatenate([input_events, future_events])
+        lo, hi = t_end + 1, t_end + spec.horizon_us
+        member = np.arange(len(events))[None, :] >= ends[:, None]
+    te = events["t"][None, :]
+    member &= (te >= lo[:, None]) & (te <= hi[:, None])
+    j, i = np.nonzero(member)
+    counts = np.bincount(j * n_cells + _pixel_index(events, P)[i], minlength=K * n_cells)
+    return counts.reshape(K, 2, P, P).astype(np.float64)

@@ -119,7 +119,9 @@ def pretrain(samples: list[TrainSample], model: Model, train_cfg: TrainConfig,
 
     history is a list of per-step dicts {"step", "epoch", "total", <task>: mse}.
     With a run_dir, steps.csv gets one row per step as it runs (see
-    `_write_step_row`); the other artifacts are written at the end.
+    `_write_step_row`); the other artifacts are written at the end. A step
+    whose loss or any gradient is not finite raises FloatingPointError
+    naming it, before any weight is updated.
     """
     if not samples:
         raise ValueError("empty dataset")
@@ -141,10 +143,11 @@ def pretrain(samples: list[TrainSample], model: Model, train_cfg: TrainConfig,
                 batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
                 t_loss = time.perf_counter()
                 mses, total, grads = batch_loss(model, batch)
+                step += 1
+                _check_finite(step, total, grads)
                 t_adam = time.perf_counter()
                 opt.step(named, grads)
                 t_end = time.perf_counter()
-                step += 1
                 rec = {"step": step, "epoch": epoch, "total": total, **mses}
                 history.append(rec)
                 if steps_csv:
@@ -163,6 +166,15 @@ def pretrain(samples: list[TrainSample], model: Model, train_cfg: TrainConfig,
     if run_dir:
         _write_run_dir(run_dir, model, train_cfg, history, time.perf_counter() - t0)
     return model, history
+
+
+def _check_finite(step: int, total: float, grads: dict[str, np.ndarray]) -> None:
+    """Raises FloatingPointError naming the step when the loss or a gradient
+    is not finite, before the optimizer can write it into any weight."""
+    bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+    if bad or not np.isfinite(total):
+        raise FloatingPointError(f"step {step}: total loss {total}, non-finite "
+                                 f"gradients in {len(bad)} tensors {bad[:4]}")
 
 
 def _grad_group(name: str) -> str:

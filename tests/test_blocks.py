@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eva import blocks as B
 from eva import scan
@@ -7,6 +10,9 @@ from eva.config import EncoderConfig
 from eva.params import MvhsParams, init_block_params, init_encoder_params
 from eva.runtime import _BlockRt
 from helpers import randomize_params
+
+# an unmasked exp overflow in the scan must fail, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CFG = EncoderConfig(d_model=12, n_blocks=1, n_heads=2, d_ffn=20, d_lora=4,
                     d_w=4, mvhs_heads=2, mvhs_d_head=6, n_out=2, patch=4,
@@ -368,6 +374,57 @@ def test_decay_scan_backward_matches_finite_differences():
             fd = (lp - lm) / (2 * eps)
             worst = max(worst, abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-3))
     assert worst <= 1e-6
+
+
+def scan_case(seed, T, lw=None, dtype=np.float64):
+    """Random decay-scan inputs, two sequences of two heads of 4, and
+    random adjoints (dY, dS) of its outputs."""
+    rng = np.random.default_rng(seed)
+    shape = (2, T, 2, 4)
+    r, k, v, dY = (rng.normal(size=shape) for _ in range(4))
+    lw = -np.exp(rng.normal(size=shape)) if lw is None else np.full(shape, lw)
+    u, S0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 2, 4, 4))
+    dS = rng.normal(size=S0.shape)
+    return [a.astype(dtype) for a in (r, k, v, lw, u, S0)], dY.astype(dtype), dS.astype(dtype)
+
+
+@pytest.mark.parametrize("lw", [-60.0, -1e-7])
+def test_decay_scan_backward_f32_at_decay_extremes_matches_f64(lw):
+    # -60 is the decay cap (w = exp(-60), a full reset), -1e-7 gives w -> 1
+    T = 2 * scan.DEFAULT_CHUNK + scan._SUB + 1
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        args, dY, dS = scan_case(21, T, lw, dtype)
+        _, _, cache = scan.decay_scan_forward(*args, want_cache=True)
+        grads[dtype] = scan.decay_scan_backward(cache, dY, dS)
+    # at the cap the lw gradient is a cancellation of O(1) terms, so every
+    # gradient is held to f32 rounding of the largest one
+    scale = max(np.max(np.abs(g)) for g in grads[np.float64])
+    for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+        assert g32.dtype == np.float32 and np.all(np.isfinite(g32))
+        assert np.max(np.abs(g32 - g64)) <= 1e-5 * scale
+
+
+def test_decay_scan_backward_does_not_rerun_the_forward(monkeypatch):
+    # the sub-chunk start states come from the forward's cache, so the
+    # backward never evaluates a state contribution again
+    args, dY, dS = scan_case(22, scan.DEFAULT_CHUNK + 2 * scan._SUB + 1)
+    _, _, cache = scan.decay_scan_forward(*args, chunk=2 * scan._SUB + 3, want_cache=True)
+
+    def rerun(*a, **kw):
+        raise AssertionError("decay_scan_backward called scan._state_out")
+    monkeypatch.setattr(scan, "_state_out", rerun)
+    scan.decay_scan_backward(cache, dY, dS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                  st.tuples(st.integers(1, 4), st.integers(1, scan._SUB), st.integers(1, 3)),
+                  elements=st.floats(-2.0**100, 2.0**100, width=32)))
+def test_sub_chunk_prefix_sums_equal_cumsum_bitwise(a):
+    assert scan._sub_cumsum(a.copy()).tobytes() == np.cumsum(a, axis=1).tobytes()
+    want = np.flip(np.cumsum(np.flip(a, 1), axis=1), 1)
+    assert scan._sub_rev_cumsum(a.copy()).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ from eva.events import SensorGeometry, slice_samples, synth_generate
 from eva.train import batch_loss, init_model, prepare_sample
 from helpers import randomize_params
 
+# an unmasked exp overflow in the scan must fail, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SPECS = (
     TargetSpec("ec", "mrp", window_us=50_000),
     TargetSpec("ts", "mrp", tau_us=50_000),

@@ -11,6 +11,9 @@ from eva.params import init_encoder_params, init_mvhs_params
 from eva.pipeline import A2SPipeline
 from eva.runtime import _MvhsRt
 
+# an unmasked exp overflow in the scan must fail, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CFG = EncoderConfig(d_model=8, n_blocks=1, n_heads=2, d_ffn=16, d_lora=4,
                     d_w=4, mvhs_heads=2, mvhs_d_head=4, n_out=2, patch=4,
                     precision="f64")

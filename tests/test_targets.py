@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eva.config import TargetSpec
 from eva.events import make_events, empty_events
-from eva.targets import (StreamingEventCount, StreamingTimeSurface, event_count,
-                         quantize_repr, time_surface)
+from eva.targets import (StreamingEventCount, StreamingTimeSurface, chunk_targets,
+                         event_count, quantize_repr, time_surface)
 
 
 def random_patch_events(seed, n, P=8, max_dt=50):
@@ -196,6 +197,60 @@ def test_streaming_equivalence_property(seed, window):
                           time_surface(ev, t_ref, 777.0, 4).values)
     assert np.array_equal(ec.read(t_ref).values,
                           event_count(ev, t_ref - window, t_ref, 4).values)
+
+
+# ---------------------------------------------------------------------------
+# chunk_targets: all chunk ends at once against one call per end
+# ---------------------------------------------------------------------------
+
+def chunk_targets_loop(spec, input_events, future_events, chunk_ends, P):
+    """Reference: one `event_count` or `time_surface` call per chunk end."""
+    out = np.zeros((len(chunk_ends), 2, P, P), dtype=np.float64)
+    pool = np.concatenate([input_events, future_events])
+    for j, end in enumerate(chunk_ends):
+        t_end = int(input_events["t"][end - 1])
+        if spec.role == "mrp":
+            seen = input_events[:end]
+            if spec.kind == "ec":
+                out[j] = event_count(seen, t_end - spec.window_us, t_end, P).values
+            else:
+                out[j] = time_surface(seen, t_end, spec.tau_us, P).values
+        else:
+            future = pool[end:]
+            out[j] = event_count(future, t_end + 1, t_end + spec.horizon_us, P).values
+    return out
+
+
+CHUNK_SPECS = (
+    TargetSpec("ec", "mrp", window_us=300),
+    TargetSpec("ts", "mrp", tau_us=250),
+    TargetSpec("ec", "nrp", window_us=200, horizon_us=200),
+    TargetSpec("ts", "nrp", tau_us=250, horizon_us=5),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 40),
+       st.integers(0, 60), st.integers(1, 30))
+def test_chunk_targets_match_one_call_per_end(seed, n, chunk_len, n_future, max_dt):
+    # ties in t (max_dt small), chunk ends at the first and last event,
+    # events after the last end, and an empty future tail all occur
+    ev = random_patch_events(seed, n + n_future, P=4, max_dt=max_dt)
+    inputs, future = ev[:n], ev[n:]
+    ends = list(range(min(chunk_len, n), n + 1, chunk_len))
+    for spec in CHUNK_SPECS:
+        want = chunk_targets_loop(spec, inputs, future, ends, 4)
+        got = chunk_targets(spec, inputs, future, ends, 4)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), spec
+
+
+def test_chunk_targets_reject_what_time_surface_rejects():
+    ev = make_events([10, 30, 20], [0, 1, 2], [0, 0, 0], [0, 1, 0])
+    ts = TargetSpec("ts", "mrp", tau_us=100)
+    with pytest.raises(ValueError):
+        chunk_targets(ts, ev, empty_events(), [3], 4)  # t = 30 absorbed before t_ref = 20
+    assert chunk_targets(ts, ev, empty_events(), [], 4).shape == (0, 2, 4, 4)
 
 
 # ---------------------------------------------------------------------------

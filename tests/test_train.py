@@ -317,6 +317,29 @@ def test_pretrain_rejects_empty_dataset():
         pretrain([], model, tc)
 
 
+@pytest.mark.parametrize("poison", ["weight", "last_gradient"])
+def test_pretrain_stops_on_nonfinite_step_before_any_update(poison, monkeypatch):
+    # a NaN weight makes the loss NaN; a NaN in the last gradient Adam visits
+    # would otherwise follow updates of every weight before it
+    import eva.train as train_mod
+    _, tc, model, samples = tiny_setup(seed=17)
+    if poison == "weight":
+        model.params.blocks[0].W_o[0, 0] = np.nan
+    else:
+        last = list(model.named())[-1]
+
+        def poisoned(*args, **kwargs):
+            mses, total, grads = batch_loss(*args, **kwargs)
+            grads[last] = np.full_like(grads[last], np.nan)
+            return mses, total, grads
+        monkeypatch.setattr(train_mod, "batch_loss", poisoned)
+    before = {k: v.copy() for k, v in model.named().items()}
+    with pytest.raises(FloatingPointError, match="step 1:"):
+        pretrain(samples, model, tc)
+    for name, value in model.named().items():
+        assert np.array_equal(value, before[name], equal_nan=True), name
+
+
 def test_loss_scale_doubles_gradients():
     cfg, tc, model, samples = tiny_setup(seed=13)
     randomize_params(model.params, seed=14)
