@@ -12,10 +12,14 @@ normalized read-out with SiLU(g) before the output projection. CM is the
 squared-ReLU feed-forward with a sigmoid gate.
 
 This module holds the chunked-parallel form used for training and offline
-encoding, with an optional cache for the hand-derived backward pass, and
-the per-stream `BlockState`. `mix_fwd`/`mix_bwd` (ddlerp, LoRA paths,
-decay) are shared with the matrix-state layer `mvhs`. The event-by-event
-form of the block is `runtime._BlockRt`; the two agree up to rounding.
+encoding, and the per-stream `BlockState`. Each forward function returns
+its outputs and a cache slot for the hand-derived backward pass, None
+unless asked for with `want_cache`; the scan underneath runs in outer
+chunks of `scan.DEFAULT_CHUNK` tokens. `mix_fwd`/`mix_bwd` (ddlerp, LoRA
+paths, decay) are shared with the matrix-state layer `mvhs`, and the
+per-head norm is `ln_fwd`/`ln_bwd` with unit gain and zero bias. The
+event-by-event form of the block is `runtime._BlockRt`; the two agree up
+to rounding.
 """
 
 from __future__ import annotations
@@ -86,21 +90,6 @@ def ln_bwd(cache, dy):
     dx = inv * (dxh - dxh.mean(-1, keepdims=True)
                 - xhat * (dxh * xhat).mean(-1, keepdims=True))
     return dx, dg, db
-
-
-def headln_fwd(y, eps=LN_EPS):
-    """Affine-free normalization over the last axis (one head at a time)."""
-    mean = y.mean(-1, keepdims=True)
-    yc = y - mean
-    inv = 1.0 / np.sqrt((yc * yc).mean(-1, keepdims=True) + eps)
-    yhat = yc * inv
-    return yhat, (yhat, inv)
-
-
-def headln_bwd(cache, dy):
-    yhat, inv = cache
-    return inv * (dy - dy.mean(-1, keepdims=True)
-                  - yhat * (dy * yhat).mean(-1, keepdims=True))
 
 
 def _shift(a, carry):
@@ -197,11 +186,10 @@ def mix_bwd(cache, dprojs, dlw):
 _TM_PATHS = ("r", "k", "v", "g")
 
 
-def tm_sublayer_fwd(a, carry, S0, bp: BlockParams, n_heads: int,
-                    chunk: int = scan.DEFAULT_CHUNK, want_cache: bool = False):
+def tm_sublayer_fwd(a, carry, S0, bp: BlockParams, n_heads: int, want_cache: bool = False):
     """a: (B, T, D) normalized inputs; carry: (B, D); S0: (B, N, Dh, Dh).
 
-    Returns (o, S_final, new_carry[, cache]).
+    Returns (o, S_final, new_carry, cache), cache None unless want_cache.
     """
     B, T, D = a.shape
     Dh = D // n_heads
@@ -209,26 +197,18 @@ def tm_sublayer_fwd(a, carry, S0, bp: BlockParams, n_heads: int,
     r, k, v, lw_h = (z.reshape(B, T, n_heads, Dh)
                      for z in (proj["r"], proj["k"], proj["v"], lw))
     u_h = bp.u.reshape(n_heads, Dh)
+    y, S_fin, scan_cache = scan.decay_scan_forward(r, k, v, lw_h, u_h, S0, want_cache)
 
-    if want_cache:
-        y, S_fin, scan_cache = scan.decay_scan_forward(
-            r, k, v, lw_h, u_h, S0, chunk, want_cache=True)
-    else:
-        y, S_fin = scan.decay_scan_forward(r, k, v, lw_h, u_h, S0, chunk)
-        scan_cache = None
-
-    yn, headln_cache = headln_fwd(y)
+    # per-head norm: the layer norm with unit gain and zero bias
+    yn, norm_cache = ln_fwd(y, 1.0, 0.0)
     g = proj["g"]
     sg = silu(g)
     o_pre = sg * yn.reshape(B, T, D)
     o = o_pre @ bp.W_o
-    new_carry = a[:, -1].copy()
-    if not want_cache:
-        return o, S_fin, new_carry
-    cache = {"mix": mix_cache, "scan": scan_cache, "headln": headln_cache,
-             "g": g, "sg": sg, "yn": yn, "o_pre": o_pre, "bp": bp,
-             "n_heads": n_heads}
-    return o, S_fin, new_carry, cache
+    cache = ({"mix": mix_cache, "scan": scan_cache, "head_norm": norm_cache, "g": g,
+              "sg": sg, "o_pre": o_pre, "bp": bp, "n_heads": n_heads}
+             if want_cache else None)
+    return o, S_fin, a[:, -1].copy(), cache
 
 
 def tm_sublayer_bwd(cache, do):
@@ -242,12 +222,13 @@ def tm_sublayer_bwd(cache, do):
     # output projection and gate
     grads["W_o"] = _outer_grad(cache["o_pre"], do)
     d_opre = do @ bp.W_o.T
-    dsg = d_opre * cache["yn"].reshape(B, T, D)
+    # yn = xhat * 1 + 0 equals the head norm's cached xhat
+    dsg = d_opre * cache["head_norm"][0].reshape(B, T, D)
     dyn = (d_opre * cache["sg"]).reshape(B, T, n_heads, Dh)
     sig_g = sigmoid(cache["g"])
     dg_proj = dsg * (sig_g * (1.0 + cache["g"] * (1.0 - sig_g)))
 
-    dy = headln_bwd(cache["headln"], dyn)
+    dy, _, _ = ln_bwd(cache["head_norm"], dyn)
     dr, dk, dv, dlw, du, _ = scan.decay_scan_backward(cache["scan"], dy)
     grads["u"] = du.reshape(D)
 
@@ -263,6 +244,8 @@ def tm_sublayer_bwd(cache, do):
 # ---------------------------------------------------------------------------
 
 def cm_sublayer_fwd(b, carry, bp: BlockParams, want_cache: bool = False):
+    """b: (B, T, D) normalized inputs; carry: (B, D). Returns (o, new_carry,
+    cache), cache None unless want_cache."""
     b_prev = _shift(b, carry)
     delta = b_prev - b
     mr = b + delta * bp.mu_cr
@@ -273,13 +256,9 @@ def cm_sublayer_fwd(b, carry, bp: BlockParams, want_cache: bool = False):
     kr = np.maximum(kk, 0.0)
     relu2 = kr * kr
     vv = relu2 @ bp.W_cv
-    o = sig * vv
-    new_carry = b[:, -1].copy()
-    if not want_cache:
-        return o, new_carry
-    cache = {"delta": delta, "mr": mr, "mk": mk, "sig": sig, "kr": kr,
-             "relu2": relu2, "vv": vv, "bp": bp}
-    return o, new_carry, cache
+    cache = ({"delta": delta, "mr": mr, "mk": mk, "sig": sig, "kr": kr,
+              "relu2": relu2, "vv": vv, "bp": bp} if want_cache else None)
+    return sig * vv, b[:, -1].copy(), cache
 
 
 def cm_sublayer_bwd(cache, do):
@@ -314,27 +293,17 @@ def cm_sublayer_bwd(cache, do):
 # ---------------------------------------------------------------------------
 
 def block_seq_fwd(x, S0, tm_prev, cm_prev, bp: BlockParams, n_heads: int,
-                  chunk: int = scan.DEFAULT_CHUNK, want_cache: bool = False):
-    """x: (B, T, D). Returns (out, (S_fin, tm_carry, cm_carry)[, cache])."""
+                  want_cache: bool = False):
+    """x: (B, T, D). Returns (out, (S_fin, tm_carry, cm_carry), cache),
+    cache None unless want_cache."""
     a, ln1_cache = ln_fwd(x, bp.ln1_g, bp.ln1_b)
-    tm_out = tm_sublayer_fwd(a, tm_prev, S0, bp, n_heads, chunk, want_cache)
-    if want_cache:
-        o_tm, S_fin, tm_carry, tm_cache = tm_out
-    else:
-        o_tm, S_fin, tm_carry = tm_out
+    o_tm, S_fin, tm_carry, tm_cache = tm_sublayer_fwd(a, tm_prev, S0, bp, n_heads, want_cache)
     h = x + o_tm
     b, ln2_cache = ln_fwd(h, bp.ln2_g, bp.ln2_b)
-    cm_out = cm_sublayer_fwd(b, cm_prev, bp, want_cache)
-    if want_cache:
-        o_cm, cm_carry, cm_cache = cm_out
-    else:
-        o_cm, cm_carry = cm_out
-    out = h + o_cm
-    state = (S_fin, tm_carry, cm_carry)
-    if not want_cache:
-        return out, state
-    cache = {"ln1": ln1_cache, "tm": tm_cache, "ln2": ln2_cache, "cm": cm_cache}
-    return out, state, cache
+    o_cm, cm_carry, cm_cache = cm_sublayer_fwd(b, cm_prev, bp, want_cache)
+    cache = ({"ln1": ln1_cache, "tm": tm_cache, "ln2": ln2_cache, "cm": cm_cache}
+             if want_cache else None)
+    return h + o_cm, (S_fin, tm_carry, cm_carry), cache
 
 
 def block_seq_bwd(cache, dout):

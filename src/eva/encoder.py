@@ -19,7 +19,6 @@ import numpy as np
 
 from . import blocks as B
 from . import mvhs as M
-from . import scan
 from .config import EncoderConfig
 from .embedding import embed_events, event_to_token_dt
 from .params import EncoderParams
@@ -90,8 +89,7 @@ def _embed(params: EncoderParams, tokens, dts):
 
 
 def encode_sequence(params: EncoderParams, tokens, dts,
-                    state: EncoderState | None = None, checkpoints=None,
-                    chunk: int = scan.DEFAULT_CHUNK):
+                    state: EncoderState | None = None, checkpoints=None):
     """Chunked-parallel encode of a token/gap sequence.
 
     Returns (snaps, new_state) where snaps is (K, N, Dh, Dh), one raw
@@ -106,13 +104,12 @@ def encode_sequence(params: EncoderParams, tokens, dts,
     h, _ = B.ln_fwd(x, params.ln0_g, params.ln0_b)
     for i, bp in enumerate(params.blocks):
         bs = state.blocks[i]
-        h, (S_f, tm_c, cm_c) = B.block_seq_fwd(
-            h, bs.S[None], bs.tm_prev[None], bs.cm_prev[None], bp,
-            cfg.n_heads, chunk)
+        h, (S_f, tm_c, cm_c), _ = B.block_seq_fwd(
+            h, bs.S[None], bs.tm_prev[None], bs.cm_prev[None], bp, cfg.n_heads)
         state.blocks[i] = B.BlockState(S_f[0], tm_c[0], cm_c[0])
-    snaps, S_fin, new_prev = M._mvhs_seq(
+    snaps, S_fin, new_prev, _ = M._mvhs_seq(
         h, state.mvhs.prev[None], state.mvhs.S[None], params.mvhs,
-        cfg.mvhs_heads, checkpoints, chunk)
+        cfg.mvhs_heads, checkpoints)
     state.mvhs = M.MvhsState(S_fin[0], new_prev[0])
     state.event_index += T
     return snaps[0], state
@@ -157,8 +154,7 @@ def encode_events(params: EncoderParams, events, state=None, checkpoints=None):
 # Training path
 # ---------------------------------------------------------------------------
 
-def forward_train(params: EncoderParams, tokens: np.ndarray, dts: np.ndarray,
-                  checkpoints, chunk: int = scan.DEFAULT_CHUNK):
+def forward_train(params: EncoderParams, tokens: np.ndarray, dts: np.ndarray, checkpoints):
     """Batched forward with caches. tokens/dts: (B, T) int arrays.
 
     Sequences start from zero state. Returns (snaps (B, K, N, Dh, Dh), cache).
@@ -172,14 +168,12 @@ def forward_train(params: EncoderParams, tokens: np.ndarray, dts: np.ndarray,
     for bp in params.blocks:
         S0 = np.zeros((Bsz, cfg.n_heads, cfg.d_head, cfg.d_head), dtype)
         carry = np.zeros((Bsz, cfg.d_model), dtype)
-        h, _, cache = B.block_seq_fwd(h, S0, carry, carry, bp, cfg.n_heads,
-                                      chunk, want_cache=True)
+        h, _, cache = B.block_seq_fwd(h, S0, carry, carry, bp, cfg.n_heads, want_cache=True)
         block_caches.append(cache)
     S0m = np.zeros((Bsz, cfg.mvhs_heads, cfg.mvhs_d_head, cfg.mvhs_d_head), dtype)
     carry_m = np.zeros((Bsz, cfg.d_model), dtype)
-    snaps, _, _, mvhs_cache = M._mvhs_seq(h, carry_m, S0m, params.mvhs,
-                                          cfg.mvhs_heads, list(checkpoints),
-                                          chunk, want_cache=True)
+    snaps, _, _, mvhs_cache = M._mvhs_seq(h, carry_m, S0m, params.mvhs, cfg.mvhs_heads,
+                                          list(checkpoints), want_cache=True)
     cache = {"tokens": tokens, "ln0": ln0_cache, "blocks": block_caches,
              "mvhs": mvhs_cache, "cfg": cfg, "vocab": params.embed.shape[0]}
     return snaps, cache

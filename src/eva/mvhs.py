@@ -6,8 +6,10 @@ accumulates decayed outer products event by event; snapshots of the first
 `n_out` head matrices form the representation handed to consumers. This
 module holds the chunked form, which calls the TM front end
 `blocks.mix_fwd`/`mix_bwd` with paths k, v and the state-only scan
-`scan.state_scan_forward`/`_backward`; the event-by-event step is
-`runtime._MvhsRt`.
+`scan.state_scan_forward`/`_backward`, and returns a cache slot as the
+block's forward functions do; the event-by-event step is
+`runtime._MvhsRt`, on the runtime's one front end `_Front` with the same
+paths.
 
 The projection width (`mvhs_state_dim`) normally equals the model width,
 but may differ (e.g. the width-1-head ablation used for size accounting).
@@ -42,20 +44,16 @@ class MvhsState:
         return MvhsState(self.S.copy(order="K"), self.prev.copy())
 
 
-def _mvhs_seq(x, carry, S0, mp: MvhsParams, n_heads: int, checkpoints,
-              chunk: int, want_cache: bool = False):
-    """Batched core: x (B, T, D). Returns (snaps, S_fin, new_carry[, cache])."""
+def _mvhs_seq(x, carry, S0, mp: MvhsParams, n_heads: int, checkpoints, want_cache=False):
+    """Batched core: x (B, T, D). Returns (snaps, S_fin, new_carry, cache),
+    cache None unless want_cache."""
     B, T, _ = x.shape
     Dh = S0.shape[-1]
     proj, lw, mix_cache = mix_fwd(x, carry, mp, ("k", "v"))
     kh, vh, lwh = (z.reshape(B, T, n_heads, Dh) for z in (proj["k"], proj["v"], lw))
-    new_carry = x[:, -1].copy()
-    if want_cache:
-        snaps, S_fin, scan_cache = scan.state_scan_forward(
-            kh, vh, lwh, S0, checkpoints, chunk, want_cache=True)
-        return snaps, S_fin, new_carry, {"mix": mix_cache, "scan": scan_cache}
-    snaps, S_fin = scan.state_scan_forward(kh, vh, lwh, S0, checkpoints, chunk)
-    return snaps, S_fin, new_carry
+    snaps, S_fin, scan_cache = scan.state_scan_forward(kh, vh, lwh, S0, checkpoints, want_cache)
+    cache = {"mix": mix_cache, "scan": scan_cache} if want_cache else None
+    return snaps, S_fin, x[:, -1].copy(), cache
 
 
 def _mvhs_seq_bwd(cache, dSnaps):

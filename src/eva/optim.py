@@ -30,11 +30,14 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """Updates every tensor in place. Raises FloatingPointError, before
+        any tensor, m, v or t changes, if a gradient is non-finite."""
+        for name in params:
+            if not np.all(np.isfinite(grads[name])):
+                raise FloatingPointError(f"non-finite gradient for {name}")
         self.t += 1
         for name, p in params.items():
             g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient for {name}")
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)

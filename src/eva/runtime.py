@@ -8,14 +8,16 @@ patch into one step (`pipeline.A2SPipeline`); `encoder.encode_sequence_
 recurrent` steps with B = 1 as the mode-equivalence reference for the
 chunked-parallel `encoder.encode_sequence`.
 
-The r/k/v/g mixes and the decay share one stacked LoRA matmul pair, the
-norms reduce with matmuls against a column of 1/D (and one batched dot
-product for the squared norms), and the decay pre-activation is capped
-at `blocks._D_CAP` as in the chunked path, so the two modes use one
-formula. 2-D products call np.dot, whose dispatch costs less than `@`
-for a batch of one. Every state array is written in place, so a state of
-views (such as one stream's state with a batch axis of one added,
-`EncoderState.rows(None)`) is advanced where it lives.
+One token-shift front end, `_Front`, serves the block (paths r, k, v, g)
+and the matrix-state layer (paths k, v): the mixes and the decay share
+one stacked LoRA matmul pair, and the decay pre-activation is capped at
+`blocks._D_CAP` as in the chunked path, so the two modes use one
+formula. The norms reduce with matmuls against a column of 1/D (and one
+batched dot product for the squared norms). 2-D products call np.dot,
+whose dispatch costs less than `@` for a batch of one. Every state array
+is written in place, so a state of views (such as one stream's state
+with a batch axis of one added, `EncoderState.rows(None)`) is advanced
+where it lives.
 
 Matrix states are stepped heads-innermost. Their shape is (B, N, Dh, Dh),
 but `EncoderState.zeros` and the pipeline's stacks store them in memory
@@ -71,11 +73,6 @@ class _LayerNorm:
         return xc * (self.g / np.sqrt(ss + self.eps)) + self.b
 
 
-def _pad_to(a, shape):
-    """a zero-padded at the end of each axis to `shape`."""
-    return np.pad(a, [(0, n - k) for k, n in zip(a.shape, shape)])
-
-
 def _heads_inner(n_heads: int, d_head: int) -> np.ndarray:
     """The column order that puts a head-major width (column n * Dh + i)
     in (i, n) order (column i * N + n): a (B, N * Dh) projection through
@@ -83,26 +80,54 @@ def _heads_inner(n_heads: int, d_head: int) -> np.ndarray:
     return np.arange(n_heads * d_head).reshape(n_heads, d_head).T.ravel()
 
 
+class _Front:
+    """The token-shift front end of one step, for the TM paths r, k, v, g
+    and the MVHS paths k, v alike: the ddlerp mixes of the named paths and
+    the decay d as one stacked LoRA, decay last. Narrower LoRA or output
+    widths are zero-padded, which adds exact zeros. The decay and the
+    projections are in (i, n) order."""
+    __slots__ = ("mu", "A", "B", "lam", "W", "n_heads", "d_head")
+
+    def __init__(self, p, paths: str, n_heads: int, d_head: int):
+        perm = _heads_inner(n_heads, d_head)
+        As = [getattr(p, f"A_{n}") for n in paths] + [p.A_w]
+        Bs = [getattr(p, f"B_{n}") for n in paths] + [p.B_w.take(perm, 1)]
+        lams = [getattr(p, f"lam_{n}") for n in paths] + [p.lam_d[perm]]
+        width = max(a.shape[1] for a in As)
+        out = max(b.shape[1] for b in Bs)
+        self.A = np.stack([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in As])
+        self.B = np.stack([np.pad(b, ((0, width - b.shape[0]), (0, out - b.shape[1])))
+                           for b in Bs])
+        self.lam = np.stack([np.pad(c, (0, out - c.shape[0])) for c in lams])[:, None]
+        self.W = np.stack([getattr(p, f"W_{n}").take(perm, 1) for n in paths])
+        self.mu = p.mu
+        self.n_heads = n_heads
+        self.d_head = d_head
+
+    def __call__(self, x, prev):
+        """x: (B, D) inputs; prev: (B, D), the input before x. Returns the
+        decay w (Dh, 1, B, N) and the projections (paths, Dh, B, N)."""
+        Bsz, D = x.shape
+        N, Dh = self.n_heads, self.d_head
+        delta = prev - x
+        m = x + delta * self.mu
+        G = self.lam + np.matmul(np.tanh(np.matmul(m, self.A)), self.B)
+        d = G[-1, :, :N * Dh].reshape(Bsz, Dh, 1, N).transpose(1, 2, 0, 3)
+        w = np.exp(-np.exp(np.minimum(d, _D_CAP, order="C")))
+        proj = np.matmul(x + delta * G[:-1, :, :D], self.W)
+        return w, np.ascontiguousarray(proj.reshape(-1, Bsz, Dh, N).swapaxes(1, 2))
+
+
 class _BlockRt:
-    __slots__ = ("bp", "ln1", "ln2", "A5", "B5", "lam5", "W_stack", "mu_c", "u",
-                 "head_avg", "n_heads", "d_head")
+    __slots__ = ("bp", "ln1", "ln2", "front", "mu_c", "u", "head_avg", "n_heads", "d_head")
 
     def __init__(self, bp: BlockParams, n_heads: int):
         self.bp = bp
         D = bp.mu.shape[0]
         self.n_heads = n_heads
         self.d_head = D // n_heads
-        p = _heads_inner(n_heads, self.d_head)
-        # the r, k, v, g mixes and the decay d as one stacked LoRA; a
-        # narrower path is zero-padded, which adds exact zeros. The decay,
-        # the projections and u are in (i, n) order
-        width = max(bp.A_r.shape[1], bp.A_w.shape[1])
-        self.A5 = np.stack([_pad_to(getattr(bp, f"A_{n}"), (D, width)) for n in "rkvgw"])
-        self.B5 = np.stack([_pad_to(getattr(bp, f"B_{n}"), (width, D)) for n in "rkvg"]
-                           + [_pad_to(bp.B_w.take(p, 1), (width, D))])
-        self.lam5 = np.stack([bp.lam_r, bp.lam_k, bp.lam_v, bp.lam_g, bp.lam_d[p]])[:, None]
-        self.W_stack = np.stack([getattr(bp, f"W_{n}").take(p, 1) for n in "rkvg"])
-        self.u = bp.u[p].reshape(self.d_head, 1, n_heads)
+        self.front = _Front(bp, "rkvg", n_heads, self.d_head)
+        self.u = bp.u[_heads_inner(n_heads, self.d_head)].reshape(self.d_head, 1, n_heads)
         self.mu_c = np.stack([bp.mu_cr, bp.mu_ck])[:, None]
         self.ln1 = _LayerNorm(bp.ln1_g, bp.ln1_b)
         self.ln2 = _LayerNorm(bp.ln2_g, bp.ln2_b)
@@ -115,13 +140,7 @@ class _BlockRt:
         Bsz, D = x.shape
         N, Dh = self.n_heads, self.d_head
         a = self.ln1(x)
-        delta = state.tm_prev - a
-        m = a + delta * bp.mu
-        G = self.lam5 + np.matmul(np.tanh(np.matmul(m, self.A5)), self.B5)
-        d = G[4].reshape(Bsz, Dh, 1, N).transpose(1, 2, 0, 3)
-        w = np.exp(-np.exp(np.minimum(d, _D_CAP, order="C")))  # (Dh, 1, B, N)
-        r, k, v, g = np.ascontiguousarray(
-            np.matmul(a + delta * G[:4], self.W_stack).reshape(4, Bsz, Dh, N).swapaxes(1, 2))
+        w, (r, k, v, g) = self.front(a, state.tm_prev)
 
         S = state.S.transpose(2, 3, 0, 1)  # (Dh, Dh, B, N), a view
         kv = k[:, None] * v
@@ -146,23 +165,10 @@ class _BlockRt:
 
 
 class _MvhsRt:
-    __slots__ = ("mp", "A3", "B3", "lam3", "W_kv", "n_heads", "d_head")
+    __slots__ = ("front",)
 
     def __init__(self, mp: MvhsParams, n_heads: int, d_head: int):
-        self.mp = mp
-        # the k and v mixes (width D) and the decay d (width Ds) as one
-        # stacked LoRA, zero-padded to the wider of each; the decay and
-        # the k, v projections in (i, n) order
-        (D, Dl), (Dw, Ds) = mp.A_k.shape, mp.B_w.shape
-        width, out = max(Dl, Dw), max(D, Ds)
-        p = _heads_inner(n_heads, d_head)
-        self.A3 = np.stack([_pad_to(a, (D, width)) for a in (mp.A_k, mp.A_v, mp.A_w)])
-        self.B3 = np.stack([_pad_to(b, (width, out)) for b in (mp.B_k, mp.B_v, mp.B_w.take(p, 1))])
-        self.lam3 = np.stack([_pad_to(c, (out,))
-                              for c in (mp.lam_k, mp.lam_v, mp.lam_d[p])])[:, None]
-        self.W_kv = np.stack([mp.W_k.take(p, 1), mp.W_v.take(p, 1)])
-        self.n_heads = n_heads
-        self.d_head = d_head
+        self.front = _Front(mp, "kv", n_heads, d_head)
 
     def step(self, x, state) -> np.ndarray | None:
         """x: (B, D); state: an MvhsState of (B, ...) arrays, updated in
@@ -170,15 +176,7 @@ class _MvhsRt:
         is finite, else the (B,) mask of the rows whose update is not; the
         matrix state of those rows is then non-finite and must be discarded
         (`EncoderRuntime.step` zeroes it)."""
-        Bsz, D = x.shape
-        N, Dh = self.n_heads, self.d_head
-        delta = state.prev - x
-        m = x + delta * self.mp.mu
-        G = self.lam3 + np.matmul(np.tanh(np.matmul(m, self.A3)), self.B3)
-        d = G[2, :, :N * Dh].reshape(Bsz, Dh, 1, N).transpose(1, 2, 0, 3)
-        w = np.exp(-np.exp(np.minimum(d, _D_CAP, order="C")))  # (Dh, 1, B, N)
-        kv = np.ascontiguousarray(
-            np.matmul(x + delta * G[:2, :, :D], self.W_kv).reshape(2, Bsz, Dh, N).swapaxes(1, 2))
+        w, kv = self.front(x, state.prev)
         bad = None
         if not (np.isfinite(kv).all() and np.isfinite(w).all()):
             bad = ~(np.isfinite(kv).all((0, 1, 3)) & np.isfinite(w).all((0, 1, 3)))

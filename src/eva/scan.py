@@ -22,9 +22,10 @@ memory of the batched sub-chunk tensors.
 
 The backward pass recomputes nothing that needs the carry. It runs the
 adjoint of the read-out, the reverse carry and `_state_out_bwd` from what
-the forward saved per outer chunk: per token, the log-decay prefix cw, the
-decayed part of the read-out (y without its u bonus) and the sub-chunk's
-row of v . r products; per sub-chunk, its start state and exp(cw_last).
+the forward saved per outer chunk, kept with the chunk's bounds: per
+token, the log-decay prefix cw, the decayed part of the read-out (y
+without its u bonus) and the sub-chunk's row of v . r products; per
+sub-chunk, its start state and exp(cw_last).
 Per head and token that is 2 Dh + _SUB + (Dh * Dh + Dh) / _SUB floats:
 152 per token for `small` (4 heads of 8), 1.2 KB in f64. Every decayed
 term of y[c] carries the factor exp(cwe[c]), with cwe the exclusive
@@ -43,7 +44,8 @@ exp(cw_last) in the carry, which loses no precision to cancellation.
 
 `decay_scan_*` (with read-out, token mixing) and `state_scan_*` (state
 only, the matrix-state layer) share one state-update kernel, `_state_out`
-and its adjoint `_state_out_bwd`.
+and its adjoint `_state_out_bwd`. Both forwards return their outputs and
+a cache slot, None unless asked for with `want_cache`.
 
 Shapes: sequences are (B, T, N, Dh); states are (B, N, Dh, Dh) with the
 first Dh axis indexing the k channel (the decayed one) and the second the
@@ -55,12 +57,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# Outer chunk, for offline encoding and training alike. With two-level
-# chunking it no longer sets the per-token arithmetic, only the size of the
-# batched sub-chunk temporaries and the number of outer-chunk calls. On a
-# 2-core host, 64 was the fastest setting within noise for both the `dvs`
-# f32 `encode_offline` windows and the `small` f64 training step; 128 was
-# 15-20% slower on the former, 32 no faster on either.
+# Outer chunk, for offline encoding and training alike; every scan reads it
+# when called. With two-level chunking it no longer sets the per-token
+# arithmetic, only the size of the batched sub-chunk temporaries and the
+# number of outer-chunk calls. With the cached backward, 128 measured ~10%
+# faster than 64 on a 2-core host, forward and backward alike, on both the
+# `dvs` f32 `encode_offline` windows and the `small` f64 training step;
+# 256 and 512 were slower again. It stays 64 because the value moves
+# forward bits: a last outer chunk shorter than `_SUB` is cut into shorter
+# sub-chunks, so some lengths (T = 257, say) round differently.
 DEFAULT_CHUNK = 64
 # Sub-chunk of the read-out scan, whose read-out inside a sub-chunk costs
 # s * (s - 1) / 2 decayed products per channel: 4 measured best on the same
@@ -233,41 +238,36 @@ def scan_chunk_backward(r, k, v, u, saved, dY, dS_out):
     return (*(_unsplit(a, B, L) for a in (dr, dk, dv, dlw)), du, dS_in)
 
 
-def decay_scan_forward(r, k, v, lw, u, S0, chunk: int = DEFAULT_CHUNK,
-                       want_cache: bool = False):
-    """Full-sequence scan with read-out. Returns (y, S_final[, cache])."""
-    B, T, N, Dh = r.shape
+def decay_scan_forward(r, k, v, lw, u, S0, want_cache: bool = False):
+    """Full-sequence scan with read-out, in outer chunks of `DEFAULT_CHUNK`
+    tokens. Returns (y, S_final, cache), cache None unless want_cache."""
+    T = r.shape[1]
     S = S0.copy()
     y = np.empty_like(r)
     saved = []
-    for start in range(0, T, chunk):
-        end = min(start + chunk, T)
+    for start in range(0, T, DEFAULT_CHUNK):
+        end = min(start + DEFAULT_CHUNK, T)
         y[:, start:end], S, chunk_saved = scan_chunk_forward(
             r[:, start:end], k[:, start:end], v[:, start:end],
             lw[:, start:end], u, S)
         if want_cache:
-            saved.append(chunk_saved)
-    if want_cache:
-        cache = {"r": r, "k": k, "v": v, "u": u, "saved": saved, "chunk": chunk}
-        return y, S, cache
-    return y, S
+            saved.append((start, end, chunk_saved))
+    return y, S, ({"r": r, "k": k, "v": v, "u": u, "saved": saved} if want_cache else None)
 
 
 def decay_scan_backward(cache, dY, dS_final=None):
     """Returns (dr, dk, dv, dlw, du, dS0). dS_final None means zeros."""
     r, k, v, u = cache["r"], cache["k"], cache["v"], cache["u"]
-    chunk = cache["chunk"]
-    B, T, N, Dh = r.shape
+    B, _, N, Dh = r.shape
     dS = np.zeros((B, N, Dh, Dh), r.dtype) if dS_final is None else dS_final
     dr = np.empty_like(r)
     dk = np.empty_like(k)
     dv = np.empty_like(v)
     dlw = np.empty_like(r)
     du = np.zeros_like(u)
-    for i in reversed(range(len(cache["saved"]))):
-        s, e = i * chunk, min((i + 1) * chunk, T)
+    for s, e, saved in reversed(cache["saved"]):
         out = scan_chunk_backward(
-            r[:, s:e], k[:, s:e], v[:, s:e], u, cache["saved"][i], dY[:, s:e], dS)
+            r[:, s:e], k[:, s:e], v[:, s:e], u, saved, dY[:, s:e], dS)
         dr[:, s:e], dk[:, s:e], dv[:, s:e], dlw[:, s:e], du_c, dS = out
         du += du_c
     return dr, dk, dv, dlw, du, dS
@@ -295,9 +295,9 @@ def state_chunk_backward(k, v, saved, dS_out):
     return dk, dv, _rev_cumsum(dcw, 1), w_last[..., None] * dS_out
 
 
-def _segment_bounds(T: int, checkpoints, chunk: int) -> list[tuple[int, int, bool]]:
+def _segment_bounds(T: int, checkpoints) -> list[tuple[int, int, bool]]:
     """(start, end, is_checkpoint) spans covering [0, T) split at checkpoints
-    and further subdivided to at most `chunk` tokens."""
+    and further subdivided to at most `DEFAULT_CHUNK` tokens."""
     cps = list(checkpoints)
     if any(c2 <= c1 for c1, c2 in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing")
@@ -307,50 +307,44 @@ def _segment_bounds(T: int, checkpoints, chunk: int) -> list[tuple[int, int, boo
     pos = 0
     for cp in cps + ([T] if (not cps or cps[-1] != T) else []):
         while pos < cp:
-            nxt = min(pos + chunk, cp)
+            nxt = min(pos + DEFAULT_CHUNK, cp)
             bounds.append((pos, nxt, nxt == cp and cp in cps))
             pos = nxt
     return bounds
 
 
-def state_scan_forward(k, v, lw, S0, checkpoints, chunk: int = DEFAULT_CHUNK,
-                       want_cache: bool = False):
-    """Returns (snapshots at each checkpoint, S_final[, cache])."""
+def state_scan_forward(k, v, lw, S0, checkpoints, want_cache: bool = False):
+    """Returns (snapshots at each checkpoint, S_final, cache), cache None
+    unless want_cache."""
     B, T, N, Dh = k.shape
-    bounds = _segment_bounds(T, checkpoints, chunk)
     S = S0.copy()
     snaps = []
     saved = []
-    for start, end, is_cp in bounds:
+    for start, end, is_cp in _segment_bounds(T, checkpoints):
         S, seg_saved = state_chunk_forward(k[:, start:end], v[:, start:end],
                                            lw[:, start:end], S)
         if want_cache:
-            saved.append(seg_saved)
+            saved.append((start, end, is_cp, seg_saved))
         if is_cp:
             snaps.append(S)
     snaps = (np.stack(snaps, axis=1) if snaps
              else np.zeros((B, 0, N, Dh, Dh), dtype=k.dtype))
-    if want_cache:
-        cache = {"k": k, "v": v, "saved": saved, "bounds": bounds}
-        return snaps, S, cache
-    return snaps, S
+    return snaps, S, ({"k": k, "v": v, "saved": saved} if want_cache else None)
 
 
 def state_scan_backward(cache, dSnaps, dS_final=None):
     """Returns (dk, dv, dlw, dS0). dS_final None means zeros."""
     k, v = cache["k"], cache["v"]
-    bounds = cache["bounds"]
-    B, T, N, Dh = k.shape
+    B, _, N, Dh = k.shape
     dS = np.zeros((B, N, Dh, Dh), k.dtype) if dS_final is None else dS_final
     dk = np.empty_like(k)
     dv = np.empty_like(v)
     dlw = np.empty_like(k)
-    cp_idx = sum(1 for b in bounds if b[2]) - 1
-    for i in reversed(range(len(bounds))):
-        start, end, is_cp = bounds[i]
+    cp_idx = dSnaps.shape[1]
+    for start, end, is_cp, saved in reversed(cache["saved"]):
         if is_cp:
-            dS = dS + dSnaps[:, cp_idx]
             cp_idx -= 1
+            dS = dS + dSnaps[:, cp_idx]
         dk[:, start:end], dv[:, start:end], dlw[:, start:end], dS = state_chunk_backward(
-            k[:, start:end], v[:, start:end], cache["saved"][i], dS)
+            k[:, start:end], v[:, start:end], saved, dS)
     return dk, dv, dlw, dS

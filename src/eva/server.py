@@ -166,9 +166,6 @@ class EvaServer:
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
     def shutdown(self) -> None:
         self._server.shutdown()
         self._server.server_close()

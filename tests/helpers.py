@@ -1,7 +1,11 @@
 """Shared test utilities."""
 
-import numpy as np
+import contextlib
 
+import numpy as np
+import pytest
+
+from eva import scan
 from eva.params import SLOW_DECAY_BIAS, EncoderParams, named_arrays
 
 
@@ -13,3 +17,12 @@ def randomize_params(params: EncoderParams, seed: int, scale: float = 0.5) -> No
         arr[...] = rng.uniform(-scale, scale, size=arr.shape).astype(arr.dtype)
         if name.endswith("lam_d"):
             arr[...] = arr + SLOW_DECAY_BIAS
+
+
+@contextlib.contextmanager
+def outer_chunk(n: int):
+    """Scan in outer chunks of n tokens (`scan.DEFAULT_CHUNK`) inside the
+    block; the default comes back on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "DEFAULT_CHUNK", n)
+        yield

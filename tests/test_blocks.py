@@ -9,7 +9,7 @@ from eva import scan
 from eva.config import EncoderConfig
 from eva.params import MvhsParams, init_block_params, init_encoder_params
 from eva.runtime import _BlockRt
-from helpers import randomize_params
+from helpers import outer_chunk, randomize_params
 
 # an unmasked exp overflow in the scan must fail, not warn
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -108,7 +108,7 @@ def tm_one(bp, x, x_prev, S0=None):
 
 
 def cm_one(x, x_prev, bp):
-    o, _ = B.cm_sublayer_fwd(x[None, None], x_prev[None], bp)
+    o, _, _ = B.cm_sublayer_fwd(x[None, None], x_prev[None], bp)
     return o[0, 0]
 
 
@@ -190,8 +190,8 @@ def test_tm_project_matches_formula_trace():
     S = rng.normal(size=(2, 6, 6))
     want = block_step_oracle(x, S, tm_prev, cm_prev, bp)
     out, st = rt_one(bp, x, S, tm_prev, cm_prev)
-    seq, (S_f, tm_c, cm_c) = B.block_seq_fwd(x[None, None], S[None], tm_prev[None],
-                                             cm_prev[None], bp, CFG.n_heads)
+    seq, (S_f, tm_c, cm_c), _ = B.block_seq_fwd(x[None, None], S[None], tm_prev[None],
+                                                cm_prev[None], bp, CFG.n_heads)
     for got in ((out, st.S, st.tm_prev, st.cm_prev), (seq[0, 0], S_f[0], tm_c[0], cm_c[0])):
         for g, w in zip(got, want):
             assert np.allclose(g, w, rtol=1e-12)
@@ -223,14 +223,14 @@ def step_ref(S, r, k, v, w, u):
     return y.reshape(-1), wh[:, :, None] * S + kv
 
 
-def scan_seq(r, k, v, lw, u, S0, chunk=scan.DEFAULT_CHUNK):
+def scan_seq(r, k, v, lw, u, S0):
     """decay_scan_forward on (T, D) rows split into S0.shape[0] heads."""
     T, D = r.shape
     N, Dh, _ = S0.shape
     shape = (1, T, N, Dh)
-    y, S_fin = scan.decay_scan_forward(
+    y, S_fin, _ = scan.decay_scan_forward(
         r.reshape(shape), k.reshape(shape), v.reshape(shape), lw.reshape(shape),
-        u.reshape(N, Dh), S0[None], chunk)
+        u.reshape(N, Dh), S0[None])
     return y.reshape(T, D), S_fin[0]
 
 
@@ -279,7 +279,8 @@ def test_tm_step_sequence_matches_prefix_sum_form():
     u = rng.normal(size=D)
     want = brute_force_readout(r, k, v, w, u)
     for chunk in (64, 16):
-        got, _ = scan_seq(r, k, v, np.log(w), u, np.zeros((1, D, D)), chunk)
+        with outer_chunk(chunk):
+            got, _ = scan_seq(r, k, v, np.log(w), u, np.zeros((1, D, D)))
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
 
@@ -337,7 +338,8 @@ def test_tm_parallel_sub_chunk_edges_match_recurrent(T):
     for i in range(T):
         y_r[i], S = step_ref(S, r[i], k[i], v[i], np.exp(lw[i]), u)
     for chunk in (scan.DEFAULT_CHUNK, scan._SUB + 3, scan._SUB, 1):
-        y_p, S_p = scan_seq(r, k, v, lw, u, S0, chunk)
+        with outer_chunk(chunk):
+            y_p, S_p = scan_seq(r, k, v, lw, u, S0)
         assert np.max(np.abs(y_p - y_r)) / np.max(np.abs(y_r)) <= 1e-12, chunk
         assert np.max(np.abs(S_p - S)) / np.max(np.abs(S)) <= 1e-12, chunk
 
@@ -355,10 +357,12 @@ def test_decay_scan_backward_matches_finite_differences():
     dY, dS = rng.normal(size=shape), rng.normal(size=S0.shape)
 
     def loss():
-        y, S_fin = scan.decay_scan_forward(r, k, v, lw, u, S0, chunk)
+        with outer_chunk(chunk):
+            y, S_fin, _ = scan.decay_scan_forward(r, k, v, lw, u, S0)
         return float(np.sum(dY * y) + np.sum(dS * S_fin))
 
-    _, _, cache = scan.decay_scan_forward(r, k, v, lw, u, S0, chunk, want_cache=True)
+    with outer_chunk(chunk):
+        _, _, cache = scan.decay_scan_forward(r, k, v, lw, u, S0, want_cache=True)
     grads = scan.decay_scan_backward(cache, dY, dS)
     eps = 1e-4
     worst = 0.0
@@ -409,7 +413,8 @@ def test_decay_scan_backward_does_not_rerun_the_forward(monkeypatch):
     # the sub-chunk start states come from the forward's cache, so the
     # backward never evaluates a state contribution again
     args, dY, dS = scan_case(22, scan.DEFAULT_CHUNK + 2 * scan._SUB + 1)
-    _, _, cache = scan.decay_scan_forward(*args, chunk=2 * scan._SUB + 3, want_cache=True)
+    with outer_chunk(2 * scan._SUB + 3):
+        _, _, cache = scan.decay_scan_forward(*args, want_cache=True)
 
     def rerun(*a, **kw):
         raise AssertionError("decay_scan_backward called scan._state_out")
@@ -446,7 +451,7 @@ def test_tm_output_zero_gate():
 def test_tm_output_constant_head_normalizes_to_zero():
     bp = random_block(17)
     y = np.concatenate([np.full(6, 3.7), np.full(6, -1.2)])
-    yn, _ = B.headln_fwd(y.reshape(2, 6))
+    yn, _ = B.ln_fwd(y.reshape(2, 6), 1.0, 0.0)
     assert np.allclose(yn, 0.0)  # zero variance handled by eps
     bp.W_r[...] = 0.0  # r = 0 -> y = 0, constant in every head
     rng = np.random.default_rng(17)
@@ -528,8 +533,8 @@ def test_block_single_token_equals_length_one_seq():
     out, state = rt_one(bp, x)
     S0 = np.zeros((1, 2, 6, 6))
     carry = np.zeros((1, 12))
-    out_seq, (S_f, tm_c, cm_c) = B.block_seq_fwd(x[None, None], S0, carry, carry,
-                                                 bp, CFG.n_heads)
+    out_seq, (S_f, tm_c, cm_c), _ = B.block_seq_fwd(x[None, None], S0, carry, carry,
+                                                    bp, CFG.n_heads)
     assert np.allclose(out, out_seq[0, 0], rtol=1e-12)
     assert np.allclose(state.S, S_f[0], rtol=1e-12)
     assert np.allclose(state.tm_prev, tm_c[0])
@@ -550,14 +555,14 @@ def _stack_outputs_recurrent(params, xs):
     return outs, states
 
 
-def _stack_outputs_parallel(params, xs, chunk=64):
+def _stack_outputs_parallel(params, xs):
     cfg = params.config
     h = xs[None]
     finals = []
     for bp in params.blocks:
         S0 = np.zeros((1, cfg.n_heads, cfg.d_head, cfg.d_head), xs.dtype)
         carry = np.zeros((1, cfg.d_model), xs.dtype)
-        h, st = B.block_seq_fwd(h, S0, carry, carry, bp, cfg.n_heads, chunk)
+        h, st, _ = B.block_seq_fwd(h, S0, carry, carry, bp, cfg.n_heads)
         finals.append(st)
     return h[0], finals
 
@@ -584,10 +589,10 @@ def test_statefulness_split_equals_whole():
     xs = rng.normal(size=(1, 50, 12))
     S0 = np.zeros((1, 2, 6, 6))
     carry = np.zeros((1, 12))
-    whole, st_w = B.block_seq_fwd(xs, S0, carry, carry, bp, 2)
+    whole, st_w, _ = B.block_seq_fwd(xs, S0, carry, carry, bp, 2)
     for cut in (1, 17, 49):
-        a, st_a = B.block_seq_fwd(xs[:, :cut], S0, carry, carry, bp, 2)
-        b, st_b = B.block_seq_fwd(xs[:, cut:], st_a[0], st_a[1], st_a[2], bp, 2)
+        a, st_a, _ = B.block_seq_fwd(xs[:, :cut], S0, carry, carry, bp, 2)
+        b, st_b, _ = B.block_seq_fwd(xs[:, cut:], st_a[0], st_a[1], st_a[2], bp, 2)
         assert np.allclose(np.concatenate([a, b], axis=1), whole, rtol=1e-9, atol=1e-12)
         assert np.allclose(st_b[0], st_w[0], rtol=1e-9, atol=1e-12)
 
@@ -598,10 +603,10 @@ def test_causality():
     xs = rng.normal(size=(1, 30, 12))
     S0 = np.zeros((1, 2, 6, 6))
     carry = np.zeros((1, 12))
-    base, _ = B.block_seq_fwd(xs, S0, carry, carry, bp, 2)
+    base, _, _ = B.block_seq_fwd(xs, S0, carry, carry, bp, 2)
     xs2 = xs.copy()
     xs2[:, 20:] += rng.normal(size=(1, 10, 12))
-    pert, _ = B.block_seq_fwd(xs2, S0, carry, carry, bp, 2)
+    pert, _, _ = B.block_seq_fwd(xs2, S0, carry, carry, bp, 2)
     assert np.allclose(pert[:, :20], base[:, :20], rtol=1e-12)
     assert not np.allclose(pert[:, 20:], base[:, 20:])
 
@@ -612,8 +617,9 @@ def test_state_bounded_by_outer_product_sums():
     T, D, N = 100, 8, 2
     k, v = (rng.normal(size=(1, T, N, D // N)) for _ in range(2))
     lw = -np.exp(rng.normal(size=(1, T, N, D // N)))
-    snaps, _ = scan.state_scan_forward(k, v, lw, np.zeros((1, N, D // N, D // N)),
-                                       range(1, T + 1), chunk=16)
+    with outer_chunk(16):
+        snaps, _, _ = scan.state_scan_forward(k, v, lw, np.zeros((1, N, D // N, D // N)),
+                                              range(1, T + 1))
     bound = np.zeros((N, D // N, D // N))
     for i in range(T):
         bound += np.abs(k[0, i])[:, :, None] * np.abs(v[0, i])[:, None, :]

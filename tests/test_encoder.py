@@ -12,7 +12,10 @@ from eva.encoder import (EncoderState, backward_train, encode_sequence,
                          encode_sequence_recurrent, forward_train)
 from eva.params import init_encoder_params
 from eva.runtime import EncoderRuntime
-from helpers import randomize_params
+from helpers import outer_chunk, randomize_params
+
+# an overflow or invalid value anywhere in the encoder must fail, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CFG = EncoderConfig(d_model=16, n_blocks=2, n_heads=2, d_ffn=24, d_lora=4,
                     d_w=4, mvhs_heads=2, mvhs_d_head=8, n_out=2, patch=4,
@@ -34,7 +37,8 @@ def random_stream(seed, T, cfg=CFG):
 def test_parallel_equals_recurrent_with_checkpoints(params):
     tokens, dts = random_stream(2, 90)
     cps = [7, 40, 90]
-    snaps_p, st_p = encode_sequence(params, tokens, dts, checkpoints=cps, chunk=16)
+    with outer_chunk(16):
+        snaps_p, st_p = encode_sequence(params, tokens, dts, checkpoints=cps)
     snaps_r, st_r = encode_sequence_recurrent(params, tokens, dts, checkpoints=cps)
     assert np.max(np.abs(snaps_p - snaps_r)) / np.max(np.abs(snaps_r)) <= 1e-10
     assert np.allclose(st_p.mvhs.S, st_r.mvhs.S, rtol=1e-10, atol=1e-13)
@@ -49,9 +53,10 @@ def test_split_invariance_any_boundary(cut):
     params = init_encoder_params(CFG, seed=3)
     randomize_params(params, seed=4)
     tokens, dts = random_stream(5, 80)
-    _, whole = encode_sequence(params, tokens, dts, chunk=16)
-    _, half = encode_sequence(params, tokens[:cut], dts[:cut], chunk=16)
-    _, full = encode_sequence(params, tokens[cut:], dts[cut:], half, chunk=16)
+    with outer_chunk(16):
+        _, whole = encode_sequence(params, tokens, dts)
+        _, half = encode_sequence(params, tokens[:cut], dts[:cut])
+        _, full = encode_sequence(params, tokens[cut:], dts[cut:], half)
     assert np.allclose(full.mvhs.S, whole.mvhs.S, rtol=1e-9, atol=1e-12)
     for bf, bw in zip(full.blocks, whole.blocks):
         assert np.allclose(bf.S, bw.S, rtol=1e-9, atol=1e-12)
@@ -98,7 +103,8 @@ def test_runtime_matches_chunked_unequal_lora_widths(d_lora, d_w, mvhs_heads, mv
     params = init_encoder_params(cfg, seed=12)
     randomize_params(params, seed=13)
     tokens, dts = random_stream(14, 120, cfg)
-    _, st_p = encode_sequence(params, tokens, dts, chunk=16)
+    with outer_chunk(16):
+        _, st_p = encode_sequence(params, tokens, dts)
     _, st_r = encode_sequence_recurrent(params, tokens, dts)
     for a, b in zip(st_r.tensors(), st_p.tensors()):
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
@@ -134,9 +140,9 @@ def test_decay_overflow_matches_stepping(layer):
     (params.blocks[0] if layer == "block" else params.mvhs).lam_d[...] = 800.0
     tokens, dts = random_stream(11, 100, cfg)
     cps = [10, 70, 100]
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), outer_chunk(16):
         warnings.simplefilter("error")
-        snaps_p, _ = encode_sequence(params, tokens, dts, checkpoints=cps, chunk=16)
+        snaps_p, _ = encode_sequence(params, tokens, dts, checkpoints=cps)
         snaps_r, _ = encode_sequence_recurrent(params, tokens, dts, checkpoints=cps)
     assert np.all(np.isfinite(snaps_p))
     assert np.max(np.abs(snaps_p - snaps_r)) / np.max(np.abs(snaps_r)) <= 1e-12

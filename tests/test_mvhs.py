@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eva import mvhs as M
-from eva import scan
 from eva.config import EncoderConfig
 from eva.events import SensorGeometry, make_events
 from eva.params import init_encoder_params, init_mvhs_params
@@ -57,8 +56,8 @@ def mvhs_seq(xs, mp, S0, checkpoints, carry=None):
     Returns (snapshots (K, N, Dh, Dh), final state)."""
     if carry is None:
         carry = np.zeros(xs.shape[1])
-    snaps, S_fin, _ = M._mvhs_seq(xs[None], carry[None], S0[None], mp, S0.shape[0],
-                                  checkpoints, scan.DEFAULT_CHUNK)
+    snaps, S_fin, _, _ = M._mvhs_seq(xs[None], carry[None], S0[None], mp, S0.shape[0],
+                                     checkpoints)
     return snaps[0], S_fin[0]
 
 

@@ -10,6 +10,9 @@ from eva.events import SensorGeometry, make_events, partition_patches, synth_gen
 from eva.params import init_encoder_params
 from eva.pipeline import A2SPipeline, encode_offline
 
+# an overflow or invalid value on the serving or offline path must fail, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SMALL = EncoderConfig(d_model=16, n_blocks=2, n_heads=2, d_ffn=24, d_lora=4,
                       d_w=4, mvhs_heads=2, mvhs_d_head=8, n_out=2, patch=8,
                       precision="f64")

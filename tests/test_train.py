@@ -10,6 +10,9 @@ from eva.train import (batch_loss, build_synthetic_corpus, init_model, prepare_s
                        pretrain)
 from helpers import randomize_params
 
+# an overflow or invalid value in a training step must fail, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SPECS = (
     TargetSpec("ec", "mrp", window_us=50_000),
     TargetSpec("ts", "mrp", tau_us=50_000),
@@ -75,6 +78,23 @@ def test_adam_rejects_nonfinite():
     opt = Adam()
     with pytest.raises(FloatingPointError):
         opt.step({"w": np.zeros(1)}, {"w": np.array([np.nan])})
+
+
+def test_adam_nonfinite_last_gradient_changes_nothing():
+    # every gradient is checked before the first tensor is updated
+    _, _, model, samples = tiny_setup(seed=17)
+    named = model.named()
+    _, _, grads = batch_loss(model, samples[:2])
+    opt = Adam()
+    opt.step(named, grads)  # one finite step, so m, v and t are set
+    last = list(named)[-1]
+    grads[last] = np.full_like(grads[last], np.nan)
+    before = [{k: a.copy() for k, a in d.items()} for d in (named, opt.m, opt.v)]
+    with pytest.raises(FloatingPointError, match=last):
+        opt.step(named, grads)
+    assert opt.t == 1
+    for want, got in zip(before, (named, opt.m, opt.v)):
+        assert all(np.array_equal(got[k], a) for k, a in want.items())
 
 
 # ---------------------------------------------------------------------------
