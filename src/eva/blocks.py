@@ -280,7 +280,6 @@ def cm_sublayer_bwd(cache, do):
     ddelta = dmr * bp.mu_cr + dmk * bp.mu_ck
     grads["mu_cr"] = (dmr * delta).sum((0, 1))
     grads["mu_ck"] = (dmk * delta).sum((0, 1))
-    grads["mu_cv"] = np.zeros_like(bp.mu_cv)
 
     db -= ddelta
     db[:, :-1] += ddelta[:, 1:]

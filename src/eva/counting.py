@@ -19,7 +19,7 @@ def block_param_count(cfg: EncoderConfig) -> int:
           + 5 * D * D    # W r/k/v/g/o
           + D)           # u
     norms = 4 * D
-    cm = 3 * D + D * D + D * F + F * D
+    cm = 2 * D + D * D + D * F + F * D
     return tm + norms + cm
 
 

@@ -6,7 +6,9 @@ accumulates decayed outer products event by event; snapshots of the first
 `n_out` head matrices form the representation handed to consumers. This
 module holds the chunked form, which calls the TM front end
 `blocks.mix_fwd`/`mix_bwd` with paths k, v and the state-only scan
-`scan.state_scan_forward`/`_backward`, and returns a cache slot as the
+`scan.state_scan_forward`/`_backward` (the token mixing's two-level
+scan without its read-out: the same sub-chunks and carry, with every
+checkpoint ending an outer chunk), and returns a cache slot as the
 block's forward functions do; the event-by-event step is
 `runtime._MvhsRt`, on the runtime's one front end `_Front` with the same
 paths.

@@ -49,11 +49,9 @@ class BlockParams:
     ln1_b: np.ndarray
     ln2_g: np.ndarray
     ln2_b: np.ndarray
-    # channel-mixing sublayer (mu_cv is carried for shape parity; the
-    # mixing formula only interpolates the r' and k' paths)
+    # channel-mixing sublayer
     mu_cr: np.ndarray
     mu_ck: np.ndarray
-    mu_cv: np.ndarray
     W_cr: np.ndarray
     W_ck: np.ndarray
     W_cv: np.ndarray
@@ -116,7 +114,7 @@ def init_block_params(cfg: EncoderConfig, rng: np.random.Generator, dtype) -> Bl
         u=np.zeros(D, dtype),
         ln1_g=np.ones(D, dtype), ln1_b=np.zeros(D, dtype),
         ln2_g=np.ones(D, dtype), ln2_b=np.zeros(D, dtype),
-        mu_cr=mix(), mu_ck=mix(), mu_cv=mix(),
+        mu_cr=mix(), mu_ck=mix(),
         W_cr=_uniform(rng, (D, D), s, dtype),
         W_ck=_uniform(rng, (D, F), s, dtype),
         W_cv=_uniform(rng, (F, D), 1.0 / np.sqrt(F), dtype),

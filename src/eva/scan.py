@@ -6,46 +6,50 @@ The state is one matrix per head, S[a, b], updated per token as
 
 with the read-out y[a] = sum_b (S_prev[a, b] + u[a] k[a] v[b]) r[b].
 
-The read-out scan is two-level (the secondary chunks of Gated Linear
-Attention, Yang et al., arXiv 2312.06635). A sequence is cut into outer
-chunks of at most `DEFAULT_CHUNK` tokens, and each outer chunk into
-sub-chunks of `_SUB` tokens, the last one zero-padded (r = k = v = lw = 0
-leaves the state unchanged). For every sub-chunk at once, batched over
-(M * B) for M sub-chunks, `_state_out` gives its own state contribution
-dS_j; a sequential carry S_{j+1} = exp(cw_last_j) * S_j + dS_j over the
-M cheap (B, N, Dh, Dh) states then gives each sub-chunk's start state, and
-one batched read-out evaluates every sub-chunk from its start state. Inside
-a sub-chunk the read-out of token c takes the decayed outer products of the
-tokens t < c one row c at a time, so the quadratic cost stays at the
-sub-chunk size and no masked entry is computed. The outer chunk bounds the
-memory of the batched sub-chunk tensors.
+Both scans, with read-out (`decay_scan_*`, token mixing) and state only
+(`state_scan_*`, the matrix-state layer, which also ends an outer chunk
+at every checkpoint and snapshots its end state), are two-level (the
+secondary chunks of Gated Linear Attention, Yang et al., arXiv
+2312.06635). A sequence is cut into outer chunks of at most
+`DEFAULT_CHUNK` tokens, and each outer chunk into sub-chunks of `_SUB`
+tokens, the last one zero-padded (k = v = lw = 0 leaves the state
+unchanged). `_carry` gives, for every sub-chunk at once, batched over
+(M * B) for M sub-chunks, its own state contribution dS_j; a sequential
+carry S_{j+1} = exp(cw_last_j) * S_j + dS_j over the M cheap (B, N, Dh,
+Dh) states then gives each sub-chunk's start state and the end state.
+`_carry_bwd` is its adjoint. The read-out scan then evaluates every
+sub-chunk from its start state in one batch; inside a sub-chunk the
+read-out of token c takes the decayed outer products of the tokens t < c
+one row c at a time, so the quadratic cost stays at the sub-chunk size
+and no masked entry is computed.
 
-The backward pass recomputes nothing that needs the carry. It runs the
-adjoint of the read-out, the reverse carry and `_state_out_bwd` from what
-the forward saved per outer chunk, kept with the chunk's bounds: per
-token, the log-decay prefix cw, the decayed part of the read-out (y
-without its u bonus) and the sub-chunk's row of v . r products; per
-sub-chunk, its start state and exp(cw_last).
-Per head and token that is 2 Dh + _SUB + (Dh * Dh + Dh) / _SUB floats:
-152 per token for `small` (4 heads of 8), 1.2 KB in f64. Every decayed
+Sub-chunks start every `_SUB` tokens from the sequence start or the last
+checkpoint, and the carry takes the same step between outer chunks as
+within one, so every `DEFAULT_CHUNK` that is a multiple of `_SUB` gives
+bitwise the same outputs and gradients (u's gradient is summed over the
+whole sequence at once for the same reason).
+
+The backward passes recompute nothing that needs the carry. Both scans
+cache per outer chunk, with its bounds, the log-decay prefix cw per
+token and, per sub-chunk, exp(cw_last) and the start state; the read-out
+scan also caches the decayed part of the read-out (y without its u
+bonus) and the sub-chunk's row of v . r products per token. Per head and
+token that is Dh + (Dh * Dh + Dh) / _SUB floats state-only (84 for the
+`small` matrix state, 2 heads of 16) and Dh + _SUB more with read-out
+(152 per token for `small` token mixing, 4 heads of 8). Every decayed
 term of y[c] carries the factor exp(cwe[c]), with cwe the exclusive
-prefix, so cwe's adjoint is dY times that saved decayed part. The
-state-only scan saves exp(cw_last - cw) and exp(cw_last) of each segment.
+prefix, so cwe's adjoint is dY times that saved decayed part.
 
 Decay products are exp of differences of cumulative sums of lw within one
-sub-chunk (or one state-only chunk), so every exponent is <= 0 and every
-factor lies in [0, 1], underflowing harmlessly to 0. The decay
-pre-activation cap `blocks._D_CAP` keeps lw >= -60, so every cumulative
-sum is finite (>= -60 per token) and a difference of two never forms
-inf - inf. In a read-out sub-chunk a cumulative sum is at most
-60 * _SUB = 240 in magnitude, so its f32 rounding shifts an exponent by
-about 1e-5. Across sub-chunks the decay is applied as a product of
-exp(cw_last) in the carry, which loses no precision to cancellation.
-
-`decay_scan_*` (with read-out, token mixing) and `state_scan_*` (state
-only, the matrix-state layer) share one state-update kernel, `_state_out`
-and its adjoint `_state_out_bwd`. Both forwards return their outputs and
-a cache slot, None unless asked for with `want_cache`.
+sub-chunk, so every exponent is <= 0 and every factor lies in [0, 1],
+underflowing harmlessly to 0. The decay pre-activation cap
+`blocks._D_CAP` keeps lw >= -60, so every cumulative sum, in either scan,
+spans one sub-chunk and is at most 60 * _SUB = 240 in magnitude: a
+difference of two never forms inf - inf, and its f32 rounding shifts an
+exponent by about 1e-5. Across sub-chunks the decay is applied as a
+product of exp(cw_last) in the carry, which loses no precision to
+cancellation. Both forwards return their outputs and a cache slot, None
+unless asked for with `want_cache`.
 
 Shapes: sequences are (B, T, N, Dh); states are (B, N, Dh, Dh) with the
 first Dh axis indexing the k channel (the decayed one) and the second the
@@ -58,24 +62,17 @@ from __future__ import annotations
 import numpy as np
 
 # Outer chunk, for offline encoding and training alike; every scan reads it
-# when called. With two-level chunking it no longer sets the per-token
-# arithmetic, only the size of the batched sub-chunk temporaries and the
-# number of outer-chunk calls. With the cached backward, 128 measured ~10%
-# faster than 64 on a 2-core host, forward and backward alike, on both the
-# `dvs` f32 `encode_offline` windows and the `small` f64 training step;
-# 256 and 512 were slower again. It stays 64 because the value moves
-# forward bits: a last outer chunk shorter than `_SUB` is cut into shorter
-# sub-chunks, so some lengths (T = 257, say) round differently.
+# when called. It changes no result (every multiple of `_SUB` gives the
+# same bits), only the size of the batched sub-chunk temporaries and the
+# number of outer-chunk calls. On a 2-core host 128 was ~10% faster than
+# 64 per scan call, but end to end on the `small` training step its gain
+# stayed inside the run-to-run noise; 256 and 512 were slower.
 DEFAULT_CHUNK = 64
-# Sub-chunk of the read-out scan, whose read-out inside a sub-chunk costs
-# s * (s - 1) / 2 decayed products per channel: 4 measured best on the same
-# two jobs (8 was 0-18% slower offline and no faster in training, 16 twice
-# as slow offline).
+# Sub-chunk, whose read-out costs _SUB * (_SUB - 1) / 2 decayed products
+# per channel: 4 measured best on the `dvs` f32 offline windows and the
+# `small` f64 training step (8 was 0-18% slower offline and no faster in
+# training, 16 twice as slow offline).
 _SUB = 4
-
-
-def _rev_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
-    return np.flip(np.cumsum(np.flip(a, axis), axis), axis)
 
 
 # Prefix sums over the short sub-chunk axis, in place. np.cumsum(axis=1)
@@ -104,70 +101,87 @@ def _sv_matrix(v, r):
     return np.matmul(_seq(r), _seq(v).transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
 
 
-def _state_out(k, v, cw):
-    """Own contribution of one chunk to its end state, with inclusive
-    log-decay prefix cw: sum_t e2[t, a] k[t, a] v[t, e]. Returns it with
-    e2 = exp(cw_last - cw)."""
-    e2 = np.exp(cw[:, -1:] - cw)
-    return np.matmul(_seq(e2 * k).transpose(0, 1, 3, 2), _seq(v)), e2
-
-
-def _state_out_bwd(k, v, e2, w_last, S_in, dS_out):
-    """Adjoint of S_out = w_last * S_in + _state_out(k, v, cw). Returns (dk,
-    dv, g): the adjoint of cw is -k * dk, plus g on the last token."""
-    # p1[t, a] = sum_e v[t, e] dS_out[a, e]
-    p1 = _seq(np.matmul(_seq(v), dS_out.transpose(0, 1, 3, 2)))
-    dk = e2 * p1
-    dv = _seq(np.matmul(_seq(e2 * k), dS_out))
-    g = np.einsum("btna,btna->bna", k, dk)
-    g += w_last * np.einsum("bnae,bnae->bna", S_in, dS_out)
-    return dk, dv, g
-
-
-def _split(a, M, s):
-    """(B, L, ...) -> (M * B, s, ...): sub-chunks of s tokens, the last one
+def _split(a):
+    """(B, L, ...) -> (M * B, _SUB, ...): M sub-chunks, the last one
     zero-padded to full length, sub-chunk-major so that the carry steps
     over contiguous (B, ...) blocks."""
     B, L = a.shape[:2]
-    if M * s != L:
-        a = np.concatenate([a, np.zeros((B, M * s - L) + a.shape[2:], a.dtype)], axis=1)
-    return a.reshape((B, M, s) + a.shape[2:]).swapaxes(0, 1).reshape((M * B, s) + a.shape[2:])
+    M = -(-L // _SUB)
+    if M * _SUB != L:
+        a = np.concatenate([a, np.zeros((B, M * _SUB - L) + a.shape[2:], a.dtype)], axis=1)
+    return a.reshape((B, M, _SUB) + a.shape[2:]).swapaxes(0, 1).reshape(
+        (M * B, _SUB) + a.shape[2:])
 
 
 def _unsplit(a, B, L):
-    """Inverse of _split: (M * B, s, ...) -> (B, L, ...)."""
+    """Inverse of _split: (M * B, _SUB, ...) -> (B, L, ...)."""
     a = a.reshape((-1, B) + a.shape[1:]).swapaxes(0, 1)
     return a.reshape((B, -1) + a.shape[3:])[:, :L]
+
+
+def _state_out(k, v, cw):
+    """Own contribution of each sub-chunk to its end state, with inclusive
+    log-decay prefix cw: sum_t exp(cw_last - cw[t, a]) k[t, a] v[t, e]."""
+    e2 = np.exp(cw[:, -1:] - cw)
+    return np.matmul(_seq(e2 * k).transpose(0, 1, 3, 2), _seq(v))
+
+
+def _carry(k, v, lw, S_in):
+    """State half of the two-level scan on split arrays. Returns (cw, w_last,
+    starts, S_out): the inclusive log-decay prefix of each sub-chunk,
+    exp(cw_last) and the start state per sub-chunk, and the end state."""
+    cw = _sub_cumsum(lw.copy())
+    own = _state_out(k, v, cw).reshape((-1,) + S_in.shape)
+    w_last = np.exp(cw[:, -1])
+    # starts[j] is the state before sub-chunk j. The decay is broadcast
+    # over the v axis once, so each step runs on whole blocks.
+    w_full = np.repeat(w_last[..., None], own.shape[-1], -1).reshape(own.shape)
+    starts = np.empty_like(own)
+    starts[0] = S_in
+    for j in range(len(own) - 1):
+        np.multiply(w_full[j], starts[j], out=starts[j + 1])
+        starts[j + 1] += own[j]
+    S_out = w_full[-1] * starts[-1] + own[-1]
+    return cw, w_last, starts.reshape((-1,) + S_in.shape[1:]), S_out
+
+
+def _carry_bwd(k, v, cw, w_last, starts, dstarts, dS_out):
+    """Adjoint of _carry, with dstarts the start states' adjoint from
+    elsewhere (the read-out). Returns (dk, dv, g, dS_in): the adjoint of cw
+    is -k * dk, plus g on the last token."""
+    dstarts = dstarts.reshape((-1,) + dS_out.shape)
+    w_full = np.repeat(w_last[..., None], dS_out.shape[-1], -1).reshape(dstarts.shape)
+    # dS_ends[j] is the adjoint of the state after sub-chunk j
+    dS_ends = np.empty_like(dstarts)
+    dS_ends[-1] = dS_out
+    for j in range(len(dstarts) - 1, 0, -1):
+        np.multiply(w_full[j], dS_ends[j], out=dS_ends[j - 1])
+        dS_ends[j - 1] += dstarts[j]
+    dS_in = w_full[0] * dS_ends[0] + dstarts[0]
+    dS_ends = dS_ends.reshape(starts.shape)
+
+    # own contributions: dk[t, a] = e2[t, a] sum_e v[t, e] dS_ends[a, e]
+    e2 = np.exp(cw[:, -1:] - cw)
+    dk = e2 * _seq(np.matmul(_seq(v), dS_ends.transpose(0, 1, 3, 2)))
+    dv = _seq(np.matmul(_seq(e2 * k), dS_ends))
+    g = np.einsum("btna,btna->bna", k, dk)
+    g += w_last * np.einsum("bnae,bnae->bna", starts, dS_ends)
+    return dk, dv, g, dS_in
 
 
 def scan_chunk_forward(r, k, v, lw, u, S_in):
     """One outer chunk of the full recurrence with read-out, two-level.
     Returns (y, S_out, saved), saved being what scan_chunk_backward reads."""
     B, L = r.shape[:2]
-    s = min(_SUB, L)
-    M = -(-L // s)
-    r, k, v, lw = (_split(a, M, s) for a in (r, k, v, lw))
-    cw = _sub_cumsum(lw.copy())
+    r, k, v, lw = (_split(a) for a in (r, k, v, lw))
+    cw, w_last, starts, S_out = _carry(k, v, lw, S_in)
     cwe = cw - lw
-    own, _ = _state_out(k, v, cw)
-    own = own.reshape((M, B) + own.shape[1:])
-    w_last = np.exp(cw[:, -1])
-    # carry: starts[j] is the state before sub-chunk j. The decay is
-    # broadcast over the v axis once, so each step runs on whole blocks.
-    w_full = np.repeat(w_last[..., None], own.shape[-1], -1).reshape(own.shape)
-    starts = np.empty_like(own)
-    starts[0] = S_in
-    for j in range(M - 1):
-        np.multiply(w_full[j], starts[j], out=starts[j + 1])
-        starts[j + 1] += own[j]
-    S_out = w_full[-1] * starts[-1] + own[-1]
-    starts = starts.reshape((M * B,) + S_in.shape[1:])
 
     # decayed read-out: from the start state, then from the earlier tokens
     # of the sub-chunk, one row c at a time, as only t < c contribute
     ydec = np.exp(cwe) * _seq(np.matmul(_seq(r), starts.transpose(0, 1, 3, 2)))
     sv = _sv_matrix(v, r)
-    for c in range(1, s):
+    for c in range(1, _SUB):
         d = np.exp(cwe[:, c:c + 1] - cw[:, :c])
         d *= k[:, :c]
         d *= sv[:, c, :c, :, None]
@@ -178,13 +192,12 @@ def scan_chunk_forward(r, k, v, lw, u, S_in):
 
 
 def scan_chunk_backward(r, k, v, u, saved, dY, dS_out):
-    """Adjoint of scan_chunk_forward, from its saved values. Returns (dr,
-    dk, dv, dlw, du, dS_in)."""
+    """Adjoint of scan_chunk_forward, from its saved values, but for u,
+    whose gradient decay_scan_backward sums. Returns (dr, dk, dv, dlw,
+    dS_in)."""
     cw, w_last, starts, sv, ydec = saved
     B, L = r.shape[:2]
-    s = cw.shape[1]
-    M = cw.shape[0] // B
-    r, k, v, dY = (_split(a, M, s) for a in (r, k, v, dY))
+    r, k, v, dY = (_split(a) for a in (r, k, v, dY))
 
     # carry read-out: exp(cwe) * (S_in r), where cwe[c] = cw[c - 1] and
     # cwe[0] = 0 (the forward rounds cwe as cw - lw)
@@ -192,22 +205,11 @@ def scan_chunk_backward(r, k, v, u, saved, dY, dS_out):
     g1[:, 1:] *= np.exp(cw[:, :-1])
     dr = _seq(np.matmul(_seq(g1), starts))
     dstarts = np.matmul(_seq(g1).transpose(0, 1, 3, 2), _seq(r))
-
-    # reverse carry: dS_ends[j] is the adjoint of the state after sub-chunk j
-    dstarts = dstarts.reshape((M, B) + dS_out.shape[1:])
-    w_full = np.repeat(w_last[..., None], dstarts.shape[-1], -1).reshape(dstarts.shape)
-    dS_ends = np.empty_like(dstarts)
-    dS_ends[-1] = dS_out
-    for j in range(M - 1, 0, -1):
-        np.multiply(w_full[j], dS_ends[j], out=dS_ends[j - 1])
-        dS_ends[j - 1] += dstarts[j]
-    dS_in = w_full[0] * dS_ends[0] + dstarts[0]
-    dk, dv, g = _state_out_bwd(k, v, np.exp(cw[:, -1:] - cw), w_last, starts,
-                               dS_ends.reshape(starts.shape))
+    dk, dv, g, dS_in = _carry_bwd(k, v, cw, w_last, starts, dstarts, dS_out)
 
     # intra read-out: y[c, a] += sum_{t<c} exp(cwe[c,a] - cw[t,a]) k[t,a] sv[c,t]
     dsv = np.zeros_like(sv)
-    for c in range(1, s):
+    for c in range(1, _SUB):
         x = np.exp(cw[:, c - 1:c] - cw[:, :c])
         x *= dY[:, c:c + 1]
         dk[:, :c] += x * sv[:, c, :c, :, None]
@@ -223,19 +225,17 @@ def scan_chunk_backward(r, k, v, u, saved, dY, dS_out):
     dcw[:, :-1] += dY[:, 1:] * ydec[:, 1:]
 
     # diagonal bonus: y[c] += u * k[c] * sv[c, c]
-    diag = np.arange(s)
-    dY_k = dY * k
-    du = np.einsum("btna,btn->na", dY_k, sv[:, diag, diag])
+    diag = np.arange(_SUB)
     dk += dY * u[None, None] * sv[:, diag, diag, :, None]
-    dsv[:, diag, diag] = np.einsum("btna,na->btn", dY_k, u)
+    dsv[:, diag, diag] = np.einsum("btna,na->btn", dY * k, u)
 
     # sv[c, t, n] = v[t, n] . r[c, n]
-    dsv_bn = dsv.transpose(0, 3, 1, 2)  # (M * B, N, s, s)
+    dsv_bn = dsv.transpose(0, 3, 1, 2)  # (M * B, N, _SUB, _SUB)
     dr += _seq(np.matmul(dsv_bn, _seq(v)))
     dv += _seq(np.matmul(dsv_bn.transpose(0, 1, 3, 2), _seq(r)))
     # cw_i = sum_{j<=i} lw_j within each sub-chunk
     dlw = _sub_rev_cumsum(dcw)
-    return (*(_unsplit(a, B, L) for a in (dr, dk, dv, dlw)), du, dS_in)
+    return (*(_unsplit(a, B, L) for a in (dr, dk, dv, dlw)), dS_in)
 
 
 def decay_scan_forward(r, k, v, lw, u, S0, want_cache: bool = False):
@@ -264,12 +264,11 @@ def decay_scan_backward(cache, dY, dS_final=None):
     dk = np.empty_like(k)
     dv = np.empty_like(v)
     dlw = np.empty_like(r)
-    du = np.zeros_like(u)
     for s, e, saved in reversed(cache["saved"]):
-        out = scan_chunk_backward(
+        dr[:, s:e], dk[:, s:e], dv[:, s:e], dlw[:, s:e], dS = scan_chunk_backward(
             r[:, s:e], k[:, s:e], v[:, s:e], u, saved, dY[:, s:e], dS)
-        dr[:, s:e], dk[:, s:e], dv[:, s:e], dlw[:, s:e], du_c, dS = out
-        du += du_c
+    # bonus y[c] += u * k[c] * (v[c] . r[c])
+    du = np.einsum("btna,btn->na", dY * k, np.einsum("btna,btna->btn", v, r))
     return dr, dk, dv, dlw, du, dS
 
 
@@ -280,19 +279,19 @@ def decay_scan_backward(cache, dY, dS_final=None):
 
 def state_chunk_forward(k, v, lw, S_in):
     """Returns (S_out, saved), saved being what state_chunk_backward reads."""
-    cw = np.cumsum(lw, axis=1)
-    own, e2 = _state_out(k, v, cw)
-    w_last = np.exp(cw[:, -1])
-    return w_last[..., None] * S_in + own, (S_in, e2, w_last)
+    cw, w_last, starts, S_out = _carry(_split(k), _split(v), _split(lw), S_in)
+    return S_out, (cw, w_last, starts)
 
 
 def state_chunk_backward(k, v, saved, dS_out):
     """Adjoint of state_chunk_forward. Returns (dk, dv, dlw, dS_in)."""
-    S_in, e2, w_last = saved
-    dk, dv, g = _state_out_bwd(k, v, e2, w_last, S_in, dS_out)
+    cw, w_last, starts = saved
+    B, L = k.shape[:2]
+    k, v = _split(k), _split(v)
+    dk, dv, g, dS_in = _carry_bwd(k, v, cw, w_last, starts, np.zeros_like(starts), dS_out)
     dcw = -k * dk
     dcw[:, -1] += g
-    return dk, dv, _rev_cumsum(dcw, 1), w_last[..., None] * dS_out
+    return (*(_unsplit(a, B, L) for a in (dk, dv, _sub_rev_cumsum(dcw))), dS_in)
 
 
 def _segment_bounds(T: int, checkpoints) -> list[tuple[int, int, bool]]:

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from eva import blocks as B
 from eva import scan
 from eva.config import EncoderConfig
+from eva.encoder import encode_sequence, encode_sequence_recurrent
 from eva.params import MvhsParams, init_block_params, init_encoder_params
 from eva.runtime import _BlockRt
 from helpers import outer_chunk, randomize_params
@@ -409,17 +410,81 @@ def test_decay_scan_backward_f32_at_decay_extremes_matches_f64(lw):
         assert np.max(np.abs(g32 - g64)) <= 1e-5 * scale
 
 
-def test_decay_scan_backward_does_not_rerun_the_forward(monkeypatch):
-    # the sub-chunk start states come from the forward's cache, so the
-    # backward never evaluates a state contribution again
-    args, dY, dS = scan_case(22, scan.DEFAULT_CHUNK + 2 * scan._SUB + 1)
+@pytest.mark.parametrize("which", ["decay", "state"])
+def test_decay_scan_backward_does_not_rerun_the_forward(monkeypatch, which):
+    # the sub-chunk start states come from the forward's cache, so neither
+    # backward evaluates a state contribution again
+    T = scan.DEFAULT_CHUNK + 2 * scan._SUB + 1
+    (r, k, v, lw, u, S0), dY, dS = scan_case(22, T)
     with outer_chunk(2 * scan._SUB + 3):
-        _, _, cache = scan.decay_scan_forward(*args, want_cache=True)
+        if which == "decay":
+            _, _, cache = scan.decay_scan_forward(r, k, v, lw, u, S0, want_cache=True)
+        else:
+            snaps, _, cache = scan.state_scan_forward(k, v, lw, S0, [5, T // 2, T],
+                                                      want_cache=True)
 
     def rerun(*a, **kw):
-        raise AssertionError("decay_scan_backward called scan._state_out")
+        raise AssertionError(f"{which}_scan_backward called scan._state_out")
     monkeypatch.setattr(scan, "_state_out", rerun)
-    scan.decay_scan_backward(cache, dY, dS)
+    if which == "decay":
+        scan.decay_scan_backward(cache, dY, dS)
+    else:
+        scan.state_scan_backward(cache, np.ones_like(snaps), dS)
+
+
+def test_state_scan_backward_matches_finite_differences():
+    # outer chunks of 2 * _SUB + 3 tokens; checkpoints off the _SUB grid,
+    # one of them a 1-token segment, and a ragged last chunk
+    chunk = 2 * scan._SUB + 3
+    T = 3 * chunk + scan._SUB + 2
+    cps = [3, 4, chunk + 6, 2 * chunk + 1, T - 2]
+    rng = np.random.default_rng(8)
+    shape = (1, T, 2, 2)
+    k, v = (rng.normal(size=shape) for _ in range(2))
+    lw = -np.exp(rng.normal(size=shape))
+    S0 = rng.normal(size=(1, 2, 2, 2))
+    dSnaps, dS = rng.normal(size=(1, len(cps), 2, 2, 2)), rng.normal(size=S0.shape)
+
+    def loss():
+        with outer_chunk(chunk):
+            snaps, S_fin, _ = scan.state_scan_forward(k, v, lw, S0, cps)
+        return float(np.sum(dSnaps * snaps) + np.sum(dS * S_fin))
+
+    with outer_chunk(chunk):
+        _, _, cache = scan.state_scan_forward(k, v, lw, S0, cps, want_cache=True)
+    grads = scan.state_scan_backward(cache, dSnaps, dS)
+    eps = 1e-4
+    worst = 0.0
+    for arr, g in zip((k, v, lw, S0), grads):
+        assert g.shape == arr.shape
+        for idx in np.ndindex(arr.shape):
+            old = arr[idx]
+            arr[idx] = old + eps
+            lp = loss()
+            arr[idx] = old - eps
+            lm = loss()
+            arr[idx] = old
+            fd = (lp - lm) / (2 * eps)
+            worst = max(worst, abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-3))
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("reset, n_reset", [(-60.0, 48), (-40.0, 32)])
+def test_state_scan_f32_after_reset_then_slow_decay_matches_f64_stepping(reset, n_reset):
+    # a run of strong decay followed by near-unit decay: no cumulative
+    # log-decay may span the reset, or f32 cancels away the slow tail
+    T, N, Dh = 64, 2, 8
+    rng = np.random.default_rng(9)
+    k, v = (rng.normal(size=(1, T, N, Dh)) for _ in range(2))
+    S0 = rng.normal(size=(1, N, Dh, Dh))
+    lw = np.full((1, T, N, Dh), -0.01)
+    lw[:, :n_reset] = reset
+    S = S0[0].copy()
+    for t in range(T):
+        S = np.exp(lw[0, t])[..., None] * S + k[0, t][..., None] * v[0, t][..., None, :]
+    _, S32, _ = scan.state_scan_forward(*(a.astype(np.float32) for a in (k, v, lw, S0)), [T])
+    assert S32.dtype == np.float32
+    assert np.max(np.abs(S32[0] - S)) / np.max(np.abs(S)) <= 1e-6
 
 
 @settings(max_examples=60, deadline=None)
@@ -634,8 +699,8 @@ def test_mode_equivalence_under_decay_extremes_f32(decay_bias):
                         precision="f32")
     params = init_encoder_params(cfg, seed=40)
     randomize_params(params, seed=41)
-    for bp in params.blocks:
-        bp.lam_d[...] = bp.lam_d - bp.lam_d.mean() + decay_bias
+    for lam_d in [bp.lam_d for bp in params.blocks] + [params.mvhs.lam_d]:
+        lam_d[...] = lam_d - lam_d.mean() + decay_bias
     params = params.astype(np.float32)
     rng = np.random.default_rng(42)
     xs = rng.normal(size=(200, 16)).astype(np.float32)
@@ -645,6 +710,12 @@ def test_mode_equivalence_under_decay_extremes_f32(decay_bias):
     for st, (S_f, _, _) in zip(states, finals):
         scale = max(np.max(np.abs(st.S)), 1e-6)
         assert np.max(np.abs(S_f[0] - st.S)) / scale <= 1e-3
+    # the matrix-state layer under the same decay, through the whole encoder
+    tokens, dts = rng.integers(0, cfg.vocab, size=200), rng.integers(0, 3000, size=200)
+    cps = [37, 101, 200]
+    snaps_p, _ = encode_sequence(params, tokens, dts, checkpoints=cps)
+    snaps_r, _ = encode_sequence_recurrent(params, tokens, dts, checkpoints=cps)
+    assert np.max(np.abs(snaps_p - snaps_r)) / max(np.max(np.abs(snaps_r)), 1e-6) <= 1e-3
 
 
 def test_tm_parallel_zero_decay_matches_recurrent():

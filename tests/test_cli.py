@@ -85,7 +85,7 @@ def test_oracle_cli(tmp_path):
 def test_inspect_cli(capsys):
     assert main(["inspect", "--profile", "dvs"]) == 0
     out = capsys.readouterr().out
-    assert "params.total = 669696" in out
+    assert "params.total = 669312" in out
     assert "macs.total" in out
 
 

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from eva import blocks as B
 from eva import mvhs as M
-from eva.config import ENCODER_PROFILES, EncoderConfig
+from eva.config import ENCODER_PROFILES, EncoderConfig, TargetSpec, TrainConfig
 from eva.encoder import (EncoderState, backward_train, encode_sequence,
                          encode_sequence_recurrent, forward_train)
 from eva.params import init_encoder_params
 from eva.runtime import EncoderRuntime
+from eva.train import batch_loss, build_synthetic_corpus, init_model
 from helpers import outer_chunk, randomize_params
 
 # an overflow or invalid value anywhere in the encoder must fail, not warn
@@ -128,6 +129,38 @@ def test_long_horizon_f32_precision():
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(chunked - ref)) / scale <= 2e-6
     assert np.max(np.abs(stepped - ref)) / scale <= 1e-5
+
+
+def test_outer_chunk_changes_no_bit():
+    # the outer chunk is a memory tile: sub-chunks keep their place for any
+    # multiple of _SUB, including a last outer chunk shorter than _SUB
+    # (T = 257) and checkpoints off the sub-chunk grid
+    params = init_encoder_params(ENCODER_PROFILES["dvs"], seed=3)
+    randomize_params(params, seed=4)
+    params = params.astype(np.float32)
+    for T in (66, 130, 257, 300):
+        tokens, dts = random_stream(T, T, params.config)
+        outs = []
+        for n in (16, 64, 128):
+            with outer_chunk(n):
+                snaps, st = encode_sequence(params, tokens, dts,
+                                            checkpoints=[T // 3, T // 2 + 1, T])
+            outs.append([a.tobytes() for a in (snaps, *st.tensors())])
+        assert outs[0] == outs[1] == outs[2], T
+
+    specs = (TargetSpec("ec", "mrp", window_us=50_000),
+             TargetSpec("ec", "nrp", window_us=20_000, horizon_us=20_000))
+    cfg = ENCODER_PROFILES["small"]
+    tc = TrainConfig(seq_len=129, chunk_len=43, batch_size=2, targets=specs)
+    batch = build_synthetic_corpus(tc, cfg, rate=20_000.0, duration_us=500_000, seed=0)[:2]
+    model = init_model(cfg, tc, seed=1)
+    randomize_params(model.params, seed=2)
+    grads = []
+    for n in (16, 64, 128):
+        with outer_chunk(n):
+            _, _, g = batch_loss(model, batch)
+        grads.append({k: a.tobytes() for k, a in g.items()})
+    assert grads[0] == grads[1] == grads[2]
 
 
 @pytest.mark.parametrize("layer", ["block", "mvhs"])

@@ -68,6 +68,24 @@ def test_checkpoint_keeps_extra_tensors(tmp_path):
     assert np.array_equal(rest["heads.mrp.conv1_W"], extra["heads.mrp.conv1_W"])
 
 
+def test_checkpoint_with_retired_mu_cv_loads(tmp_path):
+    # files written while blocks carried an unread channel-mix `mu_cv`
+    # still load; the tensor lands in the extras
+    cfg = ENCODER_PROFILES["tiny"]
+    named = {}
+    for name, arr in named_arrays(init_encoder_params(cfg, seed=2)).items():
+        named[name] = arr
+        if name.endswith(".mu_ck"):
+            named[name.replace("mu_ck", "mu_cv")] = np.full_like(arr, 0.5)
+    path = tmp_path / "old.evaw"
+    path.write_bytes(dump_tensors(cfg, named))
+    params, rest, _ = load_checkpoint(path)
+    assert sorted(rest) == [f"blocks.{i}.mu_cv" for i in range(cfg.n_blocks)]
+    assert all(np.all(a == 0.5) for a in rest.values())
+    for name, arr in named_arrays(params).items():
+        assert np.array_equal(arr.astype(np.float32), named[name].astype(np.float32)), name
+
+
 _TINY = ENCODER_PROFILES["tiny"]
 _CKPT = dump_tensors(_TINY, named_arrays(init_encoder_params(_TINY, seed=0)))
 _META_END = 8 + struct.unpack_from("<I", _CKPT, 4)[0]

@@ -73,13 +73,6 @@ def test_every_tensor_spot_checked(tiny_model):
     assert worst <= 1e-4
 
 
-def test_unused_parameter_has_zero_gradient(tiny_model):
-    batch = make_batch(seed=5)
-    _, _, grads = batch_loss(tiny_model, batch)
-    for i in range(len(tiny_model.params.blocks)):
-        assert np.all(grads[f"blocks.{i}.mu_cv"] == 0.0)
-
-
 def test_gradient_linearity_in_loss_scale(tiny_model):
     batch = make_batch(seed=6)
     _, _, g1 = batch_loss(tiny_model, batch)
