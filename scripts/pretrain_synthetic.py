@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from eva.config import ENCODER_PROFILES, TRAIN_PROFILES
+from eva.events import SYNTH_KINDS
 from eva.train import build_synthetic_corpus, init_model, pretrain
 
 
@@ -19,8 +20,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--kind", default="moving_bar",
-                    choices=("moving_bar", "moving_dot", "uniform_noise"))
+    ap.add_argument("--kind", default="moving_bar", choices=SYNTH_KINDS)
     ap.add_argument("--rate", type=float, default=60_000.0)
     ap.add_argument("--duration-us", type=int, default=4_000_000)
     ap.add_argument("--out", default=None)

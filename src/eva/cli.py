@@ -21,8 +21,8 @@ from . import counting, snapshots as SN
 from .checkpoint import load_checkpoint
 from .config import (ENCODER_PROFILES, TRAIN_PROFILES, EncoderConfig,
                      encoder_config_from_kv, parse_kv_text)
-from .events import (SensorGeometry, filter_hot_pixels, parse_csv, partition_patches,
-                     read_binary_file, write_binary_file, write_csv)
+from .events import (SYNTH_KINDS, SensorGeometry, filter_hot_pixels, parse_csv,
+                     partition_patches, read_binary_file, write_binary_file, write_csv)
 from .pipeline import A2SPipeline, encode_offline
 from .server import EvaServer
 from .targets import event_count, time_surface
@@ -143,12 +143,12 @@ def cmd_oracle(args):
     rows, cols = geometry.grid_rows, geometry.grid_cols
     values = np.zeros((2, rows * P, cols * P), dtype=np.float32)
     marks = np.full((rows, cols), -1, dtype=np.int64)
-    for pid, ps in partition_patches(events, geometry).items():
-        sel = ps.events[ps.events["t"] <= t_ref]
+    for pid, local in partition_patches(events, geometry).items():
+        sel = local[local["t"] <= t_ref]
         if args.kind == "ec":
-            img = event_count(sel, t_ref - args.window_us, t_ref, P).values
+            img = event_count(sel, t_ref - args.window_us, t_ref, P)
         else:
-            img = time_surface(sel, t_ref, args.tau_us, P).values
+            img = time_surface(sel, t_ref, args.tau_us, P)
         r, c = pid
         values[:, r * P:(r + 1) * P, c * P:(c + 1) * P] = img
         if len(sel):
@@ -205,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--synthetic", default="moving_bar",
-                   choices=("uniform_noise", "moving_bar", "moving_dot"))
+    p.add_argument("--synthetic", default="moving_bar", choices=SYNTH_KINDS)
     p.add_argument("--rate", type=float, default=50_000.0)
     p.add_argument("--duration-us", type=int, default=4_000_000)
     p.set_defaults(fn=cmd_pretrain)
@@ -247,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except ValueError as exc:  # a bad option value, config file or event file
+        raise SystemExit(f"eva {args.command}: {exc}") from None
     return 0
 
 

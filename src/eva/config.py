@@ -132,6 +132,8 @@ class TrainConfig:
     targets: tuple[TargetSpec, ...] = field(default_factory=default_targets)
 
     def __post_init__(self):
+        if self.seq_len <= 0 or self.chunk_len <= 0:
+            raise ValueError("seq_len and chunk_len must be positive")
         if self.seq_len % self.chunk_len:
             raise ValueError("chunk_len must divide seq_len")
         if self.batch_size <= 0:
@@ -174,27 +176,18 @@ def format_kv_text(values: dict) -> str:
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
-def _coerce(value: str, target_type):
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
-    if target_type is str:
-        return value
-    raise ValueError(f"unsupported config field type {target_type}")
-
-
 def encoder_config_from_kv(kv: dict[str, str]) -> EncoderConfig:
-    base = kv.pop("profile", None)
-    cfg = ENCODER_PROFILES[base] if base else EncoderConfig()
-    valid = {f.name: f.type for f in fields(EncoderConfig)}
-    updates = {}
-    for key, value in kv.items():
+    """Profile `profile` (default `EncoderConfig()`) with the other keys' fields replaced."""
+    base = kv.get("profile")
+    if base and base not in ENCODER_PROFILES:
+        raise ValueError(f"unknown profile {base!r}; expected one of {sorted(ENCODER_PROFILES)}")
+    valid = {f.name for f in fields(EncoderConfig)}
+    updates = {key: value for key, value in kv.items() if key != "profile"}
+    for key, value in updates.items():
         if key not in valid:
             raise ValueError(f"unknown config key {key!r}")
-        kind = int if key != "precision" else str
-        updates[key] = _coerce(value, kind)
-    return replace(cfg, **updates)
+        updates[key] = value if key == "precision" else int(value)
+    return replace(ENCODER_PROFILES[base] if base else EncoderConfig(), **updates)
 
 
 def encoder_config_to_kv(cfg: EncoderConfig) -> dict[str, str]:

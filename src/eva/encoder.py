@@ -8,7 +8,8 @@ Two evaluation modes share one parameter set:
 
 The training path (`forward_train` / `backward_train`) runs the parallel
 form with caches and returns exact reverse-mode gradients for every
-parameter as a flat named dict matching `params.named_arrays`.
+parameter as a flat named dict matching `params.named_arrays`. Both
+chunked paths are one walk of the stack, `_forward`, on a batched state.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ class EncoderState:
         indexed in their (Dh, Dh, ..., N) memory view, so a copy keeps the
         heads-innermost order."""
         def pick(S):
-            m = np.moveaxis(S, (-2, -1), (0, 1))[:, :, sel]
-            if not np.may_share_memory(m, S):  # numpy lays a gather out batch-outermost
-                m = np.ascontiguousarray(m)
+            m = np.moveaxis(S, (-2, -1), (0, 1))
+            m = m[:, :, sel] if sel is None or isinstance(sel, slice) else m.take(sel, 2)
             return np.moveaxis(m, (0, 1), (-2, -1))
         return EncoderState([B.BlockState(pick(b.S), b.tm_prev[sel], b.cm_prev[sel])
                              for b in self.blocks],
@@ -88,29 +88,41 @@ def _embed(params: EncoderParams, tokens, dts):
     return x.astype(params.dtype, copy=False)
 
 
+def _forward(params: EncoderParams, tokens, dts, checkpoints, state: EncoderState,
+             want_cache: bool):
+    """The one chunked walk of the stack over (B, T) tokens and gaps, from
+    the batched `state`, into whose arrays each layer writes its final
+    state in place. Returns (snaps (B, K, N, Dh, Dh), cache), cache None
+    unless want_cache."""
+    cfg = params.config
+    h, ln0_cache = B.ln_fwd(_embed(params, tokens, dts), params.ln0_g, params.ln0_b)
+    block_caches = []
+    for bp, bs in zip(params.blocks, state.blocks):
+        h, (bs.S[...], bs.tm_prev[...], bs.cm_prev[...]), cache = B.block_seq_fwd(
+            h, bs.S, bs.tm_prev, bs.cm_prev, bp, cfg.n_heads, want_cache)
+        block_caches.append(cache)
+    ms = state.mvhs
+    snaps, ms.S[...], ms.prev[...], mvhs_cache = M._mvhs_seq(
+        h, ms.prev, ms.S, params.mvhs, cfg.mvhs_heads, list(checkpoints), want_cache)
+    cache = ({"tokens": tokens, "ln0": ln0_cache, "blocks": block_caches,
+              "mvhs": mvhs_cache, "vocab": params.embed.shape[0]} if want_cache else None)
+    return snaps, cache
+
+
 def encode_sequence(params: EncoderParams, tokens, dts,
                     state: EncoderState | None = None, checkpoints=None):
     """Chunked-parallel encode of a token/gap sequence.
 
     Returns (snaps, new_state) where snaps is (K, N, Dh, Dh), one raw
     matrix-state snapshot per checkpoint (1-based indices; defaults to
-    just the end of the sequence).
+    just the end of the sequence), and new_state a copy of `state` (zeros
+    if None, so heads-innermost) advanced over the sequence in place.
     """
-    cfg = params.config
     T = len(tokens)
-    checkpoints = list(checkpoints) if checkpoints is not None else [T]
-    state = state.copy() if state is not None else EncoderState.zeros(cfg, params.dtype)
-    x = _embed(params, tokens, dts)[None]
-    h, _ = B.ln_fwd(x, params.ln0_g, params.ln0_b)
-    for i, bp in enumerate(params.blocks):
-        bs = state.blocks[i]
-        h, (S_f, tm_c, cm_c), _ = B.block_seq_fwd(
-            h, bs.S[None], bs.tm_prev[None], bs.cm_prev[None], bp, cfg.n_heads)
-        state.blocks[i] = B.BlockState(S_f[0], tm_c[0], cm_c[0])
-    snaps, S_fin, new_prev, _ = M._mvhs_seq(
-        h, state.mvhs.prev[None], state.mvhs.S[None], params.mvhs,
-        cfg.mvhs_heads, checkpoints)
-    state.mvhs = M.MvhsState(S_fin[0], new_prev[0])
+    state = state.copy() if state is not None else EncoderState.zeros(params.config, params.dtype)
+    snaps, _ = _forward(params, np.asarray(tokens)[None], np.asarray(dts)[None],
+                        [T] if checkpoints is None else checkpoints,
+                        state.rows(None), False)
     state.event_index += T
     return snaps[0], state
 
@@ -159,24 +171,9 @@ def forward_train(params: EncoderParams, tokens: np.ndarray, dts: np.ndarray, ch
 
     Sequences start from zero state. Returns (snaps (B, K, N, Dh, Dh), cache).
     """
-    cfg = params.config
-    Bsz, T = tokens.shape
-    dtype = params.dtype
-    x = _embed(params, tokens, dts)
-    h, ln0_cache = B.ln_fwd(x, params.ln0_g, params.ln0_b)
-    block_caches = []
-    for bp in params.blocks:
-        S0 = np.zeros((Bsz, cfg.n_heads, cfg.d_head, cfg.d_head), dtype)
-        carry = np.zeros((Bsz, cfg.d_model), dtype)
-        h, _, cache = B.block_seq_fwd(h, S0, carry, carry, bp, cfg.n_heads, want_cache=True)
-        block_caches.append(cache)
-    S0m = np.zeros((Bsz, cfg.mvhs_heads, cfg.mvhs_d_head, cfg.mvhs_d_head), dtype)
-    carry_m = np.zeros((Bsz, cfg.d_model), dtype)
-    snaps, _, _, mvhs_cache = M._mvhs_seq(h, carry_m, S0m, params.mvhs, cfg.mvhs_heads,
-                                          list(checkpoints), want_cache=True)
-    cache = {"tokens": tokens, "ln0": ln0_cache, "blocks": block_caches,
-             "mvhs": mvhs_cache, "cfg": cfg, "vocab": params.embed.shape[0]}
-    return snaps, cache
+    zeros = EncoderState.zeros(params.config, params.dtype).rows(None)
+    return _forward(params, tokens, dts, checkpoints,
+                    zeros.rows(np.zeros(len(tokens), np.intp)), True)
 
 
 def backward_train(cache, dSnaps) -> dict[str, np.ndarray]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,6 @@ class SensorGeometry:
     @property
     def n_patches(self) -> int:
         return self.grid_rows * self.grid_cols
-
-
-@dataclass
-class PatchStream:
-    """Events of one patch, coordinates re-based to patch-local [0, patch)."""
-
-    patch_id: tuple[int, int]
-    events: np.ndarray
 
 
 @dataclass
@@ -244,9 +236,10 @@ def filter_hot_pixels(events: np.ndarray, window_us: int = 10_000, threshold: in
     return events[keep]
 
 
-def partition_patches(events: np.ndarray, geometry: SensorGeometry) -> dict[tuple[int, int], PatchStream]:
-    """Split a stream into per-patch streams with patch-local coordinates."""
-    out: dict[tuple[int, int], PatchStream] = {}
+def partition_patches(events: np.ndarray, geometry: SensorGeometry) -> dict[tuple[int, int], np.ndarray]:
+    """Split a stream into per-patch streams: {(row, col): the patch's
+    events, in stream order, with coordinates re-based to [0, patch)}."""
+    out: dict[tuple[int, int], np.ndarray] = {}
     if len(events) == 0:
         return out
     P = geometry.patch
@@ -258,8 +251,7 @@ def partition_patches(events: np.ndarray, geometry: SensorGeometry) -> dict[tupl
         local = events[mask].copy()
         local["x"] %= P
         local["y"] %= P
-        r, c = divmod(int(u), geometry.grid_cols)
-        out[(r, c)] = PatchStream((r, c), local)
+        out[divmod(int(u), geometry.grid_cols)] = local
     return out
 
 

@@ -253,8 +253,10 @@ def encode_offline(params: EncoderParams, events: np.ndarray,
 
     Returns a list of (t_ref, FrameSnapshot): one snapshot per sampling
     period boundary (aligned to the first event) or a single final
-    snapshot when period_us is None.
+    snapshot when period_us is None. A period_us <= 0 raises ValueError.
     """
+    if period_us is not None and period_us <= 0:
+        raise ValueError(f"period_us must be positive, got {period_us}")
     cfg = params.config
     Dh, n_out = cfg.mvhs_d_head, cfg.n_out
     g = geometry
@@ -269,13 +271,13 @@ def encode_offline(params: EncoderParams, events: np.ndarray,
     n = len(boundaries)
     values = np.zeros((n, n_out, g.grid_rows * Dh, g.grid_cols * Dh), np.float32)
     marks = np.full((n, g.grid_rows, g.grid_cols), -1, dtype=np.int64)
-    for (r, c), ps in by_patch.items():
+    for (r, c), local in by_patch.items():
         # one encode per patch, snapshotting at each distinct boundary index;
         # boundaries before the patch's first event keep zeros and -1
-        ts = ps.events["t"]
+        ts = local["t"]
         hi = np.searchsorted(ts, boundaries, side="right")
         cps, pos = np.unique(hi, return_inverse=True)
-        snaps, _ = encode_events(params, ps.events, checkpoints=cps[cps > 0])
+        snaps, _ = encode_events(params, local, checkpoints=cps[cps > 0])
         seen = hi > 0
         at = pos[seen] - (cps[0] == 0)
         values[seen, :, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = snaps[at, :n_out]

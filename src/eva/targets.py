@@ -1,6 +1,7 @@
 """Handcrafted event representations: event counts (EC) and time surfaces (TS).
 
-Both are 2-channel (per-polarity) P x P images over patch-local events.
+Both are 2-channel (per-polarity) P x P images over patch-local events,
+returned as (2, P, P) float64 arrays.
 EC counts events per pixel inside a closed time window [t_s, t_e]; TS is
 exp((t_last - t_ref) / tau) of the most recent event per pixel (0 where a
 pixel never fired). Batch and streaming forms agree exactly; they serve as
@@ -11,27 +12,20 @@ exportable features.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class TargetImage:
-    values: np.ndarray  # (2, P, P), float64 for ts, int64-valued float for ec
-    t_ref: int
-
-
-def event_count(events: np.ndarray, t_s: int, t_e: int, P: int) -> TargetImage:
+def event_count(events: np.ndarray, t_s: int, t_e: int, P: int) -> np.ndarray:
     """EC[p, y, x] = #events at (p, x, y) with t in [t_s, t_e] (closed)."""
     img = np.zeros((2, P, P), dtype=np.float64)
     if len(events):
         sel = events[(events["t"] >= t_s) & (events["t"] <= t_e)]
         np.add.at(img, (sel["p"], sel["y"], sel["x"]), 1.0)
-    return TargetImage(img, t_e)
+    return img
 
 
-def time_surface(events: np.ndarray, t_ref: int, tau: float, P: int) -> TargetImage:
+def time_surface(events: np.ndarray, t_ref: int, tau: float, P: int) -> np.ndarray:
     """TS[p, y, x] = exp((t_last - t_ref) / tau), 0 for silent pixels."""
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -40,8 +34,7 @@ def time_surface(events: np.ndarray, t_ref: int, tau: float, P: int) -> TargetIm
     last = np.full((2, P, P), -1, dtype=np.int64)
     if len(events):
         np.maximum.at(last, (events["p"], events["y"], events["x"]), events["t"])
-    img = np.where(last >= 0, np.exp((last - t_ref) / float(tau)), 0.0)
-    return TargetImage(img, t_ref)
+    return np.where(last >= 0, np.exp((last - t_ref) / float(tau)), 0.0)
 
 
 class StreamingTimeSurface:
@@ -62,11 +55,10 @@ class StreamingTimeSurface:
         for ev in events:
             self.update(int(ev["t"]), int(ev["x"]), int(ev["y"]), int(ev["p"]))
 
-    def read(self, t_ref: int, tau: float) -> TargetImage:
+    def read(self, t_ref: int, tau: float) -> np.ndarray:
         if tau <= 0:
             raise ValueError("tau must be positive")
-        img = np.where(self.last >= 0, np.exp((self.last - t_ref) / float(tau)), 0.0)
-        return TargetImage(img, t_ref)
+        return np.where(self.last >= 0, np.exp((self.last - t_ref) / float(tau)), 0.0)
 
 
 class StreamingEventCount:
@@ -95,7 +87,7 @@ class StreamingEventCount:
         for ev in events:
             self.update(int(ev["t"]), int(ev["x"]), int(ev["y"]), int(ev["p"]))
 
-    def read(self, t_ref: int) -> TargetImage:
+    def read(self, t_ref: int) -> np.ndarray:
         cutoff = t_ref - self.window_us
         while self.buf and self.buf[0][0] < cutoff:
             t, p, y, x = self.buf.popleft()
@@ -106,7 +98,7 @@ class StreamingEventCount:
             if t <= t_ref:
                 break
             img[p, y, x] -= 1
-        return TargetImage(img, t_ref)
+        return img
 
 
 def quantize_repr(values: np.ndarray, scale: float = 0.125) -> np.ndarray:

@@ -234,18 +234,17 @@ def _write_run_dir(run_dir: str, model: Model, train_cfg: TrainConfig,
 
 
 def build_synthetic_corpus(train_cfg: TrainConfig, cfg: EncoderConfig,
-                           kind: str = "moving_bar", sensor: int | None = None,
-                           rate: float = 50_000.0, duration_us: int = 4_000_000,
-                           seed: int = 0, future_frac: float = 0.25):
-    """Generate events, split into patches, slice windows, prepare targets."""
+                           kind: str = "moving_bar", rate: float = 50_000.0,
+                           duration_us: int = 4_000_000, seed: int = 0):
+    """Generate events on a one-patch sensor, slice windows of `seq_len`
+    events plus a future tail of a quarter of that, prepare targets."""
     P = cfg.patch
-    side = sensor or P
-    geom = SensorGeometry(side, side, P)
+    geom = SensorGeometry(P, P, P)
     events = synth_generate(kind, geom, duration_us, rate, seed)
-    future_len = max(int(train_cfg.seq_len * future_frac), 1)
+    future_len = max(train_cfg.seq_len // 4, 1)
     out = []
-    for ps in partition_patches(events, geom).values():
-        for s in slice_samples(ps.events, train_cfg.seq_len, train_cfg.seq_len,
+    for local in partition_patches(events, geom).values():
+        for s in slice_samples(local, train_cfg.seq_len, train_cfg.seq_len,
                                future_len, train_cfg.chunk_len):
             out.append(prepare_sample(s, train_cfg.targets, P))
     return out

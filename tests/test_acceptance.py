@@ -167,10 +167,10 @@ def test_criterion_3_streaming_oracle_equivalence():
             continue
         t_ref = int(ev["t"][idx - 1])
         seen = ev[:idx]
-        exact &= np.array_equal(ts_stream.read(t_ref, 2000.0).values,
-                                time_surface(seen, t_ref, 2000.0, P).values)
-        exact &= np.array_equal(ec_stream.read(t_ref).values,
-                                event_count(seen, t_ref - 1500, t_ref, P).values)
+        exact &= np.array_equal(ts_stream.read(t_ref, 2000.0),
+                                time_surface(seen, t_ref, 2000.0, P))
+        exact &= np.array_equal(ec_stream.read(t_ref),
+                                event_count(seen, t_ref - 1500, t_ref, P))
     dt = time.perf_counter() - t0
     ok = exact and dt < 30
     report("criterion 3 (streaming vs batch targets, bit-for-bit, 10k events)",

@@ -78,7 +78,7 @@ def test_oracle_cli(tmp_path):
     snap = read_snapshot(out)
     assert snap.kind == KIND_EC
     t_ref = int(ev["t"][-1])
-    want = event_count(ev, t_ref - 50_000, t_ref, 16).values
+    want = event_count(ev, t_ref - 50_000, t_ref, 16)
     assert np.array_equal(snap.values, want.astype(np.float32))
 
 
@@ -102,6 +102,9 @@ def test_encode_cli(tmp_path, small_ckpt):
     assert len(files) >= 3
     snap = read_snapshot(out_dir / files[-1])
     assert snap.values.shape == (2, 16, 16)
+    with pytest.raises(SystemExit, match="period_us must be positive"):
+        main(["encode", "--checkpoint", small_ckpt, "--input", str(src),
+              "--out", str(out_dir), "--period-us", "-5"])
 
 
 def test_bench_cli(capsys):
@@ -124,12 +127,14 @@ def test_pretrain_cli(tmp_path):
     assert (run / "final.evaw").exists()
 
 
-def test_precision_env_override(tmp_path, monkeypatch, small_ckpt):
-    from eva.checkpoint import load_checkpoint
-    params, _, _ = load_checkpoint(small_ckpt)
-    assert params.dtype == np.float64  # profile default
-    params32, _, _ = load_checkpoint(small_ckpt, precision="f32")
-    assert params32.dtype == np.float32
+def test_precision_env_override(monkeypatch, small_ckpt):
+    from argparse import Namespace
+    from eva.cli import _load_params
+    args = Namespace(checkpoint=small_ckpt)
+    monkeypatch.setenv("EVA_PRECISION", "f32")
+    assert _load_params(args).dtype == np.float32
+    monkeypatch.delenv("EVA_PRECISION")
+    assert _load_params(args).dtype == np.float64  # the profile's precision
 
 
 def test_serve_cli_subprocess(tmp_path, small_ckpt):

@@ -222,6 +222,17 @@ def test_state_copies_keep_heads_innermost(params):
     assert all(_heads_innermost(b.S) for b in batch.copy().blocks)
 
 
+def test_encode_sequence_returns_heads_innermost_states(params):
+    # the chunked path writes into a copy of its input state, so it hands
+    # back the order `zeros` made, which the runtime steps fastest
+    tokens, dts = random_stream(32, 70)
+    _, st = encode_sequence(params, tokens[:40], dts[:40])
+    _, st2 = encode_sequence(params, tokens[40:], dts[40:], st)
+    for s in (st, st2):
+        for S in [b.S for b in s.blocks] + [s.mvhs.S]:
+            assert _heads_innermost(S), S.strides
+
+
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_runtime_step_ignores_state_strides(params, dtype, tol):
     # the same three streams held in C order and heads-innermost step to

@@ -164,7 +164,7 @@ def test_partition_spot():
     ev = make_events([0], [17], [0], [1])
     out = partition_patches(ev, GEOM)
     assert set(out) == {(0, 1)}
-    local = out[(0, 1)].events
+    local = out[(0, 1)]
     assert (local["x"][0], local["y"][0]) == (1, 0)
 
 
@@ -173,19 +173,19 @@ def test_partition_single_patch_identity():
     ev = random_events(rng, 50, SensorGeometry(16, 16, 16))
     out = partition_patches(ev, SensorGeometry(16, 16, 16))
     assert set(out) == {(0, 0)}
-    assert np.array_equal(out[(0, 0)].events, ev)
+    assert np.array_equal(out[(0, 0)], ev)
 
 
 def test_partition_reglobalize_multiset():
     rng = np.random.default_rng(4)
     ev = random_events(rng, 4000)
     out = partition_patches(ev, GEOM)
-    assert sum(len(ps.events) for ps in out.values()) == len(ev)
+    assert sum(len(local) for local in out.values()) == len(ev)
     rows = []
-    for (r, c), ps in out.items():
-        assert np.all(np.diff(ps.events["t"]) >= 0)  # per-patch order kept
-        assert np.all((ps.events["x"] >= 0) & (ps.events["x"] < GEOM.patch))
-        for e in ps.events:
+    for (r, c), local in out.items():
+        assert np.all(np.diff(local["t"]) >= 0)  # per-patch order kept
+        assert np.all((local["x"] >= 0) & (local["x"] < GEOM.patch))
+        for e in local:
             rows.append((e["t"], e["x"] + c * GEOM.patch, e["y"] + r * GEOM.patch, e["p"]))
     orig = sorted((e["t"], e["x"], e["y"], e["p"]) for e in ev)
     assert sorted(rows) == orig
@@ -196,7 +196,7 @@ def test_partition_edge_patches_kept():
     ev = make_events([0], [129], [129], [0])
     out = partition_patches(ev, geom)
     assert set(out) == {(8, 8)}
-    assert out[(8, 8)].events["x"][0] == 1
+    assert out[(8, 8)]["x"][0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_moving_bar_translates():
     centers = []
     for w0 in range(40_000, 480_000, 10_000):  # inside one sweep, no wrap
         win = ev[(ev["t"] >= w0) & (ev["t"] < w0 + 10_000)]
-        img = event_count(win, w0, w0 + 10_000, 32).values.sum(axis=(0, 1))
+        img = event_count(win, w0, w0 + 10_000, 32).sum(axis=(0, 1))
         cols = np.nonzero(img)[0]
         assert cols.max() - cols.min() <= 6  # contiguous band (bar + drift)
         centers.append((img * np.arange(32)).sum() / img.sum())

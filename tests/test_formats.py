@@ -27,8 +27,20 @@ def test_kv_text_roundtrip():
 def test_encoder_config_kv_rejects_unknown():
     with pytest.raises(ValueError, match="unknown config key"):
         encoder_config_from_kv({"d_model": "64", "bogus": "1"})
-    cfg = encoder_config_from_kv({"profile": "small", "n_out": "1"})
+    kv = {"profile": "small", "n_out": "1"}
+    cfg = encoder_config_from_kv(kv)
     assert cfg.d_model == 32 and cfg.n_out == 1
+    assert kv == {"profile": "small", "n_out": "1"}  # the caller's dict is not consumed
+
+
+def test_encoder_config_kv_rejects_unknown_profile(tmp_path):
+    with pytest.raises(ValueError, match="unknown profile 'nope'.*'small'"):
+        encoder_config_from_kv({"profile": "nope"})
+    from eva.cli import main
+    path = tmp_path / "enc.cfg"
+    path.write_text("profile = nope\n")
+    with pytest.raises(SystemExit, match="unknown profile"):
+        main(["inspect", "--config", str(path)])
 
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):

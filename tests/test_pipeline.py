@@ -160,6 +160,9 @@ def test_encode_offline_periodic(small_params):
     # final periodic frame equals the single-shot encode
     single = encode_offline(small_params, ev, geom)[-1][1]
     assert np.allclose(frames[-1][1].values, single.values, rtol=1e-12)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="period_us"):
+            encode_offline(small_params, ev, geom, period_us=bad)
 
 
 def test_encode_offline_matches_per_boundary_encodes():
@@ -187,8 +190,8 @@ def test_encode_offline_matches_per_boundary_encodes():
     for t_ref, snap in frames:
         want = np.zeros_like(snap.values)
         marks = np.full((2, 2), -1, np.int64)
-        for (r, c), ps in by_patch.items():
-            upto = ps.events[ps.events["t"] <= t_ref]
+        for (r, c), local in by_patch.items():
+            upto = local[local["t"] <= t_ref]
             if len(upto):
                 snaps, _ = encode_events(params, upto)
                 want[:, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = snaps[-1, :n_out]

@@ -22,18 +22,18 @@ def random_patch_events(seed, n, P=8, max_dt=50):
 
 def test_ec_spot():
     ev = make_events([10, 20, 150], [1, 1, 1], [1, 1, 1], [0, 0, 0])
-    img = event_count(ev, 0, 100, 4).values
+    img = event_count(ev, 0, 100, 4)
     assert img[0, 1, 1] == 2
     assert img.sum() == 2
 
 
 def test_ec_empty():
-    assert np.all(event_count(empty_events(), 0, 100, 4).values == 0)
+    assert np.all(event_count(empty_events(), 0, 100, 4) == 0)
 
 
 def test_ec_closed_interval_boundaries():
     ev = make_events([5, 10], [0, 0], [0, 0], [1, 1])
-    img = event_count(ev, 5, 10, 2).values
+    img = event_count(ev, 5, 10, 2)
     assert img[1, 0, 0] == 2  # both endpoints included
 
 
@@ -48,7 +48,7 @@ def brute_force_ec(events, t_s, t_e, P):
 def test_ec_brute_force_oracle():
     ev = random_patch_events(0, 1000)
     t_s, t_e = 200, 9000
-    assert np.array_equal(event_count(ev, t_s, t_e, 8).values,
+    assert np.array_equal(event_count(ev, t_s, t_e, 8),
                           brute_force_ec(ev, t_s, t_e, 8))
 
 
@@ -58,9 +58,9 @@ def test_ec_additivity():
     # [lo, mid] + (mid, hi] = [lo, hi] requires mid to split between stamps
     while mid in ev["t"] and np.count_nonzero(ev["t"] == mid) > 0:
         mid += 1  # move to a gap so the half-open split is clean
-    a = event_count(ev, lo, mid, 8).values
-    b = event_count(ev, mid + 1, hi, 8).values
-    c = event_count(ev, lo, hi, 8).values
+    a = event_count(ev, lo, mid, 8)
+    b = event_count(ev, mid + 1, hi, 8)
+    c = event_count(ev, lo, hi, 8)
     assert np.array_equal(a + b, c)
 
 
@@ -70,9 +70,9 @@ def test_ec_additivity():
 
 def test_ts_spot_values():
     ev = make_events([1000], [2], [3], [1])
-    img = time_surface(ev, 1000, 500.0, 4).values
+    img = time_surface(ev, 1000, 500.0, 4)
     assert img[1, 3, 2] == 1.0
-    img = time_surface(ev, 1500, 500.0, 4).values
+    img = time_surface(ev, 1500, 500.0, 4)
     assert img[1, 3, 2] == pytest.approx(np.exp(-1.0))
     assert img[0].sum() == 0.0
 
@@ -96,16 +96,16 @@ def brute_force_ts(events, t_ref, tau, P):
 def test_ts_brute_force_max_oracle():
     ev = random_patch_events(2, 1000)
     t_ref = int(ev["t"][-1])
-    got = time_surface(ev, t_ref, 3000.0, 8).values
+    got = time_surface(ev, t_ref, 3000.0, 8)
     assert np.allclose(got, brute_force_ts(ev, t_ref, 3000.0, 8), rtol=0, atol=0)
 
 
 def test_ts_bounded_and_monotone():
     ev = random_patch_events(3, 400)
     t_ref = int(ev["t"][-1])
-    a = time_surface(ev, t_ref, 1000.0, 8).values
+    a = time_surface(ev, t_ref, 1000.0, 8)
     assert np.all((a >= 0) & (a <= 1))
-    b = time_surface(ev, t_ref + 5000, 1000.0, 8).values
+    b = time_surface(ev, t_ref + 5000, 1000.0, 8)
     assert np.all(b <= a + 1e-18)
 
 
@@ -116,7 +116,7 @@ def test_ts_bounded_and_monotone():
 def test_streaming_ts_single_event():
     s = StreamingTimeSurface(4)
     s.update(100, 1, 2, 0)
-    img = s.read(100, 50.0).values
+    img = s.read(100, 50.0)
     assert img[0, 2, 1] == 1.0
 
 
@@ -124,7 +124,7 @@ def test_streaming_ts_later_event_wins():
     s = StreamingTimeSurface(4)
     s.update(100, 1, 1, 1)
     s.update(300, 1, 1, 1)
-    assert s.read(300, 100.0).values[1, 1, 1] == 1.0
+    assert s.read(300, 100.0)[1, 1, 1] == 1.0
 
 
 def test_streaming_ts_rejects_out_of_order():
@@ -139,8 +139,8 @@ def test_streaming_ts_matches_batch_bitwise_10k():
     s = StreamingTimeSurface(8)
     s.update_events(ev)
     t_ref = int(ev["t"][-1])
-    got = s.read(t_ref, 2500.0).values
-    want = time_surface(ev, t_ref, 2500.0, 8).values
+    got = s.read(t_ref, 2500.0)
+    want = time_surface(ev, t_ref, 2500.0, 8)
     assert np.array_equal(got, want)  # bit-for-bit
 
 
@@ -148,7 +148,7 @@ def test_streaming_ec_all_inside_window():
     ev = random_patch_events(5, 100, max_dt=5)
     s = StreamingEventCount(8, window_us=10_000)
     s.update_events(ev)
-    got = s.read(int(ev["t"][-1])).values
+    got = s.read(int(ev["t"][-1]))
     want = brute_force_ec(ev, 0, int(ev["t"][-1]), 8)
     assert np.array_equal(got, want)
 
@@ -157,7 +157,7 @@ def test_streaming_ec_all_expired():
     s = StreamingEventCount(4, window_us=100)
     s.update(0, 1, 1, 1)
     s.update(10, 2, 2, 0)
-    assert np.all(s.read(10_000).values == 0)
+    assert np.all(s.read(10_000) == 0)
 
 
 def test_streaming_ec_sliding_reads_match_batch():
@@ -171,8 +171,8 @@ def test_streaming_ec_sliding_reads_match_batch():
             e = ev[idx]
             s.update(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"]))
             idx += 1
-        got = s.read(int(t_ref)).values
-        want = event_count(ev, int(t_ref) - window, int(t_ref), 8).values
+        got = s.read(int(t_ref))
+        want = event_count(ev, int(t_ref) - window, int(t_ref), 8)
         assert np.array_equal(got, want)
 
 
@@ -180,7 +180,7 @@ def test_streaming_ec_read_ignores_buffered_future():
     s = StreamingEventCount(4, window_us=1000)
     s.update(10, 0, 0, 0)
     s.update(500, 1, 1, 1)
-    img = s.read(100).values
+    img = s.read(100)
     assert img[0, 0, 0] == 1 and img.sum() == 1
 
 
@@ -193,10 +193,10 @@ def test_streaming_equivalence_property(seed, window):
     ec = StreamingEventCount(4, window)
     ts.update_events(ev)
     ec.update_events(ev)
-    assert np.array_equal(ts.read(t_ref, 777.0).values,
-                          time_surface(ev, t_ref, 777.0, 4).values)
-    assert np.array_equal(ec.read(t_ref).values,
-                          event_count(ev, t_ref - window, t_ref, 4).values)
+    assert np.array_equal(ts.read(t_ref, 777.0),
+                          time_surface(ev, t_ref, 777.0, 4))
+    assert np.array_equal(ec.read(t_ref),
+                          event_count(ev, t_ref - window, t_ref, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +212,12 @@ def chunk_targets_loop(spec, input_events, future_events, chunk_ends, P):
         if spec.role == "mrp":
             seen = input_events[:end]
             if spec.kind == "ec":
-                out[j] = event_count(seen, t_end - spec.window_us, t_end, P).values
+                out[j] = event_count(seen, t_end - spec.window_us, t_end, P)
             else:
-                out[j] = time_surface(seen, t_end, spec.tau_us, P).values
+                out[j] = time_surface(seen, t_end, spec.tau_us, P)
         else:
             future = pool[end:]
-            out[j] = event_count(future, t_end + 1, t_end + spec.horizon_us, P).values
+            out[j] = event_count(future, t_end + 1, t_end + spec.horizon_us, P)
     return out
 
 

@@ -314,10 +314,11 @@ def test_pretrain_reduces_loss_quickly():
 
 
 @pytest.mark.parametrize("field,value", [("epochs", 0), ("max_steps", -1),
-                                         ("head_width", 0)])
+                                         ("head_width", 0), ("seq_len", 0),
+                                         ("chunk_len", 0)])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
-        TrainConfig(seq_len=16, chunk_len=8, **{field: value})
+        TrainConfig(**{"seq_len": 16, "chunk_len": 8, field: value})
 
 
 def test_first_step_total_does_not_depend_on_want_grads():
