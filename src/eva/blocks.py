@@ -17,7 +17,7 @@ its outputs and a cache slot for the hand-derived backward pass, None
 unless asked for with `want_cache`; the scan underneath runs in outer
 chunks of `scan.DEFAULT_CHUNK` tokens. `mix_fwd`/`mix_bwd` (ddlerp, LoRA
 paths, decay) are shared with the matrix-state layer `mvhs`, and the
-per-head norm is `ln_fwd`/`ln_bwd` with unit gain and zero bias. The
+per-head norm is `ln_fwd`/`ln_bwd` without gain or bias. The
 event-by-event form of the block is `runtime._BlockRt`; the two agree up
 to rounding.
 """
@@ -73,23 +73,38 @@ def silu(x):
     return x * sigmoid(x)
 
 
-def ln_fwd(x, g, b, eps=LN_EPS):
-    mean = x.mean(-1, keepdims=True)
-    xc = x - mean
-    inv = 1.0 / np.sqrt((xc * xc).mean(-1, keepdims=True) + eps)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+def ln_fwd(x, g=None, b=None, eps=LN_EPS):
+    """Layer norm over the last axis of x, times gain g plus bias b, or
+    without either (g None: the TM head norm). The row means are one matmul
+    with a column of 1/D and the variances one batched dot product.
+    Returns (y, cache); with g None, y is the cached xhat itself."""
+    D = x.shape[-1]
+    xc = x.reshape(-1, D)
+    xc = xc - xc @ np.full((D, 1), 1.0 / D, x.dtype)
+    inv = 1.0 / np.sqrt(np.vecdot(xc, xc)[:, None] / D + eps)
+    xc *= inv
+    if g is None:
+        return xc.reshape(x.shape), (xc, inv, None)
+    y = xc * g
+    y += b
+    return y.reshape(x.shape), (xc, inv, g)
 
 
 def ln_bwd(cache, dy):
+    """Adjoint of ln_fwd: (dx, dg, db), dg and db None without a gain."""
     xhat, inv, g = cache
-    D = dy.shape[-1]
-    dg = (dy * xhat).reshape(-1, D).sum(0)
-    db = dy.reshape(-1, D).sum(0)
-    dxh = dy * g
-    dx = inv * (dxh - dxh.mean(-1, keepdims=True)
-                - xhat * (dxh * xhat).mean(-1, keepdims=True))
-    return dx, dg, db
+    D = xhat.shape[-1]
+    dy2 = dy.reshape(-1, D)
+    dxh = dy2 if g is None else dy2 * g
+    dx = xhat * (np.vecdot(dxh, xhat)[:, None] / -D)
+    dx += dxh
+    dx -= dxh @ np.full((D, 1), 1.0 / D, dy.dtype)
+    dx *= inv
+    if g is None:
+        return dx.reshape(dy.shape), None, None
+    dg = np.einsum("ij,ij->j", dy2, xhat)
+    db = np.ones(len(dy2), dy.dtype) @ dy2
+    return dx.reshape(dy.shape), dg, db
 
 
 def _shift(a, carry):
@@ -199,8 +214,8 @@ def tm_sublayer_fwd(a, carry, S0, bp: BlockParams, n_heads: int, want_cache: boo
     u_h = bp.u.reshape(n_heads, Dh)
     y, S_fin, scan_cache = scan.decay_scan_forward(r, k, v, lw_h, u_h, S0, want_cache)
 
-    # per-head norm: the layer norm with unit gain and zero bias
-    yn, norm_cache = ln_fwd(y, 1.0, 0.0)
+    # per-head norm: the layer norm without gain or bias
+    yn, norm_cache = ln_fwd(y)
     g = proj["g"]
     sg = silu(g)
     o_pre = sg * yn.reshape(B, T, D)
@@ -222,7 +237,7 @@ def tm_sublayer_bwd(cache, do):
     # output projection and gate
     grads["W_o"] = _outer_grad(cache["o_pre"], do)
     d_opre = do @ bp.W_o.T
-    # yn = xhat * 1 + 0 equals the head norm's cached xhat
+    # yn is the head norm's cached xhat
     dsg = d_opre * cache["head_norm"][0].reshape(B, T, D)
     dyn = (d_opre * cache["sg"]).reshape(B, T, n_heads, Dh)
     sig_g = sigmoid(cache["g"])

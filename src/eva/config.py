@@ -68,7 +68,7 @@ ENCODER_PROFILES = {
     "gen1": EncoderConfig(mvhs_heads=8, mvhs_d_head=16, n_out=4),
     "small": EncoderConfig(d_model=32, n_blocks=3, n_heads=4, d_ffn=64,
                            d_lora=8, d_w=8, mvhs_heads=2, mvhs_d_head=16,
-                           n_out=2, patch=16, precision="f64"),
+                           n_out=2, patch=16),
     "tiny": EncoderConfig(d_model=8, n_blocks=1, n_heads=2, d_ffn=16,
                           d_lora=4, d_w=4, mvhs_heads=2, mvhs_d_head=4,
                           n_out=2, patch=4, precision="f64"),

@@ -70,8 +70,8 @@ import numpy as np
 DEFAULT_CHUNK = 64
 # Sub-chunk, whose read-out costs _SUB * (_SUB - 1) / 2 decayed products
 # per channel: 4 measured best on the `dvs` f32 offline windows and the
-# `small` f64 training step (8 was 0-18% slower offline and no faster in
-# training, 16 twice as slow offline).
+# `small` training step, then in f64 (8 was 0-18% slower offline and no
+# faster in training, 16 twice as slow offline).
 _SUB = 4
 
 

@@ -26,7 +26,7 @@ from . import losses as L
 from .checkpoint import save_checkpoint
 from .config import EncoderConfig, TrainConfig, encoder_config_to_kv, format_kv_text
 from .embedding import event_to_token_dt
-from .events import Sample, SensorGeometry, partition_patches, slice_samples, synth_generate
+from .events import Sample, SensorGeometry, slice_samples, synth_generate
 from .optim import Adam
 from .params import EncoderParams, init_encoder_params, named_arrays
 from .targets import chunk_targets
@@ -40,12 +40,14 @@ class TrainSample:
     targets: dict            # task name -> (K, 2, P, P)
 
 
-def prepare_sample(sample: Sample, specs, P: int) -> TrainSample:
+def prepare_sample(sample: Sample, specs, P: int, dtype=np.float64) -> TrainSample:
+    """Tokens, chunk ends and target images, the targets stored in `dtype`,
+    the dtype of the model that trains on them."""
     tokens, dts = event_to_token_dt(sample.input_events, P, P)
     T = len(tokens)
     ends = list(range(sample.chunk_len, T + 1, sample.chunk_len))
-    targets = {spec.name: chunk_targets(spec, sample.input_events,
-                                        sample.future_events, ends, P)
+    targets = {spec.name: chunk_targets(spec, sample.input_events, sample.future_events,
+                                        ends, P).astype(dtype, copy=False)
                for spec in specs}
     return TrainSample(tokens, dts, np.asarray(ends), targets)
 
@@ -86,7 +88,7 @@ def batch_loss(model: Model, batch: list[TrainSample], want_grads: bool = True):
     snaps, cache = E.forward_train(model.params, tokens, dts, list(ends))
     sel = snaps[:, :, :cfg.n_out].reshape(Bsz * K, cfg.n_out, cfg.mvhs_d_head,
                                           cfg.mvhs_d_head)
-    targets = {task: np.concatenate([s.targets[task] for s in batch]).astype(sel.dtype)
+    targets = {task: np.concatenate([s.targets[task] for s in batch])
                for task in model.heads}
     if want_grads:
         preds, hcache = H.head_forward(model.heads, sel, want_cache=True)
@@ -237,14 +239,12 @@ def build_synthetic_corpus(train_cfg: TrainConfig, cfg: EncoderConfig,
                            kind: str = "moving_bar", rate: float = 50_000.0,
                            duration_us: int = 4_000_000, seed: int = 0):
     """Generate events on a one-patch sensor, slice windows of `seq_len`
-    events plus a future tail of a quarter of that, prepare targets."""
+    events plus a future tail of a quarter of that, prepare targets in
+    `cfg.dtype`. On one patch every event is already patch-local, so the
+    stream is sliced as generated."""
     P = cfg.patch
-    geom = SensorGeometry(P, P, P)
-    events = synth_generate(kind, geom, duration_us, rate, seed)
+    events = synth_generate(kind, SensorGeometry(P, P, P), duration_us, rate, seed)
     future_len = max(train_cfg.seq_len // 4, 1)
-    out = []
-    for local in partition_patches(events, geom).values():
-        for s in slice_samples(local, train_cfg.seq_len, train_cfg.seq_len,
-                               future_len, train_cfg.chunk_len):
-            out.append(prepare_sample(s, train_cfg.targets, P))
-    return out
+    return [prepare_sample(s, train_cfg.targets, P, cfg.dtype)
+            for s in slice_samples(events, train_cfg.seq_len, train_cfg.seq_len,
+                                   future_len, train_cfg.chunk_len)]

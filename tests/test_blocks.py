@@ -8,7 +8,7 @@ from eva import blocks as B
 from eva import scan
 from eva.config import EncoderConfig
 from eva.encoder import encode_sequence, encode_sequence_recurrent
-from eva.params import MvhsParams, init_block_params, init_encoder_params
+from eva.params import LN_EPS, MvhsParams, init_block_params, init_encoder_params
 from eva.runtime import _BlockRt
 from helpers import outer_chunk, randomize_params
 
@@ -511,6 +511,37 @@ def test_tm_output_zero_gate():
     bp.W_cv[...] = 0.0
     x = rng.normal(size=12)
     assert np.allclose(rt_one(bp, x, rng.normal(size=(2, 6, 6)))[0], x)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_layer_norm_matches_its_formula_and_the_gainless_path(dtype, tol):
+    rng = np.random.default_rng(18)
+    x = (3.0 + rng.normal(size=(2, 5, 3, 8))).astype(dtype)
+    dy = rng.normal(size=x.shape).astype(dtype)
+    g = rng.normal(size=8).astype(dtype)
+    b = rng.normal(size=8).astype(dtype)
+    x64, dy64, g64 = (a.astype(np.float64) for a in (x, dy, g))
+    xc = x64 - x64.mean(-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(-1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
+    dxh = dy64 * g64
+    dx_ref = inv * (dxh - dxh.mean(-1, keepdims=True)
+                    - xhat * (dxh * xhat).mean(-1, keepdims=True))
+
+    y, cache = B.ln_fwd(x, g, b)
+    dx, dg, db = B.ln_bwd(cache, dy)
+    for got, want in ((y, xhat * g64 + b), (dx, dx_ref), (dg, (dy64 * xhat).sum((0, 1, 2))),
+                      (db, dy64.sum((0, 1, 2)))):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    # without gain and bias: the unit-gain, zero-bias values, no dg or db
+    ones, zeros = np.ones(8, dtype), np.zeros(8, dtype)
+    yn, cache = B.ln_fwd(x)
+    assert np.array_equal(yn, B.ln_fwd(x, ones, zeros)[0])
+    dxn, dgn, dbn = B.ln_bwd(cache, dy)
+    assert dgn is None and dbn is None
+    assert np.array_equal(dxn, B.ln_bwd(B.ln_fwd(x, ones, zeros)[1], dy)[0])
 
 
 def test_tm_output_constant_head_normalizes_to_zero():

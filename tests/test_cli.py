@@ -127,14 +127,22 @@ def test_pretrain_cli(tmp_path):
     assert (run / "final.evaw").exists()
 
 
-def test_precision_env_override(monkeypatch, small_ckpt):
+def test_precision_env_override(monkeypatch, tmp_path, small_ckpt):
     from argparse import Namespace
+    from dataclasses import replace
     from eva.cli import _load_params
-    args = Namespace(checkpoint=small_ckpt)
+    f64_path = tmp_path / "model64.evaw"
+    save_checkpoint(f64_path, init_encoder_params(
+        replace(ENCODER_PROFILES["small"], precision="f64"), seed=0))
+    f64_args = Namespace(checkpoint=str(f64_path))
+    f32_args = Namespace(checkpoint=small_ckpt)
+    monkeypatch.delenv("EVA_PRECISION", raising=False)
+    assert _load_params(f64_args).dtype == np.float64  # the checkpoint's precision
+    assert _load_params(f32_args).dtype == np.float32
     monkeypatch.setenv("EVA_PRECISION", "f32")
-    assert _load_params(args).dtype == np.float32
-    monkeypatch.delenv("EVA_PRECISION")
-    assert _load_params(args).dtype == np.float64  # the profile's precision
+    assert _load_params(f64_args).dtype == np.float32
+    monkeypatch.setenv("EVA_PRECISION", "f64")
+    assert _load_params(f32_args).dtype == np.float64
 
 
 def test_serve_cli_subprocess(tmp_path, small_ckpt):
