@@ -37,7 +37,7 @@ def _geometry(arg: str | None, patch: int = 16) -> SensorGeometry | None:
 
 def _load_events(path: str, geometry: SensorGeometry | None):
     if path.endswith(".csv"):
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             events = parse_csv(fh, geometry)
         if geometry is None:
             raise SystemExit("--geometry HxW is required for CSV input")

@@ -1,14 +1,22 @@
 """Event tokenization and input embedding.
 
 An event's spatial component (x, y, p) maps bijectively onto an integer
-token in [0, 2*H*W); the token indexes a learnable table. Timing enters
-through a sinusoidal embedding of the inter-event gap in raw microseconds,
-summed onto the spatial row.
+token (p * H + y) * W + x in [0, 2*H*W); the token indexes a learnable
+table. Timing enters through a sinusoidal embedding of the inter-event gap
+in raw microseconds, summed onto the spatial row. Both are written only
+here, for the offline and live paths and the targets' (p, y, x) cells.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+
+def token_index(x, y, p, H: int, W: int):
+    """Unchecked token (p * H + y) * W + x, in int64, of scalars or arrays."""
+    return (np.asarray(p, np.int64) * H + y) * W + x
 
 
 def tok(x: int, y: int, p: int, H: int, W: int):
@@ -18,7 +26,7 @@ def tok(x: int, y: int, p: int, H: int, W: int):
         raise ValueError("coordinate out of bounds")
     if np.any((p != 0) & (p != 1)):
         raise ValueError("polarity outside {0,1}")
-    out = p.astype(np.int64) * (H * W) + y.astype(np.int64) * W + x.astype(np.int64)
+    out = token_index(x, y, p, H, W)
     return out if out.ndim else int(out)
 
 
@@ -34,30 +42,28 @@ def untok(token, H: int, W: int):
     return int(x), int(y), int(p)
 
 
-_FREQ_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _freq_ladder(D: int) -> tuple[np.ndarray, np.ndarray]:
-    if D not in _FREQ_CACHE:
-        k = np.arange(D, dtype=np.float64)
-        _FREQ_CACHE[D] = (1.0 / np.power(10000.0, 2.0 * k / D),
-                          (k.astype(np.int64) % 2 == 0))
-    return _FREQ_CACHE[D]
+    """1 / 10000^(2k/D) for the even k, then for the odd k."""
+    inv_freq = 1.0 / np.power(10000.0, 2.0 * np.arange(D, dtype=np.float64) / D)
+    return inv_freq[0::2].copy(), inv_freq[1::2].copy()
 
 
 def embed_temporal(dt, D: int, dtype=np.float64) -> np.ndarray:
     """Sinusoidal embedding of a microsecond gap.
 
     Component k is sin(dt / 10000^(2k/D)) for even k and
-    cos(dt / 10000^(2k/D)) for odd k.
+    cos(dt / 10000^(2k/D)) for odd k; each is evaluated only where it is
+    kept.
     """
     if D % 2:
         raise ValueError("D must be even")
-    inv_freq, even = _freq_ladder(D)
-    dt = np.asarray(dt, dtype=np.float64)
-    angles = dt[..., None] * inv_freq
-    out = np.where(even, np.sin(angles), np.cos(angles))
-    return out.astype(dtype)
+    f_even, f_odd = _freq_ladder(D)
+    dt = np.asarray(dt, dtype=np.float64)[..., None]
+    out = np.empty(dt.shape[:-1] + (D,), dtype)
+    out[..., 0::2] = np.sin(dt * f_even)
+    out[..., 1::2] = np.cos(dt * f_odd)
+    return out
 
 
 def init_embedding_table(vocab: int, D: int, rng: np.random.Generator,
@@ -78,10 +84,6 @@ def event_to_token_dt(events: np.ndarray, H: int, W: int, prev_t: int | None = N
     The first gap is 0 when prev_t is None (stream start), otherwise
     t[0] - prev_t.
     """
-    tokens = tok(events["x"], events["y"], events["p"], H, W)
     t = events["t"].astype(np.int64)
-    if len(t) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    base = t[0] if prev_t is None else prev_t
-    dts = np.diff(t, prepend=base)
-    return np.asarray(tokens, dtype=np.int64), dts
+    dts = np.diff(t, prepend=t[:1] if prev_t is None else prev_t)
+    return tok(events["x"], events["y"], events["p"], H, W), dts

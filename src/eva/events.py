@@ -49,6 +49,13 @@ class SensorGeometry:
     def n_patches(self) -> int:
         return self.grid_rows * self.grid_cols
 
+    def locate(self, x, y):
+        """(patch id, local x, local y) of pixels (x, y), scalars or arrays:
+        patch (row, col) has id row * grid_cols + col; local is modulo patch."""
+        qy, ly = divmod(y, self.patch)
+        qx, lx = divmod(x, self.patch)
+        return qy * self.grid_cols + qx, lx, ly
+
 
 @dataclass
 class Sample:
@@ -97,18 +104,23 @@ def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) 
 # ---------------------------------------------------------------------------
 
 def parse_csv(reader, geometry: SensorGeometry | None = None) -> np.ndarray:
-    """Parse `t,x,y,p` lines into an event array.
+    """Parse `t,x,y,p` lines (a str, bytes, or a text or binary file)
+    into an event array.
 
     A header is detected by a non-numeric first field. Raises
-    EventFormatError with a line number on malformed rows, decreasing
-    timestamps, or out-of-range fields.
+    EventFormatError with a line number on malformed rows, bytes that are
+    not UTF-8, decreasing timestamps, or fields out of range (of the
+    geometry, or of the event fields' types).
     """
     if isinstance(reader, (str, bytes)):
-        reader = io.StringIO(reader if isinstance(reader, str) else reader.decode())
+        reader = io.StringIO(reader) if isinstance(reader, str) else io.BytesIO(reader)
     rows: list[tuple[int, int, int, int]] = []
     prev_t = None
     for lineno, line in enumerate(reader, start=1):
-        line = line.strip()
+        try:
+            line = (line.decode() if isinstance(line, bytes) else line).strip()
+        except UnicodeDecodeError:
+            raise EventFormatError(f"line {lineno}: not UTF-8") from None
         if not line:
             continue
         parts = line.split(",")
@@ -122,20 +134,19 @@ def parse_csv(reader, geometry: SensorGeometry | None = None) -> np.ndarray:
             t, x, y, p = (int(s.strip()) for s in parts)
         except ValueError as exc:
             raise EventFormatError(f"line {lineno}: {exc}") from None
-        if t < 0:
-            raise EventFormatError(f"line {lineno}: negative timestamp")
+        if not 0 <= t < 2 ** 63:
+            raise EventFormatError(f"line {lineno}: timestamp {t} outside int64 or negative")
         if prev_t is not None and t < prev_t:
             raise EventFormatError(f"line {lineno}: non-monotonic timestamp")
         if p not in (0, 1):
             raise EventFormatError(f"line {lineno}: polarity {p} outside {{0,1}}")
         if geometry is not None and not (0 <= x < geometry.width and 0 <= y < geometry.height):
             raise EventFormatError(f"line {lineno}: coordinate ({x},{y}) out of range")
+        if not (-2 ** 31 <= x < 2 ** 31 and -2 ** 31 <= y < 2 ** 31):
+            raise EventFormatError(f"line {lineno}: coordinate ({x},{y}) beyond int32")
         rows.append((t, x, y, p))
         prev_t = t
-    if not rows:
-        return empty_events()
-    arr = np.array(rows, dtype=np.int64)
-    return make_events(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+    return np.array(rows, dtype=EVENT_DTYPE)
 
 
 def write_csv(events: np.ndarray, writer) -> None:
@@ -149,45 +160,61 @@ def write_csv(events: np.ndarray, writer) -> None:
 # Timestamps are stream-relative: the first record carries dt=0, so unpack
 # rebuilds absolute t from base 0. dt saturates at 65535 us: a longer gap
 # reads back shortened to 65535 us, so `write_binary_file` returns the
-# number of saturated records and `eva convert` prints it.
+# number of saturated records and `eva convert` prints it. The server's
+# INGEST frames carry the same records (`decode_records`).
 # ---------------------------------------------------------------------------
 
 def _gaps(events: np.ndarray) -> np.ndarray:
     return np.diff(events["t"], prepend=events["t"][:1])
 
 
-def pack_binary(events: np.ndarray) -> bytes:
-    if len(events) == 0:
-        return b""
-    dt = np.minimum(_gaps(events), 0xFFFF)
-    rec = np.empty((len(events), 4), dtype="<u2")
-    rec[:, 0] = dt
-    rec[:, 1] = events["x"]
-    rec[:, 2] = events["y"]
-    rec[:, 3] = events["p"]
-    return rec.tobytes()
-
-
-def unpack_binary(data: bytes, geometry: SensorGeometry | None = None) -> np.ndarray:
+def decode_records(data, t0: int) -> np.ndarray:
+    """Events of the packed records `data` on absolute times t0 + cumsum(dt).
+    Unchecked but for the length: a polarity above 1 is clipped to 2, which
+    stays out of range in the int8 field instead of wrapping to a valid one."""
     if len(data) % RECORD_BYTES:
         raise EventFormatError(f"byte length {len(data)} not a multiple of {RECORD_BYTES}")
     rec = np.frombuffer(data, dtype="<u2").reshape(-1, 4)
-    if np.any(rec[:, 3] > 1):  # checked before the int8 field could wrap it
-        raise EventFormatError("polarity outside {0, 1}")
-    ev = make_events(np.cumsum(rec[:, 0].astype(np.int64)), rec[:, 1], rec[:, 2], rec[:, 3])
+    ev = np.empty(len(rec), dtype=EVENT_DTYPE)
+    ev["t"] = np.cumsum(rec[:, 0], dtype=np.int64) + t0
+    ev["x"], ev["y"] = rec[:, 1], rec[:, 2]
+    ev["p"] = np.minimum(rec[:, 3], 2)
+    return ev
+
+
+def pack_binary(events: np.ndarray) -> bytes:
+    """Records of `events`, whose gaps saturate at 65535 us. Raises
+    EventFormatError for decreasing timestamps or for a coordinate or
+    polarity outside the u16 range of a record."""
+    if len(events) == 0:
+        return b""
+    rec = np.stack([np.minimum(_gaps(events), 0xFFFF), events["x"], events["y"], events["p"]], 1)
+    bad = (rec.min(0) < 0) | (rec.max(0) > 0xFFFF)
+    if bad.any():
+        field = ("dt", "x", "y", "p")[bad.argmax()]
+        raise EventFormatError(f"{field} outside the u16 range of a record")
+    return rec.astype("<u2").tobytes()
+
+
+def unpack_binary(data: bytes, geometry: SensorGeometry | None = None) -> np.ndarray:
+    ev = decode_records(data, 0)
     if len(ev):
-        ev["t"] -= rec[0, 0]  # first record's dt is a base offset of zero
+        ev["t"] -= ev["t"][0]  # first record's dt is a base offset of zero
     validate_events(ev, geometry)
     return ev
 
 
 def write_binary_file(path, events: np.ndarray, geometry: SensorGeometry) -> int:
     """Write a `.evt` file; returns the number of records whose gap
-    saturated at 65535 us."""
+    saturated at 65535 us. Raises EventFormatError, before the file is
+    opened, for a sensor side or an event the format cannot hold."""
+    if max(geometry.height, geometry.width) > 0xFFFF:
+        raise EventFormatError(f"sensor size {geometry.height}x{geometry.width} beyond u16")
+    records = pack_binary(events)
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(np.array([geometry.height, geometry.width], dtype="<u2").tobytes())
-        fh.write(pack_binary(events))
+        fh.write(records)
     return int(np.count_nonzero(_gaps(events) > 0xFFFF))
 
 
@@ -242,15 +269,11 @@ def partition_patches(events: np.ndarray, geometry: SensorGeometry) -> dict[tupl
     out: dict[tuple[int, int], np.ndarray] = {}
     if len(events) == 0:
         return out
-    P = geometry.patch
-    rows = events["y"] // P
-    cols = events["x"] // P
-    pid = rows * geometry.grid_cols + cols
+    pid, lx, ly = geometry.locate(events["x"], events["y"])
     for u in np.unique(pid):
         mask = pid == u
-        local = events[mask].copy()
-        local["x"] %= P
-        local["y"] %= P
+        local = events[mask]
+        local["x"], local["y"] = lx[mask], ly[mask]
         out[divmod(int(u), geometry.grid_cols)] = local
     return out
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import snapshots as SN
 from .blocks import BlockState
+from .embedding import token_index
 from .encoder import EncoderState, encode_events
 from .events import SensorGeometry, partition_patches
 from .mvhs import MvhsState
@@ -62,8 +63,8 @@ class FrameSnapshot:
 class A2SPipeline:
     """Live per-patch recurrent encoding with on-demand snapshots.
 
-    Patch (r, c) is row r * grid_cols + c of the stacked state
-    (`_state`, a batched `EncoderState` viewing the stores). `threads` is
+    A patch's id from `SensorGeometry.locate` is its row of the stacked
+    state (`_state`, a batched `EncoderState` viewing the stores). `threads` is
     accepted for compatibility and ignored: waves batch the patches in one
     thread."""
 
@@ -75,7 +76,7 @@ class A2SPipeline:
         self.geometry = geometry
         self.runtime = EncoderRuntime(params)
         cfg = params.config
-        n = geometry.grid_rows * geometry.grid_cols
+        n = geometry.n_patches
         self._S = np.zeros((cfg.n_blocks * cfg.d_head ** 2, n, cfg.n_heads), params.dtype)
         self._S_mvhs = np.zeros((cfg.mvhs_d_head ** 2, n, cfg.mvhs_heads), params.dtype)
         self._vec = np.zeros((n, (2 * cfg.n_blocks + 1) * cfg.d_model), params.dtype)
@@ -96,9 +97,8 @@ class A2SPipeline:
             with self._lock:
                 self.out_of_bounds += 1
             return False
-        P = g.patch
-        pid = (y // P) * g.grid_cols + x // P
-        token = p * P * P + (y % P) * P + x % P
+        pid, lx, ly = g.locate(x, y)
+        token = token_index(lx, ly, p, g.patch, g.patch)
         with self._lock:
             return self._run(np.array([pid]), np.array([token]), np.array([t]), [1]) == 1
 
@@ -110,16 +110,13 @@ class A2SPipeline:
         valid = (x >= 0) & (x < g.width) & (y >= 0) & (y < g.height) & (p >= 0) & (p <= 1)
         if not valid.all():
             events = events[valid]
-            x, y, p = events["x"], events["y"], events["p"]
             with self._lock:
                 self.out_of_bounds += len(valid) - len(events)
-        n, P = len(events), g.patch
+        n = len(events)
         if not n:
             return 0, len(valid)
-        qy, ry = np.divmod(y.astype(np.int64), P)
-        qx, rx = np.divmod(x.astype(np.int64), P)
-        pid = qy * g.grid_cols + qx
-        tok = p.astype(np.int64) * (P * P) + ry * P + rx
+        pid, lx, ly = g.locate(events["x"], events["y"])
+        tok = token_index(lx, ly, events["p"], g.patch, g.patch)
         # wave k holds the k-th event of every patch that has one. Rank each
         # event within its patch (its index minus that of its patch's first
         # event, in patch order) and give the patches slots by descending

@@ -3,10 +3,11 @@
 This is the only recurrent implementation. Every step takes a leading
 batch axis: B independent streams (tokens and gaps of shape (B,), states
 whose arrays are (B, ...)) advance by one event each, through one numpy
-call per op. Serving batches the k-th pending event of every active
-patch into one step (`pipeline.A2SPipeline`); `encoder.encode_sequence_
-recurrent` steps with B = 1 as the mode-equivalence reference for the
-chunked-parallel `encoder.encode_sequence`.
+call per op, from the chunked path's input embedding (the table row plus
+`embedding.embed_temporal`). Serving batches the k-th pending event of
+every active patch into one step (`pipeline.A2SPipeline`); `encoder.
+encode_sequence_recurrent` steps with B = 1 as the mode-equivalence
+reference for the chunked-parallel `encoder.encode_sequence`.
 
 One token-shift front end, `_Front`, serves the block (paths r, k, v, g)
 and the matrix-state layer (paths k, v): the mixes and the decay share
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .blocks import _D_CAP
-from .embedding import _freq_ladder
+from .embedding import embed_temporal
 from .params import LN_EPS, BlockParams, EncoderParams, MvhsParams
 
 if TYPE_CHECKING:
@@ -196,19 +197,15 @@ class EncoderRuntime:
         self.params = params
         self.blocks = [_BlockRt(bp, cfg.n_heads) for bp in params.blocks]
         self.mvhs = _MvhsRt(params.mvhs, cfg.mvhs_heads, cfg.mvhs_d_head)
-        self.inv_freq, self.even = _freq_ladder(cfg.d_model)
         self.ln0 = _LayerNorm(params.ln0_g, params.ln0_b)
-        self.dtype = params.dtype
 
     def step(self, state: EncoderState, tokens, dts) -> np.ndarray | None:
         """Absorb token `tokens[i]` with gap `dts[i]` into row i of the
         batched `state`, in place. Returns None when every row's update was
         finite, else the (B,) mask of the rows whose update was not: their
         block and MVHS state is zeroed and their event_index left as it was."""
-        p = self.params
-        angles = dts[:, None] * self.inv_freq
-        temporal = np.where(self.even, np.sin(angles), np.cos(angles))
-        x = p.embed.take(tokens, 0) + temporal.astype(self.dtype)
+        embed = self.params.embed
+        x = embed.take(tokens, 0) + embed_temporal(dts, embed.shape[1], embed.dtype)
         h = self.ln0(x)
         for blk, bs in zip(self.blocks, state.blocks):
             h = blk.step(h, bs)

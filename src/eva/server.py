@@ -2,10 +2,10 @@
 
 Frames are `opcode u8 | payload length u32 LE | payload`:
 
-  0x01 INGEST    payload = packed 8-byte event records (dt, x, y, p as
-                 u16 LE). dt accumulates onto a per-connection running
-                 timestamp, across frames. Reply: INGEST frame with
-                 u64 accepted, u64 rejected.
+  0x01 INGEST    payload = the `.evt` file's 8-byte event records (dt, x,
+                 y, p as u16 LE; `events.decode_records`). dt accumulates
+                 onto a per-connection running timestamp, across frames.
+                 Reply: INGEST frame with u64 accepted, u64 rejected.
   0x02 SNAPSHOT  payload empty for the full frame, or u16 row + u16 col
                  for one patch. Reply: SNAPSHOT frame with an `EVAR`
                  container.
@@ -16,7 +16,8 @@ Frames are `opcode u8 | payload length u32 LE | payload`:
 INGEST ordering is guaranteed only within a connection. Out-of-order
 events (per patch) are dropped and counted, never fatal. Each INGEST
 frame goes to the pipeline as one `ingest_events` batch, so its events
-are stepped in waves across patches.
+are stepped in waves across patches; records out of the sensor's bounds
+(a polarity above 1 included) are counted there, not here.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import socketserver
 import struct
 import threading
 
-import numpy as np
-
 from . import snapshots as SN
 from .config import format_kv_text, parse_kv_text
-from .events import EVENT_DTYPE, RECORD_BYTES
+from .events import EventFormatError, decode_records
 from .pipeline import A2SPipeline
 
 log = logging.getLogger(__name__)
@@ -75,18 +74,6 @@ def write_frame(sock, op: int, payload: bytes = b"") -> None:
     sock.sendall(_HEAD.pack(op, len(payload)) + payload)
 
 
-def _records_to_events(payload, t_cursor: int) -> np.ndarray:
-    """Decode INGEST records onto absolute times t_cursor + cumsum(dt). A
-    polarity above 1 is clipped to 2, which stays out of bounds in the
-    int8 field instead of wrapping to a valid one."""
-    rec = np.frombuffer(payload, dtype="<u2").reshape(-1, 4).astype(np.int64)
-    ev = np.empty(len(rec), dtype=EVENT_DTYPE)
-    ev["t"] = t_cursor + np.cumsum(rec[:, 0])
-    ev["x"], ev["y"] = rec[:, 1], rec[:, 2]
-    ev["p"] = np.minimum(rec[:, 3], 2)
-    return ev
-
-
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         self.t_cursor = 0  # running absolute time for this connection's records
@@ -110,10 +97,11 @@ class _Handler(socketserver.BaseRequestHandler):
         """Answer one request; False once the connection must close."""
         pipe: A2SPipeline = self.server.pipeline
         if op == OP_INGEST:
-            if len(payload) % RECORD_BYTES:
-                self._error(f"INGEST payload not a multiple of {RECORD_BYTES}")
+            try:
+                events = decode_records(payload, self.t_cursor)
+            except EventFormatError as exc:
+                self._error(f"INGEST payload: {exc}")
                 return False
-            events = _records_to_events(payload, self.t_cursor)
             if len(events):  # out-of-bounds records advance the cursor too
                 self.t_cursor = int(events["t"][-1])
             accepted, rejected = pipe.ingest_events(events)
@@ -198,9 +186,7 @@ class EvaClient:
         return struct.unpack("<QQ", payload)
 
     def snapshot(self, patch: tuple[int, int] | None = None) -> SN.Snapshot:
-        payload = struct.pack("<HH", *patch) if patch else b""
-        _, data = self._roundtrip(OP_SNAPSHOT, payload)
-        return SN.load_snapshot(data)
+        return SN.load_snapshot(self.snapshot_bytes(patch))
 
     def snapshot_bytes(self, patch: tuple[int, int] | None = None) -> bytes:
         payload = struct.pack("<HH", *patch) if patch else b""

@@ -1,7 +1,7 @@
 """Handcrafted event representations: event counts (EC) and time surfaces (TS).
 
 Both are 2-channel (per-polarity) P x P images over patch-local events,
-returned as (2, P, P) float64 arrays.
+returned as (2, P, P) float64 arrays; an event's flat cell is its token.
 EC counts events per pixel inside a closed time window [t_s, t_e]; TS is
 exp((t_last - t_ref) / tau) of the most recent event per pixel (0 where a
 pixel never fired). Batch and streaming forms agree exactly; they serve as
@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+
+from .embedding import token_index
 
 
 def event_count(events: np.ndarray, t_s: int, t_e: int, P: int) -> np.ndarray:
@@ -113,11 +115,6 @@ def quantize_repr(values: np.ndarray, scale: float = 0.125) -> np.ndarray:
 # Target construction for training samples
 # ---------------------------------------------------------------------------
 
-def _pixel_index(events: np.ndarray, P: int) -> np.ndarray:
-    """Flat index of each event's (p, y, x) cell in a (2, P, P) image."""
-    return (events["p"].astype(np.int64) * P + events["y"]) * P + events["x"]
-
-
 def chunk_targets(spec, input_events: np.ndarray, future_events: np.ndarray,
                   chunk_ends, P: int) -> np.ndarray:
     """Target image per chunk end, stacked (K, 2, P, P).
@@ -142,7 +139,8 @@ def chunk_targets(spec, input_events: np.ndarray, future_events: np.ndarray,
         chunk_of = np.searchsorted(ends, np.arange(len(t)), side="right")
         seen = chunk_of < K
         last = np.full((K, n_cells), -1, dtype=np.int64)
-        np.maximum.at(last, (chunk_of[seen], _pixel_index(input_events, P)[seen]), t[seen])
+        cell = token_index(input_events["x"], input_events["y"], input_events["p"], P, P)
+        np.maximum.at(last, (chunk_of[seen], cell[seen]), t[seen])
         np.maximum.accumulate(last, axis=0, out=last)
         img = np.where(last >= 0, np.exp((last - t_end[:, None]) / float(spec.tau_us)), 0.0)
         return img.reshape(K, 2, P, P)
@@ -161,5 +159,6 @@ def chunk_targets(spec, input_events: np.ndarray, future_events: np.ndarray,
     te = events["t"][None, :]
     member &= (te >= lo[:, None]) & (te <= hi[:, None])
     j, i = np.nonzero(member)
-    counts = np.bincount(j * n_cells + _pixel_index(events, P)[i], minlength=K * n_cells)
+    cell = token_index(events["x"], events["y"], events["p"], P, P)
+    counts = np.bincount(j * n_cells + cell[i], minlength=K * n_cells)
     return counts.reshape(K, 2, P, P).astype(np.float64)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from eva import blocks as B
 from eva import mvhs as M
 from eva.config import ENCODER_PROFILES, EncoderConfig, TargetSpec, TrainConfig
+from eva.embedding import embed_events
 from eva.encoder import (EncoderState, backward_train, encode_sequence,
                          encode_sequence_recurrent, forward_train)
 from eva.params import init_encoder_params
@@ -255,3 +256,22 @@ def test_runtime_step_ignores_state_strides(params, dtype, tol):
     for a, b in zip(inner.tensors(), c_order.tensors()):
         assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
     assert np.array_equal(inner.event_index, c_order.event_index)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_runtime_input_embedding_is_embed_events(params, dtype):
+    # the live path's embedding of a (token, gap) is the offline path's,
+    # bit for bit, at the gaps a record can carry and between them
+    p = params.astype(dtype)
+    rt = EncoderRuntime(p)
+    seen = []
+    ln0 = rt.ln0
+    rt.ln0 = lambda x: (seen.append(x.copy()), ln0(x))[1]
+    rng = np.random.default_rng(33)
+    dts = np.concatenate([[0, 1, 65535], rng.integers(0, 1 << 20, size=13)])
+    tokens = rng.integers(0, CFG.vocab, size=len(dts))
+    state = EncoderState.zeros(CFG, dtype).rows(None).rows(np.zeros(len(dts), np.intp))
+    rt.step(state, tokens, dts)
+    want = embed_events(tokens, dts, p.embed)
+    assert seen[0].dtype == want.dtype == dtype
+    assert np.array_equal(seen[0], want)

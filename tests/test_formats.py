@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -10,7 +11,8 @@ from eva.checkpoint import (CheckpointError, dump_tensors, load_checkpoint,
 from eva.config import (ENCODER_PROFILES, encoder_config_from_kv,
                         format_kv_text, parse_kv_text)
 from eva.events import (BINARY_MAGIC, EventFormatError, SensorGeometry, make_events,
-                        pack_binary, read_binary_file, unpack_binary, write_binary_file)
+                        pack_binary, parse_csv, read_binary_file, unpack_binary,
+                        write_binary_file, write_csv)
 from eva.params import init_encoder_params, named_arrays
 from eva.snapshots import (KIND_EC, KIND_QUANT, KIND_REPR, KIND_TS, MAGIC,
                            SnapshotError, dump_snapshot, load_snapshot)
@@ -222,6 +224,58 @@ def test_event_bytes_parse_or_raise_event_format_error(tmp_path_factory, data):
             continue
         assert np.all(np.diff(events["t"]) >= 0) and np.all(events["p"] <= 1)
         assert pack_binary(events) == _first_gap_zeroed(records)
+
+
+_CSV_INT = st.one_of(st.integers(-3, 300), st.integers(-2 ** 70, 2 ** 70))
+_CSV_ROWS = st.lists(st.lists(_CSV_INT, min_size=3, max_size=5), max_size=8).map(
+    lambda rows: "\n".join(",".join(map(str, r)) for r in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), st.text(max_size=64), _CSV_ROWS,
+                 _CSV_ROWS.map(lambda text: text.encode() + b"\xff")),
+       st.sampled_from([None, SensorGeometry(200, 100)]))
+def test_parse_csv_parses_or_raises_event_format_error(data, geometry):
+    try:
+        events = parse_csv(data, geometry)
+    except EventFormatError:
+        return
+    # what parses is held exactly: written back, it parses to the same events
+    buf = io.StringIO()
+    write_csv(events, buf)
+    assert np.array_equal(parse_csv(buf.getvalue(), geometry), events)
+    assert np.all(np.diff(events["t"]) >= 0) and np.all((events["p"] == 0) | (events["p"] == 1))
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"0,1,2,1\n5,1,\xff,0\n", "line 2: not UTF-8"),
+    ("0,1,2,1\n9223372036854775808,1,2,0", "line 2: timestamp"),
+    ("0,4294967297,2,1", "line 1: coordinate"),
+    ("0,1,-2147483649,1", "line 1: coordinate"),
+])
+def test_parse_csv_rejects_what_the_fields_cannot_hold(data, match):
+    with pytest.raises(EventFormatError, match=match):
+        parse_csv(data)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("x", 70_000, "x"), ("y", 65_536, "y"), ("p", -1, "p"), ("t", -5, "dt")])
+def test_pack_binary_rejects_what_a_record_cannot_hold(field, value, named):
+    ev = make_events([0, 10], [1, 2], [3, 4], [0, 1])
+    ev[field][1] = value
+    with pytest.raises(EventFormatError, match=f"^{named} "):
+        pack_binary(ev)
+
+
+def test_write_binary_file_rejects_before_opening(tmp_path):
+    path = tmp_path / "big.evt"
+    ev = make_events([0], [1], [2], [1])
+    with pytest.raises(EventFormatError, match="sensor size"):
+        write_binary_file(path, ev, SensorGeometry(10, 65_536))
+    ev["x"] = 70_000
+    with pytest.raises(EventFormatError, match="x "):
+        write_binary_file(path, ev, SensorGeometry(10, 10))
+    assert not path.exists()
 
 
 def test_snapshot_roundtrip_f32():

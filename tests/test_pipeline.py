@@ -455,3 +455,28 @@ def test_out_of_order_has_its_own_key(small_params):
         assert stats["events_rejected"] == 4
         assert stats["events_ingested"] + stats["events_out_of_order"] + \
             stats["events_nonfinite"] + stats["events_out_of_bounds"] == len(ev)
+
+
+def test_locate_agrees_with_partition_and_tile_placement(small_params):
+    # a ragged 3 x 4 grid: neither side is a multiple of the patch, and the
+    # rows and columns differ in number, so a transposed id shows
+    geom = SensorGeometry(20, 28, 8)
+    assert geom.locate(27, 19) == (11, 3, 3)
+    rng = np.random.default_rng(11)
+    ys, xs = np.divmod(rng.permutation(20 * 28), 28)
+    ev = make_events(np.arange(len(xs)) * 10, xs, ys, rng.integers(0, 2, len(xs)))
+    pid, lx, ly = geom.locate(ev["x"], ev["y"])
+    parts = partition_patches(ev, geom)
+    assert sorted(parts) == [divmod(int(u), geom.grid_cols) for u in np.unique(pid)]
+    for (r, c), local in parts.items():
+        mine = pid == r * geom.grid_cols + c
+        assert np.array_equal(local["x"], lx[mine]) and np.array_equal(local["y"], ly[mine])
+        assert np.array_equal(local["t"], ev["t"][mine])
+    pipe = A2SPipeline(small_params, geom)
+    assert pipe.ingest_events(ev[:300]) == (300, 0)
+    for e in ev[300:]:
+        assert pipe.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"]))
+    live = pipe.snapshot()
+    _, offline = encode_offline(small_params, ev, geom)[-1]
+    assert np.array_equal(live.watermarks, offline.watermarks)
+    assert np.allclose(live.values, offline.values, rtol=1e-6, atol=1e-9)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eva.config import EncoderConfig
-from eva.events import SensorGeometry, pack_binary, synth_generate
+from eva.events import (EventFormatError, SensorGeometry, decode_records, pack_binary,
+                        synth_generate, unpack_binary)
 from eva.params import init_encoder_params
 from eva.pipeline import A2SPipeline, encode_offline
 from eva.server import (MAX_PAYLOAD, OP_ERROR, OP_INGEST, EvaClient, EvaServer,
@@ -244,3 +245,36 @@ def test_read_frame_parses_or_raises_value_error(data, chunks):
     else:
         assert frame[0] == op
         assert len(frame[1]) == length and bytes(frame[1]) == data[5:5 + length]
+
+
+def test_wire_and_file_decoders_agree(server):
+    # the same records, read as one file body and sent as INGEST frames with
+    # the cursor carried across them, give the same events up to the base
+    # offset; a polarity of 2 or more is rejected by both, never wrapped
+    rng = np.random.default_rng(12)
+    n = 40
+    rec = np.stack([rng.integers(0, 3000, n), rng.integers(0, 16, n),
+                    rng.integers(0, 16, n), rng.integers(0, 2, n)], 1).astype("<u2")
+    rec[0, 0] = 700  # a file reads its first gap as the base; the wire adds it
+    file_ev = unpack_binary(rec.tobytes())
+    wire_ev = decode_records(rec.tobytes(), 5)
+    assert np.array_equal(wire_ev["t"] - wire_ev["t"][0], file_ev["t"])
+    for name in "xyp":
+        assert np.array_equal(wire_ev[name], file_ev[name])
+    bad = np.array([5, 17, 31])
+    rec[bad, 3] = [2, 256, 65535]
+    with pytest.raises(EventFormatError, match="polarity"):
+        unpack_binary(rec.tobytes())
+    wire_bad = decode_records(rec.tobytes(), 5)
+    assert np.array_equal(wire_bad["p"][bad], [2, 2, 2])
+    assert np.array_equal(np.delete(wire_bad, bad), np.delete(wire_ev, bad))
+    host, port = server.address
+    with EvaClient(host, port) as client:
+        replies = [client.ingest_records(part.tobytes()) for part in np.split(rec, [9, 10, 26])]
+        snap = client.snapshot()
+    assert [sum(r) for r in zip(*replies)] == [n - len(bad), len(bad)]
+    ref = A2SPipeline(server.pipeline.params, GEOM)
+    assert ref.ingest_events(decode_records(rec.tobytes(), 0)) == (n - len(bad), len(bad))
+    want = ref.snapshot()  # stepped in other waves, so equal to rounding
+    assert np.array_equal(snap.patch_watermarks, want.watermarks)
+    assert np.allclose(snap.values, want.values, rtol=1e-5, atol=1e-6)
