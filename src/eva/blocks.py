@@ -12,14 +12,14 @@ normalized read-out with SiLU(g) before the output projection. CM is the
 squared-ReLU feed-forward with a sigmoid gate.
 
 This module holds the chunked-parallel form used for training and offline
-encoding, and the per-stream `BlockState`. Each forward function returns
-its outputs and a cache slot for the hand-derived backward pass, None
-unless asked for with `want_cache`; the scan underneath runs in outer
-chunks of `scan.DEFAULT_CHUNK` tokens. `mix_fwd`/`mix_bwd` (ddlerp, LoRA
-paths, decay) are shared with the matrix-state layer `mvhs`, and the
-per-head norm is `ln_fwd`/`ln_bwd` without gain or bias. The
-event-by-event form of the block is `runtime._BlockRt`; the two agree up
-to rounding.
+encoding, and `BlockState`, the record of a block's state arrays. Each
+forward function returns its outputs and a cache slot for the
+hand-derived backward pass, None unless asked for with `want_cache`; the
+scan underneath runs in outer chunks of `scan.DEFAULT_CHUNK` tokens.
+`mix_fwd`/`mix_bwd` (ddlerp, LoRA paths, decay) are shared with the
+matrix-state layer `mvhs`, and the per-head norm is `ln_fwd`/`ln_bwd`
+without gain or bias. The event-by-event form of the block is
+`runtime._BlockRt`; the two agree up to rounding.
 """
 
 from __future__ import annotations
@@ -29,36 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scan
-from .config import EncoderConfig
 from .params import LN_EPS, BlockParams
-
-
-def matrix_state_zeros(n_heads: int, d_head: int, dtype) -> np.ndarray:
-    """Zero matrix states (N, Dh, Dh), stored heads-innermost: a view of
-    (Dh, Dh, N) memory, the order `runtime` steps in (see there)."""
-    return np.zeros((d_head, d_head, n_heads), dtype).transpose(2, 0, 1)
 
 
 @dataclass
 class BlockState:
-    """Recurrent state of one block for one stream. `zeros` stores S
-    heads-innermost and `copy` keeps whatever memory order S has."""
+    """The recurrent state arrays of one block, for one stream or, with a
+    leading batch axis, for B streams. A plain record: `encoder.EncoderState`
+    allocates the state and builds one over views of its stores."""
 
     S: np.ndarray        # (N, Dh, Dh)
     tm_prev: np.ndarray  # (D,) last normalized TM input
     cm_prev: np.ndarray  # (D,) last normalized CM input
-
-    @classmethod
-    def zeros(cls, cfg: EncoderConfig, dtype=None) -> "BlockState":
-        dtype = dtype or cfg.dtype
-        return cls(
-            S=matrix_state_zeros(cfg.n_heads, cfg.d_head, dtype),
-            tm_prev=np.zeros(cfg.d_model, dtype),
-            cm_prev=np.zeros(cfg.d_model, dtype),
-        )
-
-    def copy(self) -> "BlockState":
-        return BlockState(self.S.copy(order="K"), self.tm_prev.copy(), self.cm_prev.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,17 @@ The training path (`forward_train` / `backward_train`) runs the parallel
 form with caches and returns exact reverse-mode gradients for every
 parameter as a flat named dict matching `params.named_arrays`. Both
 chunked paths are one walk of the stack, `_forward`, on a batched state.
+
+`EncoderState` is the recurrent state of one stream or of a batch, and
+the only code that knows its memory layout: it allocates, copies, gathers
+and scatters the stores that every other module reads through its
+`blocks` and `mvhs` views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,33 +34,55 @@ from .runtime import EncoderRuntime
 
 @dataclass
 class EncoderState:
-    """Recurrent state of one stream. The same container holds a batch of
-    streams (every array with a leading batch axis, last_t and event_index
-    as (B,) int64 arrays) for `runtime.EncoderRuntime`; `rows` makes one
-    from the other.
+    """Recurrent state of one stream, or of a batch of B streams, and the
+    one owner of its memory layout. Three stores hold every state array:
 
-    The matrix states (each block's S and the MVHS S) have the shape
-    (N, Dh, Dh), or (B, N, Dh, Dh) batched, but `zeros` stores them
-    heads-innermost, in memory order (Dh, Dh, N) or (Dh, Dh, B, N), and
-    `copy` and `rows` keep that order. `runtime` steps every per-head op
-    over the B * N contiguous floats of one (i, j) entry instead of one
-    8-long row at a time. States with other strides step correctly,
-    only slower."""
+      S       each block's matrix state, (n_blocks, Dh, Dh, [B,] N);
+      S_mvhs  the MVHS matrix state, (Dm, Dm, [B,] Nm);
+      vec     ([B,] 2 * n_blocks + 1, D): each block's tm_prev and cm_prev,
+              then the MVHS prev.
 
-    blocks: list
-    mvhs: M.MvhsState
-    last_t: int = -1      # timestamp of last absorbed event (-1: none yet)
-    event_index: int = 0  # events absorbed
+    last_t (timestamp of the last absorbed event, -1 before the first) and
+    event_index (events absorbed) are ints for one stream and (B,) int64
+    arrays for a batch. `blocks` and `mvhs` are `BlockState`/`MvhsState`
+    views of the stores, built once; their matrix states have the shape
+    ([B,] N, Dh, Dh), and writing to them writes the stores.
+
+    The matrix states are stored heads-innermost, so `runtime` steps every
+    per-head op over the B * N contiguous floats of one (i, j) entry
+    instead of one 8-long row at a time. States with other strides step
+    correctly, only slower."""
+
+    S: np.ndarray
+    S_mvhs: np.ndarray
+    vec: np.ndarray
+    last_t: int | np.ndarray = -1
+    event_index: int | np.ndarray = 0
+    blocks: list = field(init=False, repr=False)
+    mvhs: M.MvhsState = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # transposes, not np.moveaxis, whose Python-level checks tripled the
+        # cost of a pipeline wave's `rows` slice (5.5 -> 16 us, dvs, 63 rows)
+        nd = self.S_mvhs.ndim
+        S = self.S.transpose(0, *range(3, nd + 1), 1, 2)
+        vecs = self.vec.swapaxes(0, -2)
+        self.blocks = [B.BlockState(S[i], vecs[2 * i], vecs[2 * i + 1]) for i in range(len(S))]
+        self.mvhs = M.MvhsState(self.S_mvhs.transpose(*range(2, nd), 0, 1), vecs[-1])
 
     @classmethod
     def zeros(cls, cfg: EncoderConfig, dtype=None) -> "EncoderState":
-        return cls(blocks=[B.BlockState.zeros(cfg, dtype) for _ in range(cfg.n_blocks)],
-                   mvhs=M.MvhsState.zeros(cfg, dtype))
+        dtype = dtype or cfg.dtype
+        Dh, Dm = cfg.d_head, cfg.mvhs_d_head
+        return cls(np.zeros((cfg.n_blocks, Dh, Dh, cfg.n_heads), dtype),
+                   np.zeros((Dm, Dm, cfg.mvhs_heads), dtype),
+                   np.zeros((2 * cfg.n_blocks + 1, cfg.d_model), dtype))
 
     def copy(self) -> "EncoderState":
-        return EncoderState(blocks=[s.copy() for s in self.blocks],
-                            mvhs=self.mvhs.copy(),
-                            last_t=self.last_t, event_index=self.event_index)
+        # copy.copy copies a batch's last_t and event_index arrays and
+        # passes a single stream's ints through
+        return EncoderState(self.S.copy(), self.S_mvhs.copy(), self.vec.copy(),
+                            copy.copy(self.last_t), copy.copy(self.event_index))
 
     def tensors(self) -> list[np.ndarray]:
         """The recurrent state arrays: each block's S, tm_prev and cm_prev,
@@ -63,20 +91,25 @@ class EncoderState:
                 + [self.mvhs.S, self.mvhs.prev])
 
     def rows(self, sel) -> "EncoderState":
-        """Every array indexed by `sel` along a leading batch axis: a slice
-        selects views, an index array copies, and `None` adds a batch axis
-        of one to a single stream's state (views, except last_t and
-        event_index, which become new 1-element arrays). Matrix states are
-        indexed in their (Dh, Dh, ..., N) memory view, so a copy keeps the
-        heads-innermost order."""
-        def pick(S):
-            m = np.moveaxis(S, (-2, -1), (0, 1))
-            m = m[:, :, sel] if sel is None or isinstance(sel, slice) else m.take(sel, 2)
-            return np.moveaxis(m, (0, 1), (-2, -1))
-        return EncoderState([B.BlockState(pick(b.S), b.tm_prev[sel], b.cm_prev[sel])
-                             for b in self.blocks],
-                            M.MvhsState(pick(self.mvhs.S), self.mvhs.prev[sel]),
-                            np.asarray(self.last_t)[sel], np.asarray(self.event_index)[sel])
+        """The batched state of the rows `sel` of this batched state: a
+        slice gives views of the stores, an index array copies them (in the
+        same layout), and `None` adds a batch axis of one to a single
+        stream's state (views, except last_t and event_index, which become
+        new 1-element arrays)."""
+        if sel is None or isinstance(sel, slice):
+            return EncoderState(self.S[:, :, :, sel], self.S_mvhs[:, :, sel], self.vec[sel],
+                                np.asarray(self.last_t)[sel], np.asarray(self.event_index)[sel])
+        return EncoderState(self.S.take(sel, 3), self.S_mvhs.take(sel, 2), self.vec.take(sel, 0),
+                            self.last_t.take(sel), self.event_index.take(sel))
+
+    def put(self, sel, rows: "EncoderState") -> None:
+        """Write the batched state `rows` into the rows `sel` of this
+        batched state: the scatter back of `rows(sel)`."""
+        self.S[:, :, :, sel] = rows.S
+        self.S_mvhs[:, :, sel] = rows.S_mvhs
+        self.vec[sel] = rows.vec
+        self.last_t[sel] = rows.last_t
+        self.event_index[sel] = rows.event_index
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Timestamps are required to be non-decreasing within a stream.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,11 +117,19 @@ def parse_csv(reader, geometry: SensorGeometry | None = None) -> np.ndarray:
         reader = io.StringIO(reader) if isinstance(reader, str) else io.BytesIO(reader)
     rows: list[tuple[int, int, int, int]] = []
     prev_t = None
-    for lineno, line in enumerate(reader, start=1):
+    lines = iter(reader)
+    for lineno in itertools.count(1):
         try:
+            line = next(lines)
             line = (line.decode() if isinstance(line, bytes) else line).strip()
-        except UnicodeDecodeError:
-            raise EventFormatError(f"line {lineno}: not UTF-8") from None
+        except StopIteration:
+            break
+        except UnicodeDecodeError as exc:
+            # a text file decodes a chunk at a time, once its decoded lines
+            # run out, so the chunk starts within line `lineno`, and its
+            # newlines before the bad byte count the lines after that
+            bad = lineno + exc.object[:exc.start].count(b"\n")
+            raise EventFormatError(f"line {bad}: not UTF-8") from None
         if not line:
             continue
         parts = line.split(",")
@@ -243,8 +252,11 @@ def filter_hot_pixels(events: np.ndarray, window_us: int = 10_000, threshold: in
 
     Windows are consecutive spans of `window_us`, aligned to the first
     event's timestamp. Counting pools both polarities. Output preserves
-    the order of the surviving events.
+    the order of the surviving events. Raises ValueError for a window_us
+    <= 0 or a negative threshold.
     """
+    if window_us <= 0 or threshold < 0:
+        raise ValueError(f"need window_us > 0 and threshold >= 0, got {window_us} and {threshold}")
     if len(events) == 0:
         return events
     win = (events["t"] - events["t"][0]) // window_us

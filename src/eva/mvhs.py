@@ -11,7 +11,7 @@ scan without its read-out: the same sub-chunks and carry, with every
 checkpoint ending an outer chunk), and returns a cache slot as the
 block's forward functions do; the event-by-event step is
 `runtime._MvhsRt`, on the runtime's one front end `_Front` with the same
-paths.
+paths. `MvhsState` is the record of the layer's state arrays.
 
 The projection width (`mvhs_state_dim`) normally equals the model width,
 but may differ (e.g. the width-1-head ablation used for size accounting).
@@ -24,26 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scan
-from .config import EncoderConfig
-from .blocks import matrix_state_zeros, mix_bwd, mix_fwd
+from .blocks import mix_bwd, mix_fwd
 from .params import MvhsParams
 
 
 @dataclass
 class MvhsState:
+    """The recurrent state arrays of the layer, a plain record like
+    `blocks.BlockState`, which `encoder.EncoderState` builds over views of
+    its stores."""
+
     S: np.ndarray     # (N, Dh, Dh)
     prev: np.ndarray  # (D,) last layer input
-
-    @classmethod
-    def zeros(cls, cfg: EncoderConfig, dtype=None) -> "MvhsState":
-        dtype = dtype or cfg.dtype
-        return cls(
-            S=matrix_state_zeros(cfg.mvhs_heads, cfg.mvhs_d_head, dtype),
-            prev=np.zeros(cfg.d_model, dtype),
-        )
-
-    def copy(self) -> "MvhsState":
-        return MvhsState(self.S.copy(order="K"), self.prev.copy())
 
 
 def _mvhs_seq(x, carry, S0, mp: MvhsParams, n_heads: int, checkpoints, want_cache=False):

@@ -1,8 +1,8 @@
 """Asynchronous-to-synchronous pipeline.
 
 Each sensor patch owns an independent recurrent encoder state, updated
-event by event in O(1) per event. The states of all patches are stacked,
-and ingestion advances them in waves: the k-th in-order event of every
+event by event in O(1) per event. The states of all patches are one
+batched `EncoderState`, and ingestion advances them in waves: the k-th in-order event of every
 patch with pending events goes through one batched
 `runtime.EncoderRuntime` step. One lock, held per `ingest`/
 `ingest_events` call, orders ingestion and snapshots, so a snapshot sees
@@ -11,17 +11,15 @@ output channels of every patch into a frame tensor; each tile reports its
 own last-event watermark so consumers can align patches that advance at
 different rates.
 
-The stacks keep the runtime's heads-innermost order (see `runtime`): the
-block matrix states of all patches are one (n_blocks * Dh * Dh, patches,
-N) store, the MVHS states one (Dh * Dh, patches, N) store, and the
-vectors (each block's tm_prev and cm_prev, then the MVHS prev) one
-patch-major buffer. A call gathers the patches it touches from each of
-the three with one `take` (runs of N floats from the two matrix stores),
+A call gathers the patches it touches with one `EncoderState.rows`,
 ordered by descending event count, so that wave k steps a prefix of the
-gathered copy in place; then it scatters the copy back. That is three
-gathers and three scatters per call, whatever its size and number of
-waves. With the patch axis innermost instead, the gather and scatter
-would copy single floats and cost about 10x more.
+gathered copy in place (a `rows` slice, which views it); then it
+scatters the copy back with one `EncoderState.put`. That is one gather
+and one scatter of each of the state's three stores per call, whatever
+its size and number of waves; in the matrix stores, whose patch axis
+comes just before the heads, each copies runs of N floats. With the
+patch axis innermost instead, they would copy single floats and cost
+about 10x more.
 """
 
 from __future__ import annotations
@@ -32,11 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import snapshots as SN
-from .blocks import BlockState
 from .embedding import token_index
 from .encoder import EncoderState, encode_events
 from .events import SensorGeometry, partition_patches
-from .mvhs import MvhsState
 from .params import EncoderParams
 from .runtime import EncoderRuntime
 
@@ -63,10 +59,10 @@ class FrameSnapshot:
 class A2SPipeline:
     """Live per-patch recurrent encoding with on-demand snapshots.
 
-    A patch's id from `SensorGeometry.locate` is its row of the stacked
-    state (`_state`, a batched `EncoderState` viewing the stores). `threads` is
-    accepted for compatibility and ignored: waves batch the patches in one
-    thread."""
+    A patch's id from `SensorGeometry.locate` is its row of `_state`, the
+    batched `EncoderState` of every patch, whose stores are allocated and
+    zeroed when the pipeline is built. `threads` is accepted for
+    compatibility and ignored: waves batch the patches in one thread."""
 
     def __init__(self, params: EncoderParams, geometry: SensorGeometry,
                  threads: int | None = None):
@@ -75,13 +71,9 @@ class A2SPipeline:
         self.params = params
         self.geometry = geometry
         self.runtime = EncoderRuntime(params)
-        cfg = params.config
         n = geometry.n_patches
-        self._S = np.zeros((cfg.n_blocks * cfg.d_head ** 2, n, cfg.n_heads), params.dtype)
-        self._S_mvhs = np.zeros((cfg.mvhs_d_head ** 2, n, cfg.mvhs_heads), params.dtype)
-        self._vec = np.zeros((n, (2 * cfg.n_blocks + 1) * cfg.d_model), params.dtype)
-        self._state = self._view(self._S, self._S_mvhs, self._vec,
-                                 np.full(n, -1, np.int64), np.zeros(n, np.int64))
+        self._state = EncoderState.zeros(params.config, params.dtype).rows(None).rows(
+            np.zeros(n, np.intp))
         self.ingested = 0
         self.out_of_order = 0
         self.nonfinite = 0
@@ -145,19 +137,12 @@ class A2SPipeline:
         `tokens` and `ts`. The patches are gathered once, each wave steps a
         prefix of the gathered copy in place, and the copy is scattered
         back. Returns the number of events accepted."""
-        st = self._state
-        S, S_mvhs, vec = self._S.take(ids, 1), self._S_mvhs.take(ids, 1), self._vec[ids]
-        last_t, event_index = st.last_t[ids], st.event_index[ids]
+        rows = self._state.rows(ids)
         accepted, lo = 0, 0
         for n in sizes:
-            rows = self._view(S[:, :n], S_mvhs[:, :n], vec[:n], last_t[:n], event_index[:n])
-            accepted += self._wave(rows, tokens[lo:lo + n], ts[lo:lo + n])
+            accepted += self._wave(rows.rows(slice(0, n)), tokens[lo:lo + n], ts[lo:lo + n])
             lo += n
-        self._S[:, ids] = S
-        self._S_mvhs[:, ids] = S_mvhs
-        self._vec[ids] = vec
-        st.last_t[ids] = last_t
-        st.event_index[ids] = event_index
+        self._state.put(ids, rows)
         return accepted
 
     def _wave(self, rows, tokens, ts) -> int:
@@ -172,25 +157,13 @@ class A2SPipeline:
             ok = np.flatnonzero(~late)
             sub = rows.rows(ok)
             n_ok = self._wave(sub, tokens[ok], ts[ok]) if len(ok) else 0
-            for a, b in zip(_arrays(rows), _arrays(sub)):
-                a[ok] = b
+            rows.put(ok, sub)
             return n_ok
         bad = self.runtime.ingest(rows, tokens, ts)
         n_bad = 0 if bad is None else int(np.count_nonzero(bad))
         self.nonfinite += n_bad
         self.ingested += len(ts) - n_bad
         return len(ts) - n_bad
-
-    def _view(self, S, S_mvhs, vec, last_t, event_index) -> EncoderState:
-        """The batched state of the patches stored in (S, S_mvhs, vec),
-        the layout of the stacks, whose arrays view those stores."""
-        cfg = self.params.config
-        B, Dh, Dm = len(vec), cfg.d_head, cfg.mvhs_d_head
-        S = S.reshape(-1, Dh, Dh, B, cfg.n_heads).transpose(0, 3, 4, 1, 2)
-        vecs = vec.reshape(B, -1, cfg.d_model).swapaxes(0, 1)
-        blocks = [BlockState(S[i], vecs[2 * i], vecs[2 * i + 1]) for i in range(len(S))]
-        mvhs = MvhsState(S_mvhs.reshape(Dm, Dm, B, cfg.mvhs_heads).transpose(2, 3, 0, 1), vecs[-1])
-        return EncoderState(blocks, mvhs, last_t, event_index)
 
     def snapshot(self, patch_ids=None) -> FrameSnapshot:
         """Tile the selected patches' representations (full frame default)."""
@@ -230,14 +203,10 @@ class A2SPipeline:
                 "events_nonfinite": self.nonfinite,
                 "events_out_of_bounds": self.out_of_bounds,
                 "snapshots_served": self.snapshots_served,
-                "patches": len(self._vec),
+                "patches": self.geometry.n_patches,
                 "grid_rows": self.geometry.grid_rows,
                 "grid_cols": self.geometry.grid_cols,
             }
-
-
-def _arrays(state: EncoderState) -> list[np.ndarray]:
-    return state.tensors() + [state.last_t, state.event_index]
 
 
 # ---------------------------------------------------------------------------

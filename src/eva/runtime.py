@@ -21,8 +21,8 @@ with a batch axis of one added, `EncoderState.rows(None)`) is advanced
 where it lives.
 
 Matrix states are stepped heads-innermost. Their shape is (B, N, Dh, Dh),
-but `EncoderState.zeros` and the pipeline's stacks store them in memory
-order (Dh_i, Dh_j, B, N), and a step works on the view
+but `encoder.EncoderState`, which alone decides the layout, stores them
+in memory order (Dh_i, Dh_j, B, N), and a step works on the view
 `S.transpose(2, 3, 0, 1)`, in which the (i, j) entry of every head of
 every row is one run of B * N contiguous floats. The projections are
 brought to the same order: the columns of W_r, W_k, W_v, W_g, of the
@@ -32,8 +32,8 @@ one copy turns a (B, D) projection into (Dh, B, N). Then the outer
 product k v^T, the read-out (S + u k v^T) r = S r + u k (v . r) and the
 update S <- diag(w) S + k v^T are each one numpy op over B * N
 contiguous floats, where in (B, N, Dh, Dh) order their inner loops were
-Dh = 8 long. A state with other strides (one the chunked path made, say)
-steps to the same values, only slower.
+Dh = 8 long. A state whose stores have other strides steps to the same
+values, only slower.
 
 Parameter tensors are referenced, not copied, except for the stacked and
 permuted copies built at construction; mutate parameters -> rebuild the

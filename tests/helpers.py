@@ -26,3 +26,9 @@ def outer_chunk(n: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan, "DEFAULT_CHUNK", n)
         yield
+
+
+def heads_innermost(S):
+    """Whether the matrix states S (..., N, Dh, Dh) are stored in memory
+    order (Dh, Dh, ..., N)."""
+    return np.moveaxis(S, (-2, -1), (0, 1)).flags.c_contiguous

@@ -16,6 +16,7 @@ from eva.config import ENCODER_PROFILES, TRAIN_PROFILES, EncoderConfig, TargetSp
 from eva.counting import (count_macs_per_event, count_params, mvhs_param_count,
                           vector_output_config)
 from eva.embedding import tok, untok
+from eva.encoder import EncoderState
 from eva.events import (SensorGeometry, filter_hot_pixels, make_events, pack_binary,
                         parse_csv, read_binary_file, synth_generate,
                         unpack_binary, write_binary_file, write_csv)
@@ -61,7 +62,7 @@ def _stack_case(seed: int, precision: str):
     xs = rng.normal(size=(256, 32)).astype(cfg.dtype)
     # event-by-event stepping through all three blocks
     blocks = [_BlockRt(bp, cfg.n_heads) for bp in params.blocks]
-    states = [B.BlockState.zeros(cfg) for _ in range(3)]
+    states = EncoderState.zeros(cfg).blocks
     rows = [B.BlockState(st.S[None], st.tm_prev[None], st.cm_prev[None])
             for st in states]  # a batch of one, viewing each state
     out_r = np.zeros_like(xs)
@@ -106,7 +107,7 @@ def _mvhs_case(seed: int, T: int) -> float:
     rng = np.random.default_rng(seed + 2)
     xs = rng.normal(size=(T, cfg.d_model))
     rt = _MvhsRt(mp, cfg.mvhs_heads, cfg.mvhs_d_head)
-    state = MvhsState.zeros(cfg)
+    state = EncoderState.zeros(cfg).mvhs
     row = MvhsState(state.S[None], state.prev[None])  # a batch of one
     # per-event k, v and decay, written out from the layer's formulas
     prev = np.vstack([np.zeros(cfg.d_model), xs[:-1]])

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from eva import blocks as B
 from eva import scan
 from eva.config import EncoderConfig
-from eva.encoder import encode_sequence, encode_sequence_recurrent
+from eva.encoder import EncoderState, encode_sequence, encode_sequence_recurrent
 from eva.params import LN_EPS, MvhsParams, init_block_params, init_encoder_params
 from eva.runtime import _BlockRt
 from helpers import outer_chunk, randomize_params
@@ -121,7 +121,7 @@ def as_row(state):
 
 def rt_one(bp, x, S=None, tm_prev=None, cm_prev=None):
     """_BlockRt.step on one token, as a batch of one: (out, state after)."""
-    state = B.BlockState.zeros(CFG)
+    state = EncoderState.zeros(CFG).blocks[0]
     for name, val in (("S", S), ("tm_prev", tm_prev), ("cm_prev", cm_prev)):
         if val is not None:
             setattr(state, name, val.copy())
@@ -615,7 +615,7 @@ def test_block_identity_with_zero_outputs():
     bp.W_o[...] = 0.0
     bp.W_cv[...] = 0.0
     rt = _BlockRt(bp, CFG.n_heads)
-    state = as_row(B.BlockState.zeros(CFG))
+    state = as_row(EncoderState.zeros(CFG).blocks[0])
     rng = np.random.default_rng(27)
     for _ in range(5):
         x = rng.normal(size=(1, 12))
@@ -640,7 +640,7 @@ def test_block_single_token_equals_length_one_seq():
 def _stack_outputs_recurrent(params, xs):
     cfg = params.config
     blocks = [_BlockRt(bp, cfg.n_heads) for bp in params.blocks]
-    states = [B.BlockState.zeros(cfg) for _ in params.blocks]
+    states = EncoderState.zeros(cfg).blocks
     rows = [as_row(st) for st in states]
     outs = np.zeros_like(xs)
     for i in range(len(xs)):

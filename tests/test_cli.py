@@ -64,6 +64,9 @@ def test_filter_cli(tmp_path):
     assert main(["filter", str(src), str(dst), "--threshold", "40"]) == 0
     kept, _ = read_binary_file(dst)
     assert len(kept) == 0
+    for opts, got in ((["--window-us", "0"], "0 and 40"), (["--threshold", "-1"], "10000 and -1")):
+        with pytest.raises(SystemExit, match=f"^eva filter: need window_us > 0 .*, got {got}$"):
+            main(["filter", str(src), str(dst), *opts])
 
 
 def test_oracle_cli(tmp_path):

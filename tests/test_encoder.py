@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eva import blocks as B
-from eva import mvhs as M
 from eva.config import ENCODER_PROFILES, EncoderConfig, TargetSpec, TrainConfig
 from eva.embedding import embed_events
 from eva.encoder import (EncoderState, backward_train, encode_sequence,
@@ -14,7 +12,7 @@ from eva.encoder import (EncoderState, backward_train, encode_sequence,
 from eva.params import init_encoder_params
 from eva.runtime import EncoderRuntime
 from eva.train import batch_loss, build_synthetic_corpus, init_model
-from helpers import outer_chunk, randomize_params
+from helpers import heads_innermost, outer_chunk, randomize_params
 
 # an overflow or invalid value anywhere in the encoder must fail, not warn
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -206,21 +204,57 @@ def test_first_event_gap_is_zero(params):
     assert np.array_equal(st.mvhs.S[0], st.mvhs.S[1])
 
 
-def _heads_innermost(S):
-    """Whether the matrix states S (..., N, Dh, Dh) are stored in memory
-    order (Dh, Dh, ..., N)."""
-    return np.moveaxis(S, (-2, -1), (0, 1)).flags.c_contiguous
-
-
 def test_state_copies_keep_heads_innermost(params):
     st = EncoderState.zeros(CFG)
     batch = st.rows(None).rows(np.array([0, 0, 0]))
     for s in (st, st.copy(), st.rows(None), batch, batch.copy(), batch.rows(np.array([2, 0]))):
         for S in [b.S for b in s.blocks] + [s.mvhs.S]:
-            assert _heads_innermost(S), S.strides
+            assert heads_innermost(S), S.strides
     # stepping keeps the order, and a copy made after it too
     EncoderRuntime(params).step(batch, np.array([1, 2, 3]), np.array([0.0, 5.0, 9.0]))
-    assert all(_heads_innermost(b.S) for b in batch.copy().blocks)
+    assert all(heads_innermost(b.S) for b in batch.copy().blocks)
+
+
+def test_batched_copy_owns_every_array():
+    batch = EncoderState.zeros(CFG).rows(None).rows(np.zeros(2, np.intp))
+    c = batch.copy()
+    c.last_t[0] = 5
+    c.event_index[1] = 7
+    for a in c.tensors():
+        a[...] = 1.0
+    assert np.array_equal(batch.last_t, [-1, -1]) and np.array_equal(batch.event_index, [0, 0])
+    assert all(np.all(a == 0.0) for a in batch.tensors())
+
+
+def test_put_writes_back_exactly_the_rows_taken():
+    rng = np.random.default_rng(34)
+    batch = EncoderState.zeros(CFG).rows(None).rows(np.zeros(5, np.intp))
+    for a in batch.tensors() + [batch.last_t, batch.event_index]:
+        a[...] = rng.integers(0, 100, size=a.shape)
+    before = batch.copy()
+    ids = np.array([3, 0])
+    rows = batch.rows(ids)
+    for a in rows.tensors() + [rows.last_t, rows.event_index]:
+        a += np.arange(1, 3).reshape((2,) + (1,) * (a.ndim - 1))  # row k gets + k + 1
+    batch.put(ids, rows)
+    for a, b in zip(batch.tensors() + [batch.last_t, batch.event_index],
+                    before.tensors() + [before.last_t, before.event_index]):
+        assert np.array_equal(a[[1, 2, 4]], b[[1, 2, 4]])
+        assert np.all(a[3] == b[3] + 1) and np.all(a[0] == b[0] + 2)
+
+
+def test_row_slice_writes_through_to_the_stores():
+    batch = EncoderState.zeros(CFG).rows(None).rows(np.zeros(4, np.intp))
+    view = batch.rows(slice(1, 3))
+    for a in view.tensors() + [view.last_t, view.event_index]:
+        a[...] = 7
+    # the batch axis of the stores is the one before the heads in S and
+    # S_mvhs, and the first in the others
+    for a in (batch.S, batch.S_mvhs):
+        assert np.all(a[..., 1:3, :] == 7) and not a[..., [0, 3], :].any()
+    assert np.all(batch.vec[1:3] == 7) and not batch.vec[[0, 3]].any()
+    assert np.array_equal(batch.last_t, [-1, 7, 7, -1])
+    assert np.array_equal(batch.event_index, [0, 7, 7, 0])
 
 
 def test_encode_sequence_returns_heads_innermost_states(params):
@@ -231,7 +265,7 @@ def test_encode_sequence_returns_heads_innermost_states(params):
     _, st2 = encode_sequence(params, tokens[40:], dts[40:], st)
     for s in (st, st2):
         for S in [b.S for b in s.blocks] + [s.mvhs.S]:
-            assert _heads_innermost(S), S.strides
+            assert heads_innermost(S), S.strides
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -244,11 +278,14 @@ def test_runtime_step_ignores_state_strides(params, dtype, tol):
     rng = np.random.default_rng(30)
     for a in inner.tensors():
         a[...] = rng.normal(size=a.shape)
-    c_order = EncoderState([B.BlockState(*(np.array(a, order="C") for a in (b.S, b.tm_prev, b.cm_prev)))
-                            for b in inner.blocks],
-                           M.MvhsState(np.array(inner.mvhs.S, order="C"), inner.mvhs.prev.copy()),
-                           inner.last_t.copy(), inner.event_index.copy())
-    assert _heads_innermost(inner.mvhs.S) and inner.mvhs.S.strides != c_order.mvhs.S.strides
+    # stores whose memory order is (n_blocks, B, N, Dh, Dh) and (B, N, Dh, Dh),
+    # so that every matrix state is C order; each permutation is its own inverse
+    blocks, mvhs = (0, 3, 4, 1, 2), (2, 3, 0, 1)
+    c_order = EncoderState(np.array(inner.S.transpose(blocks), order="C").transpose(blocks),
+                           np.array(inner.S_mvhs.transpose(mvhs), order="C").transpose(mvhs),
+                           inner.vec.copy(), inner.last_t.copy(), inner.event_index.copy())
+    assert all(S.flags.c_contiguous for S in [b.S for b in c_order.blocks] + [c_order.mvhs.S])
+    assert heads_innermost(inner.mvhs.S) and inner.mvhs.S.strides != c_order.mvhs.S.strides
     tokens, dts = random_stream(31, 60)
     for t in range(0, 60, 3):
         assert rt.step(inner, tokens[t:t + 3], dts[t:t + 3].astype(float)) is None

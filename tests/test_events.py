@@ -156,6 +156,15 @@ def test_hot_pixel_empty():
     assert len(filter_hot_pixels(empty_events())) == 0
 
 
+@pytest.mark.parametrize("window_us, threshold", [(0, 40), (-5, 40), (10_000, -1)])
+def test_hot_pixel_rejects_bad_settings(window_us, threshold):
+    # a zero window once dropped every event of a pixel firing each 1 ms
+    ev = _burst(0, 100, 5, 5, span=99_000)
+    for events in (ev, empty_events()):
+        with pytest.raises(ValueError, match=f"got {window_us} and {threshold}$"):
+            filter_hot_pixels(events, window_us=window_us, threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # Patch partitioning
 # ---------------------------------------------------------------------------

@@ -249,6 +249,10 @@ def test_parse_csv_parses_or_raises_event_format_error(data, geometry):
 
 @pytest.mark.parametrize("data, match", [
     (b"0,1,2,1\n5,1,\xff,0\n", "line 2: not UTF-8"),
+    # a text file decodes in its iterator, and in chunks of several lines
+    (io.TextIOWrapper(io.BytesIO(b"0,1,2,1\n5,1,\xff,0\n"), encoding="utf-8"), "line 2: not UTF-8"),
+    (io.TextIOWrapper(io.BytesIO(b"".join(b"%d,1,2,1\n" % t for t in range(2000)) + b"1,\xff"),
+                      encoding="utf-8"), "line 2001: not UTF-8"),
     ("0,1,2,1\n9223372036854775808,1,2,0", "line 2: timestamp"),
     ("0,4294967297,2,1", "line 1: coordinate"),
     ("0,1,-2147483649,1", "line 1: coordinate"),

@@ -5,6 +5,7 @@ import pytest
 
 from eva import mvhs as M
 from eva.config import EncoderConfig
+from eva.encoder import EncoderState
 from eva.events import SensorGeometry, make_events
 from eva.params import init_encoder_params, init_mvhs_params
 from eva.pipeline import A2SPipeline
@@ -42,7 +43,7 @@ def stepper(mp, cfg=CFG):
     (step, state): step(x) absorbs one input (D,) through a batch of one
     that views `state`."""
     rt = _MvhsRt(mp, cfg.mvhs_heads, cfg.mvhs_d_head)
-    state = M.MvhsState.zeros(cfg)
+    state = EncoderState.zeros(cfg).mvhs
     row = M.MvhsState(state.S[None], state.prev[None])
 
     def step(x):
@@ -86,7 +87,7 @@ def test_pure_accumulation_two_events():
 
 
 def test_zero_events_zero_state():
-    assert np.allclose(M.MvhsState.zeros(CFG).S, 0.0)
+    assert np.allclose(EncoderState.zeros(CFG).mvhs.S, 0.0)
 
 
 def closed_form_state(k, v, w):

@@ -9,6 +9,7 @@ from eva.encoder import encode_events, encode_sequence, encode_sequence_recurren
 from eva.events import SensorGeometry, make_events, partition_patches, synth_generate
 from eva.params import init_encoder_params
 from eva.pipeline import A2SPipeline, encode_offline
+from helpers import heads_innermost
 
 # an overflow or invalid value on the serving or offline path must fail, not warn
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -391,19 +392,13 @@ def test_nonfinite_event_keeps_watermark(small_params):
     assert stats["events_rejected"] == 2 and stats["events_ingested"] == 2
 
 
-def _heads_innermost(S):
-    """Whether the matrix states S (..., N, Dh, Dh) are stored in memory
-    order (Dh, Dh, ..., N)."""
-    return np.moveaxis(S, (-2, -1), (0, 1)).flags.c_contiguous
-
-
 def test_stacked_states_are_heads_innermost(small_params):
     pipe = A2SPipeline(small_params, SensorGeometry(16, 16, 8))
     pipe.ingest_events(make_events([1, 2, 3], [0, 9, 1], [0, 9, 1], [0, 1, 1]))
     st = pipe._state
     for s in (st, st.copy(), st.rows(np.array([3, 0]))):
         for S in [b.S for b in s.blocks] + [s.mvhs.S]:
-            assert _heads_innermost(S), S.strides
+            assert heads_innermost(S), S.strides
 
 
 def test_snapshot_tile_is_not_transposed(small_params):
