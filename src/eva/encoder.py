@@ -63,7 +63,7 @@ class EncoderState:
 
     def __post_init__(self):
         # transposes, not np.moveaxis, whose Python-level checks tripled the
-        # cost of a pipeline wave's `rows` slice (5.5 -> 16 us, dvs, 63 rows)
+        # cost of a 63-row `rows` slice (5.5 -> 16 us, dvs)
         nd = self.S_mvhs.ndim
         S = self.S.transpose(0, *range(3, nd + 1), 1, 2)
         vecs = self.vec.swapaxes(0, -2)

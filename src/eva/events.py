@@ -127,8 +127,10 @@ def parse_csv(reader, geometry: SensorGeometry | None = None) -> np.ndarray:
         except UnicodeDecodeError as exc:
             # a text file decodes a chunk at a time, once its decoded lines
             # run out, so the chunk starts within line `lineno`, and its
-            # newlines before the bad byte count the lines after that
-            bad = lineno + exc.object[:exc.start].count(b"\n")
+            # line ends before the bad byte (\n, \r\n or a bare \r, as a
+            # text file splits them) count the lines after that
+            head = exc.object[:exc.start]
+            bad = lineno + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
             raise EventFormatError(f"line {bad}: not UTF-8") from None
         if not line:
             continue

@@ -2,24 +2,34 @@
 
 Each sensor patch owns an independent recurrent encoder state, updated
 event by event in O(1) per event. The states of all patches are one
-batched `EncoderState`, and ingestion advances them in waves: the k-th in-order event of every
-patch with pending events goes through one batched
-`runtime.EncoderRuntime` step. One lock, held per `ingest`/
-`ingest_events` call, orders ingestion and snapshots, so a snapshot sees
-a whole number of events in every patch. A snapshot tiles the selected
-output channels of every patch into a frame tensor; each tile reports its
-own last-event watermark so consumers can align patches that advance at
-different rates.
+batched `EncoderState`, and each `ingest`/`ingest_events` call advances
+the patches it touches in one `runtime.EncoderRuntime.ingest` call. Its
+events go in waves: wave k holds the k-th accepted event of every patch
+that has one, so the runtime runs every token-parallel op once over the
+call and loops over the waves only for the matrix-state recurrence.
+
+Events are checked before the call. One out of the sensor is counted in
+`out_of_bounds`; one older than its patch's watermark, or than an
+earlier event of its patch in the call, is late, dropped and counted in
+`out_of_order`. A patch whose update turns non-finite in the call is
+replayed from its state before the call, one event at a time through the
+same runtime, so that its counters, watermark and zeroed state equal a
+loop of `ingest` (`A2SPipeline._replay`).
+
+One lock, held per call, orders ingestion and snapshots, so a snapshot
+sees a whole number of events in every patch. A snapshot tiles the
+selected output channels of every patch into a frame tensor; each tile
+reports its own last-event watermark so consumers can align patches that
+advance at different rates.
 
 A call gathers the patches it touches with one `EncoderState.rows`,
 ordered by descending event count, so that wave k steps a prefix of the
-gathered copy in place (a `rows` slice, which views it); then it
-scatters the copy back with one `EncoderState.put`. That is one gather
-and one scatter of each of the state's three stores per call, whatever
-its size and number of waves; in the matrix stores, whose patch axis
-comes just before the heads, each copies runs of N floats. With the
-patch axis innermost instead, they would copy single floats and cost
-about 10x more.
+gathered copy in place; then it scatters the copy back with one
+`EncoderState.put`. That is one gather and one scatter of each of the
+state's three stores per call, whatever its size and number of waves; in
+the matrix stores, whose patch axis comes just before the heads, each
+copies runs of N floats. With the patch axis innermost instead, they
+would copy single floats and cost about 10x more.
 """
 
 from __future__ import annotations
@@ -62,7 +72,8 @@ class A2SPipeline:
     A patch's id from `SensorGeometry.locate` is its row of `_state`, the
     batched `EncoderState` of every patch, whose stores are allocated and
     zeroed when the pipeline is built. `threads` is accepted for
-    compatibility and ignored: waves batch the patches in one thread."""
+    compatibility and ignored: one runtime call batches the patches in one
+    thread."""
 
     def __init__(self, params: EncoderParams, geometry: SensorGeometry,
                  threads: int | None = None):
@@ -92,7 +103,7 @@ class A2SPipeline:
         pid, lx, ly = g.locate(x, y)
         token = token_index(lx, ly, p, g.patch, g.patch)
         with self._lock:
-            return self._run(np.array([pid]), np.array([token]), np.array([t]), [1]) == 1
+            return self._run(np.array([pid]), np.array([token]), np.array([t])) == 1
 
     def ingest_events(self, events: np.ndarray) -> tuple[int, int]:
         """Batch ingest (events may span patches, in stream order). Returns
@@ -102,68 +113,83 @@ class A2SPipeline:
         valid = (x >= 0) & (x < g.width) & (y >= 0) & (y < g.height) & (p >= 0) & (p <= 1)
         if not valid.all():
             events = events[valid]
+            x, y, p = events["x"], events["y"], events["p"]
             with self._lock:
                 self.out_of_bounds += len(valid) - len(events)
-        n = len(events)
-        if not n:
+        if not len(events):
             return 0, len(valid)
-        pid, lx, ly = g.locate(events["x"], events["y"])
-        tok = token_index(lx, ly, events["p"], g.patch, g.patch)
-        # wave k holds the k-th event of every patch that has one. Rank each
-        # event within its patch (its index minus that of its patch's first
-        # event, in patch order) and give the patches slots by descending
-        # event count, so that wave k is the first bincount(rank)[k] slots;
-        # then order the events by (rank, slot)
-        order = np.argsort(pid, kind="stable")
-        by_patch = pid[order]
-        first = np.ones(n, bool)
-        np.not_equal(by_patch[1:], by_patch[:-1], out=first[1:])
-        idx = np.arange(n)
-        rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
-        starts = np.flatnonzero(first)
-        by_count = np.argsort(-np.diff(starts, append=n), kind="stable")
-        slot = np.empty(len(starts), np.int64)
-        slot[by_count] = np.arange(len(starts))
-        waves = order[np.argsort(rank * len(starts) + slot[np.cumsum(first) - 1])]
+        pid, lx, ly = g.locate(x, y)
+        tok = token_index(lx, ly, p, g.patch, g.patch)
         with self._lock:
-            accepted = self._run(by_patch[starts[by_count]], tok[waves], events["t"][waves],
-                                 np.bincount(rank).tolist())
+            accepted = self._run(pid, tok, events["t"])
         return accepted, len(valid) - accepted
 
-    def _run(self, ids, tokens, ts, sizes) -> int:
-        """Advance the distinct patches `ids` by waves of events; call under
-        the lock. Wave k steps the first sizes[k] patches (sizes do not
-        increase) by one event each, from the next sizes[k] entries of
-        `tokens` and `ts`. The patches are gathered once, each wave steps a
-        prefix of the gathered copy in place, and the copy is scattered
-        back. Returns the number of events accepted."""
-        rows = self._state.rows(ids)
-        accepted, lo = 0, 0
-        for n in sizes:
-            accepted += self._wave(rows.rows(slice(0, n)), tokens[lo:lo + n], ts[lo:lo + n])
-            lo += n
-        self._state.put(ids, rows)
+    def _run(self, pid, tok, t) -> int:
+        """Advance the patches `pid` by the events (tok, t), in stream
+        order, in one runtime call; call under the lock. Returns the number
+        of events accepted.
+
+        An event is late, so rejected and counted, if its time is below its
+        patch's watermark or an earlier time of its patch in the call. The
+        rest go to the runtime in waves: wave k holds the k-th accepted
+        event of every patch that has one, and the patches are gathered by
+        descending event count (then id), so that wave k steps the first
+        sizes[k] of them. A patch whose update turns non-finite is replayed
+        event by event from its state before the call (`_replay`)."""
+        state = self._state
+        n = len(pid)
+        order = np.argsort(pid, kind="stable")
+        ps = pid[order]
+        ok = t[order] >= state.last_t.take(ps)
+        if n > 1 and (t[1:] < t[:-1]).any():
+            # and at least every earlier time of its patch: with each time
+            # replaced by its stable rank, a running max of (patch, rank) keys
+            rank = np.empty(n, np.intp)
+            rank[np.argsort(t[order], kind="stable")] = np.arange(n)
+            key = ps * n + rank
+            ok &= np.maximum.accumulate(key) == key
+        n_ok = int(np.count_nonzero(ok))
+        late = n - n_ok
+        if late:
+            order, ps = order[ok], ps[ok]
+        accepted = n_ok
+        if n_ok:
+            # each event's rank in its patch, then the events sorted by
+            # (rank, descending patch count, patch id)
+            cnt = np.bincount(ps)
+            rank = np.arange(n_ok) - (np.cumsum(cnt) - cnt)[ps]
+            waves = order[np.argsort((rank * (n_ok + 1) + n_ok - cnt[ps]) * len(cnt) + ps)]
+            sizes = np.bincount(rank).tolist()
+            ids = pid[waves[:sizes[0]]]  # wave 0 holds each patch once, in row order
+            rows = state.rows(ids)
+            bad = self.runtime.ingest(rows, tok[waves], t[waves], sizes)
+            if bad is not None:
+                for s in np.flatnonzero(bad):
+                    mine = pid == ids[s]
+                    accepted -= int(cnt[ids[s]])
+                    late -= int(np.count_nonzero(mine) - cnt[ids[s]])
+                    row, n_row = self._replay(ids[s], tok[mine], t[mine])
+                    rows.put([s], row)
+                    accepted += n_row
+            state.put(ids, rows)
+        self.out_of_order += late
+        self.ingested += accepted
         return accepted
 
-    def _wave(self, rows, tokens, ts) -> int:
-        """Advance every row of the batched state `rows` by one event, in
-        place. An event older than its row's watermark is rejected and
-        counted, and its row is not stepped; one whose update is non-finite
-        zeroes its row's block and MVHS state, keeps its watermark and is
-        counted. Returns the number accepted."""
-        late = ts < rows.last_t
-        if late.any():
-            self.out_of_order += int(np.count_nonzero(late))
-            ok = np.flatnonzero(~late)
-            sub = rows.rows(ok)
-            n_ok = self._wave(sub, tokens[ok], ts[ok]) if len(ok) else 0
-            rows.put(ok, sub)
-            return n_ok
-        bad = self.runtime.ingest(rows, tokens, ts)
-        n_bad = 0 if bad is None else int(np.count_nonzero(bad))
-        self.nonfinite += n_bad
-        self.ingested += len(ts) - n_bad
-        return len(ts) - n_bad
+    def _replay(self, pid, tok, t):
+        """(state, accepted) of patch `pid` after its events (tok, t) one at
+        a time from its state before the call, as a loop of `ingest` would
+        leave it; the rejected events are counted here."""
+        row = self._state.rows(np.array([pid]))
+        accepted = 0
+        for i in range(len(t)):
+            if t[i] < row.last_t[0]:
+                self.out_of_order += 1
+            elif self.runtime.ingest(row, tok[i:i + 1], t[i:i + 1]) is None:
+                accepted += 1
+            else:
+                self.nonfinite += 1
+        return row, accepted
 
     def snapshot(self, patch_ids=None) -> FrameSnapshot:
         """Tile the selected patches' representations (full frame default)."""

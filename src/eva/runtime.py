@@ -1,13 +1,26 @@
 """The event-by-event (recurrent) evaluation of the encoder, batched.
 
-This is the only recurrent implementation. Every step takes a leading
-batch axis: B independent streams (tokens and gaps of shape (B,), states
-whose arrays are (B, ...)) advance by one event each, through one numpy
-call per op, from the chunked path's input embedding (the table row plus
-`embedding.embed_temporal`). Serving batches the k-th pending event of
-every active patch into one step (`pipeline.A2SPipeline`); `encoder.
-encode_sequence_recurrent` steps with B = 1 as the mode-equivalence
-reference for the chunked-parallel `encoder.encode_sequence`.
+This is the only recurrent implementation. A call advances B independent
+streams, the rows of a batched state (arrays of shape (B, ...)), by n
+tokens laid out in waves: wave k holds one token for each of the first
+sizes[k] rows, in row order, and sizes never increases, so sizes[0] = B
+and row s has one token in each wave whose size exceeds s. `sizes=None`
+means one token per row. Serving makes one call per `ingest_events`
+(`pipeline.A2SPipeline`), wave k holding the k-th event of every patch
+it advances; `encoder.encode_sequence_recurrent` steps one token at a
+time with B = 1 as the mode-equivalence reference for the
+chunked-parallel `encoder.encode_sequence`.
+
+Within a layer only the matrix state's read-out and update depend on the
+previous token, so only they loop over the waves, each on the prefix of
+the rows it steps. Everything else runs once over all n tokens of the
+call, in one numpy call per op: the input embedding (the table row plus
+`embedding.embed_temporal`, as in the chunked path), the norms, the
+projections, the gate and the channel mix. The token shift reads the
+previous token of a row: for wave 0 the state's `tm_prev`/`cm_prev`/
+`prev`, else the same slot of the wave before, which is one
+`concatenate` and one `take` (`_Waves.prev`). The carried inputs, the
+timestamp and the event count then come from each row's last token.
 
 One token-shift front end, `_Front`, serves the block (paths r, k, v, g)
 and the matrix-state layer (paths k, v): the mixes and the decay share
@@ -22,18 +35,18 @@ where it lives.
 
 Matrix states are stepped heads-innermost. Their shape is (B, N, Dh, Dh),
 but `encoder.EncoderState`, which alone decides the layout, stores them
-in memory order (Dh_i, Dh_j, B, N), and a step works on the view
-`S.transpose(2, 3, 0, 1)`, in which the (i, j) entry of every head of
-every row is one run of B * N contiguous floats. The projections are
+in memory order (Dh_i, Dh_j, B, N), and a wave works on a prefix of the
+view `S.transpose(2, 3, 0, 1)`, in which the (i, j) entry of every head
+of every row is one run of B * N contiguous floats. The projections are
 brought to the same order: the columns of W_r, W_k, W_v, W_g, of the
 decay's B_w and lam_d and of u (and the rows of W_o) are permuted once,
 at construction, from head-major (column n * Dh + i) to (i * N + n), so
-one copy turns a (B, D) projection into (Dh, B, N). Then the outer
+one copy turns an (n, D) projection into (Dh, n, N). Then the outer
 product k v^T, the read-out (S + u k v^T) r = S r + u k (v . r) and the
-update S <- diag(w) S + k v^T are each one numpy op over B * N
-contiguous floats, where in (B, N, Dh, Dh) order their inner loops were
-Dh = 8 long. A state whose stores have other strides steps to the same
-values, only slower.
+update S <- diag(w) S + k v^T are each one numpy op over a wave's
+b * N contiguous floats, where in (B, N, Dh, Dh) order their inner loops
+were Dh = 8 long. A state whose stores have other strides steps to the
+same values, only slower.
 
 Parameter tensors are referenced, not copied, except for the stacked and
 permuted copies built at construction; mutate parameters -> rebuild the
@@ -81,6 +94,46 @@ def _heads_inner(n_heads: int, d_head: int) -> np.ndarray:
     return np.arange(n_heads * d_head).reshape(n_heads, d_head).T.ravel()
 
 
+class _Waves:
+    """The layout of one call's n tokens (see the module docstring): the
+    (start, size) span of each wave, and for each token the index of its
+    previous input in `concatenate((first, tokens))`, for each row the
+    index of its last token and its number of tokens. One wave (`sizes`
+    None or of length one) needs neither index."""
+    __slots__ = ("spans", "shift", "last", "counts")
+
+    def __init__(self, sizes, n: int):
+        if sizes is None or len(sizes) == 1:
+            self.spans, self.shift, self.last, self.counts = ((0, n),), None, None, 1
+            return
+        sz = np.asarray(sizes)
+        B = sizes[0]
+        starts = np.cumsum(sz) - sz
+        self.spans = tuple(zip(starts.tolist(), sizes))
+        # slot s of wave k >= 1 follows slot s of wave k - 1, sizes[k - 1]
+        # tokens back; wave 0 follows the B rows of `first`
+        self.shift = np.arange(B, B + n) - np.repeat(np.concatenate(([B], sz[:-1])), sz)
+        self.counts = np.searchsorted(-sz, -np.arange(B))  # waves wider than s
+        self.last = starts[self.counts - 1] + np.arange(B)
+
+    def prev(self, first, xs):
+        """The previous input of each token: row s of `first` (B, ...) for
+        wave 0, else the token before it in its row."""
+        return first if self.shift is None else np.concatenate((first, xs)).take(self.shift, 0)
+
+    def last_of(self, xs):
+        """Each row's last token of xs (n, ...)."""
+        return xs if self.last is None else xs.take(self.last, 0)
+
+    def rows_of(self, hit):
+        """The (B,) mask of the rows with a token in the (n,) mask hit."""
+        if self.last is None:
+            return hit
+        rows = np.zeros(len(self.last), bool)
+        rows[(np.arange(len(hit)) - np.repeat(*zip(*self.spans)))[hit]] = True
+        return rows
+
+
 class _Front:
     """The token-shift front end of one step, for the TM paths r, k, v, g
     and the MVHS paths k, v alike: the ddlerp mixes of the named paths and
@@ -106,17 +159,42 @@ class _Front:
         self.d_head = d_head
 
     def __call__(self, x, prev):
-        """x: (B, D) inputs; prev: (B, D), the input before x. Returns the
-        decay w (Dh, 1, B, N) and the projections (paths, Dh, B, N)."""
-        Bsz, D = x.shape
+        """x: (n, D) inputs; prev: (n, D), the input before each. Returns
+        the decay w (Dh, 1, n, N) and the projections (paths, Dh, n, N)."""
+        n, D = x.shape
         N, Dh = self.n_heads, self.d_head
         delta = prev - x
-        m = x + delta * self.mu
-        G = self.lam + np.matmul(np.tanh(np.matmul(m, self.A)), self.B)
-        d = G[-1, :, :N * Dh].reshape(Bsz, Dh, 1, N).transpose(1, 2, 0, 3)
+        G = np.matmul(np.tanh(np.matmul(x + delta * self.mu, self.A)), self.B)
+        G += self.lam
+        d = G[-1, :, :N * Dh].reshape(n, Dh, 1, N).transpose(1, 2, 0, 3)
         w = np.exp(-np.exp(np.minimum(d, _D_CAP, order="C")))
-        proj = np.matmul(x + delta * G[:-1, :, :D], self.W)
-        return w, np.ascontiguousarray(proj.reshape(-1, Bsz, Dh, N).swapaxes(1, 2))
+        # the mixes overwrite their gates, which no fresh array of a wide
+        # call's size then adds to the peak
+        mix = G[:-1, :, :D]
+        mix *= delta
+        mix += x
+        proj = np.matmul(mix, self.W)
+        return w, np.ascontiguousarray(proj.reshape(-1, n, Dh, N).swapaxes(1, 2))
+
+
+def _recur(S, w, k, v, waves: _Waves, r=None):
+    """The one recurrence of a layer's matrix states S (B, N, Dh, Dh),
+    stored heads-innermost, over the waves of a call: wave by wave, on the
+    prefix of the rows it steps, the read-out S r of its tokens (when r is
+    given) and then the update S <- diag(w) S + k v^T, in place. w is
+    (Dh, 1, n, N); k, v and r are (Dh, n, N). Returns the read-outs
+    (Dh, n, N), or None without r."""
+    S = S.transpose(2, 3, 0, 1)  # (Dh, Dh, B, N), a view
+    kv = k[:, None] * v
+    ys = []
+    for o, b in waves.spans:
+        Sw = S[:, :, :b]
+        if r is not None:
+            ys.append(np.einsum("ijbn,jbn->ibn", Sw, r[:, o:o + b]))
+        Sw *= w[:, :, o:o + b]
+        Sw += kv[:, :, o:o + b]
+    if r is not None:
+        return ys[0] if len(ys) == 1 else np.concatenate(ys, 1)
 
 
 class _BlockRt:
@@ -134,35 +212,34 @@ class _BlockRt:
         self.ln2 = _LayerNorm(bp.ln2_g, bp.ln2_b)
         self.head_avg = np.full((1, self.d_head), 1.0 / self.d_head, bp.mu.dtype)
 
-    def step(self, x, state) -> np.ndarray:
-        """x: (B, D); state: a BlockState of (B, ...) arrays, updated in
-        place. Returns the block output (B, D)."""
+    def step(self, x, state, waves: _Waves | None = None) -> np.ndarray:
+        """x: (n, D) tokens in the layout `waves` (default: one per row);
+        state: a BlockState of (B, ...) arrays, updated in place. Returns
+        the block output (n, D)."""
         bp = self.bp
-        Bsz, D = x.shape
-        N, Dh = self.n_heads, self.d_head
-        a = self.ln1(x)
-        w, (r, k, v, g) = self.front(a, state.tm_prev)
-
-        S = state.S.transpose(2, 3, 0, 1)  # (Dh, Dh, B, N), a view
-        kv = k[:, None] * v
-        y = np.einsum("ijbn,jbn->ibn", S, r) + self.u * k * np.add.reduce(v * r, 0)
-        S *= w
-        S += kv
-
-        y = y.reshape(Dh, -1)
-        yc = y - np.dot(self.head_avg, y)
-        yn = (yc / np.sqrt(np.dot(self.head_avg, yc * yc) + LN_EPS)).reshape(Dh, Bsz, N)
-        z = g / (1.0 + np.exp(-g)) * yn
-        h = x + np.dot(z.transpose(1, 2, 0).reshape(Bsz, D), bp.W_o)
-
-        b2 = self.ln2(h)
-        mix_rk = b2 + (state.cm_prev - b2) * self.mu_c
+        waves = waves or _Waves(None, len(x))
+        h = x + self._time_mix(self.ln1(x), state, waves)
+        b = self.ln2(h)
+        mix_rk = b + (waves.prev(state.cm_prev, b) - b) * self.mu_c
+        state.cm_prev[...] = waves.last_of(b)
         rr = np.dot(mix_rk[0], bp.W_cr)
         kr = np.maximum(np.dot(mix_rk[1], bp.W_ck), 0.0)
-        out = h + np.dot(kr * kr, bp.W_cv) / (1.0 + np.exp(-rr))
-        state.tm_prev[...] = a
-        state.cm_prev[...] = b2
-        return out
+        return h + np.dot(kr * kr, bp.W_cv) / (1.0 + np.exp(-rr))
+
+    def _time_mix(self, a, state, waves: _Waves) -> np.ndarray:
+        """The token mixing of the normed input a (n, D), before the
+        residual; its temporaries are freed before the channel mix."""
+        n, D = a.shape
+        N, Dh = self.n_heads, self.d_head
+        w, (r, k, v, g) = self.front(a, waves.prev(state.tm_prev, a))
+        state.tm_prev[...] = waves.last_of(a)
+        y = _recur(state.S, w, k, v, waves, r)
+        y += self.u * k * np.add.reduce(v * r, 0)
+        y = y.reshape(Dh, -1)
+        yc = y - np.dot(self.head_avg, y)
+        yn = (yc / np.sqrt(np.dot(self.head_avg, yc * yc) + LN_EPS)).reshape(Dh, n, N)
+        z = g / (1.0 + np.exp(-g)) * yn
+        return np.dot(z.transpose(1, 2, 0).reshape(n, D), self.bp.W_o)
 
 
 class _MvhsRt:
@@ -171,21 +248,20 @@ class _MvhsRt:
     def __init__(self, mp: MvhsParams, n_heads: int, d_head: int):
         self.front = _Front(mp, "kv", n_heads, d_head)
 
-    def step(self, x, state) -> np.ndarray | None:
-        """x: (B, D); state: an MvhsState of (B, ...) arrays, updated in
-        place. Returns None when every row's update (k, v and the decay w)
-        is finite, else the (B,) mask of the rows whose update is not; the
-        matrix state of those rows is then non-finite and must be discarded
-        (`EncoderRuntime.step` zeroes it)."""
-        w, kv = self.front(x, state.prev)
+    def step(self, x, state, waves: _Waves | None = None) -> np.ndarray | None:
+        """x: (n, D) tokens in the layout `waves` (default: one per row);
+        state: an MvhsState of (B, ...) arrays, updated in place. Returns
+        None when every token's update (k, v and the decay w) is finite,
+        else the (B,) mask of the rows with a token whose update is not;
+        the matrix state of those rows is then non-finite and must be
+        discarded (`EncoderRuntime.step` zeroes it)."""
+        waves = waves or _Waves(None, len(x))
+        w, kv = self.front(x, waves.prev(state.prev, x))
         bad = None
         if not (np.isfinite(kv).all() and np.isfinite(w).all()):
-            bad = ~(np.isfinite(kv).all((0, 1, 3)) & np.isfinite(w).all((0, 1, 3)))
-        k, v = kv
-        S = state.S.transpose(2, 3, 0, 1)
-        S *= w
-        S += k[:, None] * v
-        state.prev[...] = x
+            bad = waves.rows_of(~(np.isfinite(kv).all((0, 1, 3)) & np.isfinite(w).all((0, 1, 3))))
+        _recur(state.S, w, *kv, waves)
+        state.prev[...] = waves.last_of(x)
         return bad
 
 
@@ -199,30 +275,35 @@ class EncoderRuntime:
         self.mvhs = _MvhsRt(params.mvhs, cfg.mvhs_heads, cfg.mvhs_d_head)
         self.ln0 = _LayerNorm(params.ln0_g, params.ln0_b)
 
-    def step(self, state: EncoderState, tokens, dts) -> np.ndarray | None:
-        """Absorb token `tokens[i]` with gap `dts[i]` into row i of the
-        batched `state`, in place. Returns None when every row's update was
-        finite, else the (B,) mask of the rows whose update was not: their
+    def step(self, state: EncoderState, tokens, dts, sizes=None) -> np.ndarray | None:
+        """Absorb the tokens `tokens` with gaps `dts`, laid out in the waves
+        `sizes` (a list, default one token per row; `ingest` passes the
+        `_Waves` it built), into the rows of the batched `state`, in place. Returns None when every update was finite, else
+        the (B,) mask of the rows with a token whose update was not: their
         block and MVHS state is zeroed and their event_index left as it was."""
+        waves = sizes if isinstance(sizes, _Waves) else _Waves(sizes, len(tokens))
         embed = self.params.embed
         x = embed.take(tokens, 0) + embed_temporal(dts, embed.shape[1], embed.dtype)
         h = self.ln0(x)
         for blk, bs in zip(self.blocks, state.blocks):
-            h = blk.step(h, bs)
-        bad = self.mvhs.step(h, state.mvhs)
+            h = blk.step(h, bs, waves)
+        bad = self.mvhs.step(h, state.mvhs, waves)
         if bad is None:
-            state.event_index += 1
+            state.event_index += waves.counts
         else:
             for arr in state.tensors():
                 arr[bad] = 0.0
-            state.event_index += ~bad
+            state.event_index += waves.counts * ~bad
         return bad
 
-    def ingest(self, state: EncoderState, tokens, ts) -> np.ndarray | None:
-        """`step` with absolute timestamps: the gap is taken from each row's
-        last_t (0 for a stream's first event), and last_t advances on the
-        rows whose update was finite. Returns what `step` returns."""
-        last = state.last_t
-        bad = self.step(state, tokens, np.where(last < 0, 0, ts - last))
-        np.copyto(last, ts, where=True if bad is None else ~bad)
+    def ingest(self, state: EncoderState, tokens, ts, sizes=None) -> np.ndarray | None:
+        """`step` with absolute timestamps: each token's gap is taken from
+        the timestamp before it in its row, for wave 0 the row's last_t (0
+        for a stream's first event), and last_t becomes the row's last
+        timestamp on the rows whose updates were finite. Returns what
+        `step` returns."""
+        waves = _Waves(sizes, len(tokens))
+        prev = waves.prev(state.last_t, ts)
+        bad = self.step(state, tokens, np.where(prev < 0, 0, ts - prev), waves)
+        np.copyto(state.last_t, waves.last_of(ts), where=True if bad is None else ~bad)
         return bad

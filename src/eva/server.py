@@ -16,7 +16,7 @@ Frames are `opcode u8 | payload length u32 LE | payload`:
 INGEST ordering is guaranteed only within a connection. Out-of-order
 events (per patch) are dropped and counted, never fatal. Each INGEST
 frame goes to the pipeline as one `ingest_events` batch, so its events
-are stepped in waves across patches; records out of the sensor's bounds
+advance all their patches in one runtime call; records out of the sensor's bounds
 (a polarity above 1 included) are counted there, not here.
 """
 

@@ -196,6 +196,45 @@ def test_ingest_event_tracks_timestamps(params):
     assert st.mvhs.S[0][:CFG.n_out].shape == (2, 8, 8)
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_runtime_ingest_of_ragged_waves_equals_each_row_stepped(params, dtype, tol):
+    # one call over 20 tokens of five rows, 7, 5, 5, 2 and 1 of them, so the
+    # waves shrink 5, 4, 3, 3, 3, 1, 1; each row starts from its own state
+    # (row 4 from zeros) and must end where stepping its tokens one at a
+    # time through encode_sequence_recurrent ends
+    p = params.astype(dtype)
+    rng = np.random.default_rng(35)
+    counts = [7, 5, 5, 2, 1]
+    B = len(counts)
+    batch = EncoderState.zeros(CFG, dtype).rows(None).rows(np.zeros(B, np.intp))
+    starts, toks, ts = [], [], []
+    for s, c in enumerate(counts):
+        if s < B - 1:
+            pre_tok, pre_dt = random_stream(40 + s, 6)
+            _, st = encode_sequence_recurrent(p, pre_tok, pre_dt)
+            st.last_t = 1_000 * s
+            batch.put([s], st.rows(None))
+        else:
+            st = EncoderState.zeros(CFG, dtype)
+        starts.append(st)
+        toks.append(rng.integers(0, CFG.vocab, size=c))
+        ts.append(5_000 + np.sort(rng.integers(0, 4_000, size=c)))
+    sizes = [sum(c > k for c in counts) for k in range(max(counts))]
+    wave = [(k, s) for k, size in enumerate(sizes) for s in range(size)]
+    tokens = np.array([toks[s][k] for k, s in wave])
+    times = np.array([ts[s][k] for k, s in wave])
+    assert EncoderRuntime(p).ingest(batch, tokens, times, sizes) is None
+    for s in range(B):
+        prev = starts[s].last_t
+        dts = np.diff(ts[s], prepend=ts[s][0] if prev < 0 else prev)
+        _, want = encode_sequence_recurrent(p, toks[s], dts, starts[s])
+        got = batch.rows(slice(s, s + 1))
+        for g, w in zip(got.tensors(), want.tensors()):
+            assert np.max(np.abs(g[0] - w)) <= tol * np.max(np.abs(w))
+        assert got.event_index[0] == want.event_index
+        assert got.last_t[0] == ts[s][-1]
+
+
 def test_first_event_gap_is_zero(params):
     # stream start: dt = 0 regardless of the absolute timestamp
     rt = EncoderRuntime(params)

@@ -253,6 +253,13 @@ def test_parse_csv_parses_or_raises_event_format_error(data, geometry):
     (io.TextIOWrapper(io.BytesIO(b"0,1,2,1\n5,1,\xff,0\n"), encoding="utf-8"), "line 2: not UTF-8"),
     (io.TextIOWrapper(io.BytesIO(b"".join(b"%d,1,2,1\n" % t for t in range(2000)) + b"1,\xff"),
                       encoding="utf-8"), "line 2001: not UTF-8"),
+    # bare \r and \r\n line ends, split by the default and by newline=""
+    (io.TextIOWrapper(io.BytesIO(b"1,0,0,1\r2,1,1,0\r3,\xff2,2,1\r"), encoding="utf-8"),
+     "line 3: not UTF-8"),
+    (io.TextIOWrapper(io.BytesIO(b"1,0,0,1\r2,1,1,0\r3,\xff2,2,1\r"), encoding="utf-8",
+                      newline=""), "line 3: not UTF-8"),
+    (io.TextIOWrapper(io.BytesIO(b"1,0,0,1\r\n2,1,1,0\r\n3,\xff2,2,1\r\n"), encoding="utf-8"),
+     "line 3: not UTF-8"),
     ("0,1,2,1\n9223372036854775808,1,2,0", "line 2: timestamp"),
     ("0,4294967297,2,1", "line 1: coordinate"),
     ("0,1,-2147483649,1", "line 1: coordinate"),

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eva.config import ENCODER_PROFILES, EncoderConfig
 from eva.encoder import encode_events, encode_sequence, encode_sequence_recurrent
@@ -475,3 +477,109 @@ def test_locate_agrees_with_partition_and_tile_placement(small_params):
     _, offline = encode_offline(small_params, ev, geom)[-1]
     assert np.array_equal(live.watermarks, offline.watermarks)
     assert np.allclose(live.values, offline.values, rtol=1e-6, atol=1e-9)
+
+
+# a record: (patch of the 2 x 2 grid, 4 for out of the sensor, local x,
+# local y, polarity, step from the previous record's time, which may go
+# back, and a draw of 0 in 8 that makes the record the token _POISON)
+_RECORDS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 7), st.integers(0, 7),
+                              st.integers(0, 1), st.integers(-40, 60), st.integers(0, 7)),
+                    max_size=40)
+
+
+def _drawn_frame(records, t=100):
+    cols = []
+    for patch, lx, ly, p, dt, poison in records:
+        t = max(t + dt, 0)
+        if patch == 4:  # x beyond the sensor or p outside {0, 1}
+            x, y, p = (99, ly, p) if lx % 2 else (lx, ly, 2)
+        else:
+            if poison == 0:
+                lx, ly, p = 3, 2, 1
+            r, c = divmod(patch, 2)
+            x, y = c * 8 + lx, r * 8 + ly
+        cols.append((t, x, y, p))
+    return make_events(*(zip(*cols) if cols else ([],) * 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(warm=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 200)), max_size=4),
+       records=_RECORDS)
+@example(warm=[(0, 300)],  # patch 0's first event is older than its watermark
+         records=[(0, 1, 1, 0, 0, 1), (1, 1, 1, 0, 10, 1),
+                  (1, 0, 0, 0, 300, 0),  # non-finite in the middle of patch 1's run,
+                  (1, 2, 2, 1, -200, 1),  # so this one is not late in a loop
+                  (0, 1, 2, 1, 200, 1), (1, 3, 3, 0, 5, 1), (4, 1, 0, 0, 0, 1),
+                  (2, 4, 4, 1, 1, 1)])
+def test_one_call_equals_ingest_loop_on_drawn_frames(small_params, warm, records):
+    # ragged per-patch counts, late events, out-of-bounds records and an Inf
+    # embedding row, after a warm-up that sets some watermarks
+    params, geom = _poisoned(small_params), SensorGeometry(16, 16, 8)
+    batch, loop = A2SPipeline(params, geom), A2SPipeline(params, geom)
+    ev = _drawn_frame(records)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for patch, t in warm:
+            r, c = divmod(patch, 2)
+            assert batch.ingest(t, c * 8, r * 8, 0) == loop.ingest(t, c * 8, r * 8, 0)
+        got = batch.ingest_events(ev)
+        oks = [loop.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) for e in ev]
+    assert got == (sum(oks), len(oks) - sum(oks))
+    assert batch.stats() == loop.stats()
+    a, b = batch.snapshot(), loop.snapshot()
+    assert np.array_equal(a.watermarks, b.watermarks)
+    assert np.max(np.abs(a.values - b.values), initial=0.0) <= 1e-6 * np.max(np.abs(b.values),
+                                                                             initial=0.0)
+
+
+def _track_window(seed):
+    """3 s of the serving benchmark's open-loop traffic, a moving dot at 200
+    events/s on a 128 x 128 sensor, around its stream's longest gap."""
+    geom = SensorGeometry(128, 128, 16)
+    ev = synth_generate("moving_dot", geom, 60_000_000, 200.0, seed=seed)
+    gap = int(np.argmax(np.diff(ev["t"])))
+    t0 = max(int(ev["t"][gap]) - 1_500_000, 0)
+    return geom, ev[(ev["t"] >= t0) & (ev["t"] < t0 + 3_000_000)], t0, int(np.diff(ev["t"])[gap])
+
+
+@pytest.mark.parametrize("seed", [11, 353])
+def test_track_ticks_equal_ingest_loop(seed):
+    # 20 ms ticks of 1-2 active patches through one ingest_events each, as
+    # the server takes them; seed 353's stream has a 65.6 ms gap, longer
+    # than a record's u16 dt, which the library takes like any other
+    params = init_encoder_params(ENCODER_PROFILES["small"], seed=0)
+    geom, ev, t0, longest = _track_window(seed)
+    assert longest > 65_535 if seed == 353 else longest > 0
+    ticks, loop = A2SPipeline(params, geom), A2SPipeline(params, geom)
+    edges = np.searchsorted(ev["t"], np.arange(t0, t0 + 3_000_001, 20_000))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        tick = ev[lo:hi]
+        oks = [loop.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) for e in tick]
+        assert ticks.ingest_events(tick) == (sum(oks), len(oks) - sum(oks))
+    assert ticks.stats() == loop.stats() and ticks.stats()["events_ingested"] == len(ev)
+    a, b = ticks.snapshot(), loop.snapshot()
+    assert np.array_equal(a.watermarks, b.watermarks)
+    assert np.max(np.abs(a.values - b.values)) <= 1e-6 * np.max(np.abs(b.values))
+
+
+def test_one_runtime_call_per_ingest_events(small_params, monkeypatch):
+    # late, out-of-bounds and ragged frames each take one runtime call; a
+    # non-finite update adds the one-event replays of its patch
+    geom = SensorGeometry(16, 16, 8)
+    pipe = A2SPipeline(_poisoned(small_params), geom)
+    calls = []
+    real = pipe.runtime.ingest
+    monkeypatch.setattr(pipe.runtime, "ingest", lambda *a: calls.append(len(a[1])) or real(*a))
+    rng = np.random.default_rng(13)
+    for n in (1, 4, 37, 256):
+        ev = synth_generate("uniform_noise", geom, 1_000_000, 4000.0, seed=n)[:n]
+        ev["x"] += ev["x"] % 8 == 3  # no event is the token _POISON
+        ev["t"][rng.random(n) < 0.1] -= 300
+        ev["x"][rng.random(n) < 0.05] = 99
+        calls.clear()
+        acc, _ = pipe.ingest_events(np.sort(ev, order="t", kind="stable") if n < 37 else ev)
+        assert len(calls) == 1 and calls[0] == acc
+    calls.clear()
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert pipe.ingest_events(make_events([10**7, 10**7 + 1, 10**7 + 2],
+                                              [0, 3, 9], [0, 2, 9], [0, 1, 0])) == (2, 1)
+    assert calls == [3, 1, 1]  # one call, then patch (0, 0)'s two events alone
