@@ -168,8 +168,8 @@ class _Front:
         G += self.lam
         d = G[-1, :, :N * Dh].reshape(n, Dh, 1, N).transpose(1, 2, 0, 3)
         w = np.exp(-np.exp(np.minimum(d, _D_CAP, order="C")))
-        # the mixes overwrite their gates, which no fresh array of a wide
-        # call's size then adds to the peak
+        # the mixes overwrite their gates in place, so no fresh (paths, n, D)
+        # array adds to the memory peak of a wide call
         mix = G[:-1, :, :D]
         mix *= delta
         mix += x
