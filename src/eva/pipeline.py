@@ -146,7 +146,7 @@ class A2SPipeline:
             # replaced by its stable rank, a running max of (patch, rank) keys
             rank = np.empty(n, np.intp)
             rank[np.argsort(t[order], kind="stable")] = np.arange(n)
-            key = ps * n + rank
+            key = ps.astype(np.intp) * n + rank
             ok &= np.maximum.accumulate(key) == key
         n_ok = int(np.count_nonzero(ok))
         late = n - n_ok
@@ -158,7 +158,7 @@ class A2SPipeline:
             # (rank, descending patch count, patch id)
             cnt = np.bincount(ps)
             rank = np.arange(n_ok) - (np.cumsum(cnt) - cnt)[ps]
-            waves = order[np.argsort((rank * (n_ok + 1) + n_ok - cnt[ps]) * len(cnt) + ps)]
+            waves = order[np.lexsort((ps, -cnt[ps], rank))]
             sizes = np.bincount(rank).tolist()
             ids = pid[waves[:sizes[0]]]  # wave 0 holds each patch once, in row order
             rows = state.rows(ids)
