@@ -154,7 +154,8 @@ def cmd_oracle(args):
         if len(sel):
             marks[pid] = int(sel["t"][-1])
     kind = SN.KIND_EC if args.kind == "ec" else SN.KIND_TS
-    SN.write_snapshot(args.out, kind, values, t_ref, (rows, cols), marks)
+    with open(args.out, "wb") as fh:
+        fh.write(SN.dump_snapshot(kind, values, t_ref, (rows, cols), marks))
     print(f"wrote {args.kind} target ({values.shape[1]}x{values.shape[2]}) to {args.out}")
 
 

@@ -2,11 +2,12 @@
 
 Each sensor patch owns an independent recurrent encoder state, updated
 event by event in O(1) per event. The states of all patches are one
-batched `EncoderState`, and each `ingest`/`ingest_events` call advances
-the patches it touches in one `runtime.EncoderRuntime.ingest` call. Its
-events go in waves: wave k holds the k-th accepted event of every patch
-that has one, so the runtime runs every token-parallel op once over the
-call and loops over the waves only for the matrix-state recurrence.
+batched `EncoderState`, and each `ingest_events` call advances the
+patches it touches in one `runtime.EncoderRuntime.ingest` call (`ingest`
+is `ingest_events` of one event). Its events go in waves: wave k holds
+the k-th accepted event of every patch that has one, so the runtime runs
+every token-parallel op once over the call and loops over the waves only
+for the matrix-state recurrence.
 
 Events are checked before the call. One out of the sensor is counted in
 `out_of_bounds`; one older than its patch's watermark, or than an
@@ -66,6 +67,11 @@ class FrameSnapshot:
                                 self.grid, self.watermarks)
 
 
+# `EVENT_DTYPE`'s fields, each wide enough that an out-of-range coordinate
+# or polarity passed to `ingest` is counted, not overflowed
+_RECORD = np.dtype([("t", "<i8"), ("x", "<i8"), ("y", "<i8"), ("p", "<i8")])
+
+
 class A2SPipeline:
     """Live per-patch recurrent encoding with on-demand snapshots.
 
@@ -93,17 +99,10 @@ class A2SPipeline:
         self._lock = threading.Lock()
 
     def ingest(self, t: int, x: int, y: int, p: int) -> bool:
-        """Absorb one event; returns False (and counts) if out of order for
-        its patch, out of the sensor bounds or non-finite."""
-        g = self.geometry
-        if not (0 <= x < g.width and 0 <= y < g.height and p in (0, 1)):
-            with self._lock:
-                self.out_of_bounds += 1
-            return False
-        pid, lx, ly = g.locate(x, y)
-        token = token_index(lx, ly, p, g.patch, g.patch)
-        with self._lock:
-            return self._run(np.array([pid]), np.array([token]), np.array([t])) == 1
+        """`ingest_events` of the one event (t, x, y, p), each an int64.
+        Returns False (and counts) if it is out of the sensor bounds, out
+        of order for its patch or non-finite."""
+        return self.ingest_events(np.array([(t, x, y, p)], _RECORD))[0] == 1
 
     def ingest_events(self, events: np.ndarray) -> tuple[int, int]:
         """Batch ingest (events may span patches, in stream order). Returns

@@ -275,13 +275,14 @@ class EncoderRuntime:
         self.mvhs = _MvhsRt(params.mvhs, cfg.mvhs_heads, cfg.mvhs_d_head)
         self.ln0 = _LayerNorm(params.ln0_g, params.ln0_b)
 
-    def step(self, state: EncoderState, tokens, dts, sizes=None) -> np.ndarray | None:
-        """Absorb the tokens `tokens` with gaps `dts`, laid out in the waves
-        `sizes` (a list, default one token per row; `ingest` passes the
-        `_Waves` it built), into the rows of the batched `state`, in place. Returns None when every update was finite, else
-        the (B,) mask of the rows with a token whose update was not: their
-        block and MVHS state is zeroed and their event_index left as it was."""
-        waves = sizes if isinstance(sizes, _Waves) else _Waves(sizes, len(tokens))
+    def step(self, state: EncoderState, tokens, dts,
+             waves: _Waves | None = None) -> np.ndarray | None:
+        """Absorb the tokens `tokens` with gaps `dts`, laid out in `waves`
+        (default: one token per row), into the rows of the batched `state`,
+        in place. Returns None when every update was finite, else the (B,)
+        mask of the rows with a token whose update was not: their block and
+        MVHS state is zeroed and their event_index left as it was."""
+        waves = waves or _Waves(None, len(tokens))
         embed = self.params.embed
         x = embed.take(tokens, 0) + embed_temporal(dts, embed.shape[1], embed.dtype)
         h = self.ln0(x)

@@ -6,7 +6,8 @@ EC counts events per pixel inside a closed time window [t_s, t_e]; TS is
 exp((t_last - t_ref) / tau) of the most recent event per pixel (0 where a
 pixel never fired). Batch and streaming forms agree exactly; they serve as
 self-supervision targets, as golden oracles for the learned state, and as
-exportable features.
+exportable features (`eva oracle` writes them as f32 `EVAR` snapshots of
+kind ec or ts).
 """
 
 from __future__ import annotations
@@ -101,14 +102,6 @@ class StreamingEventCount:
                 break
             img[p, y, x] -= 1
         return img
-
-
-def quantize_repr(values: np.ndarray, scale: float = 0.125) -> np.ndarray:
-    """u8 quantization: min(255, round(|v| * scale)), half away from zero."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite values")
-    q = np.floor(np.abs(values) * scale + 0.5)
-    return np.minimum(q, 255.0).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

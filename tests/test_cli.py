@@ -9,7 +9,7 @@ from eva.config import ENCODER_PROFILES
 from eva.events import (SensorGeometry, make_events, read_binary_file,
                         synth_generate, write_binary_file, write_csv)
 from eva.params import init_encoder_params
-from eva.snapshots import KIND_EC, read_snapshot
+from eva.snapshots import KIND_EC, load_snapshot
 from eva.targets import event_count
 
 
@@ -78,7 +78,7 @@ def test_oracle_cli(tmp_path):
     out = tmp_path / "target.evar"
     assert main(["oracle", "--input", str(src), "--out", str(out), "--kind", "ec",
                  "--patch", "16", "--window-us", "50000"]) == 0
-    snap = read_snapshot(out)
+    snap = load_snapshot(out.read_bytes())
     assert snap.kind == KIND_EC
     t_ref = int(ev["t"][-1])
     want = event_count(ev, t_ref - 50_000, t_ref, 16)
@@ -103,7 +103,7 @@ def test_encode_cli(tmp_path, small_ckpt):
                  "--out", str(out_dir), "--period-us", "20000"]) == 0
     files = sorted(os.listdir(out_dir))
     assert len(files) >= 3
-    snap = read_snapshot(out_dir / files[-1])
+    snap = load_snapshot((out_dir / files[-1]).read_bytes())
     assert snap.values.shape == (2, 16, 16)
     with pytest.raises(SystemExit, match="period_us must be positive"):
         main(["encode", "--checkpoint", small_ckpt, "--input", str(src),

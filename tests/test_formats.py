@@ -14,8 +14,8 @@ from eva.events import (BINARY_MAGIC, EventFormatError, SensorGeometry, make_eve
                         pack_binary, parse_csv, read_binary_file, unpack_binary,
                         write_binary_file, write_csv)
 from eva.params import init_encoder_params, named_arrays
-from eva.snapshots import (KIND_EC, KIND_QUANT, KIND_REPR, KIND_TS, MAGIC,
-                           SnapshotError, dump_snapshot, load_snapshot)
+from eva.snapshots import (KIND_REPR, KIND_TS, KINDS, MAGIC, SnapshotError, dump_snapshot,
+                           load_snapshot)
 
 
 def test_kv_text_roundtrip():
@@ -304,17 +304,13 @@ def test_snapshot_roundtrip_f32():
                          snap.patch_watermarks) == data
 
 
-def test_snapshot_roundtrip_quantized():
-    values = np.arange(2 * 8 * 8, dtype=np.uint8).reshape(2, 8, 8)
-    data = dump_snapshot(KIND_QUANT, values, 17)
-    snap = load_snapshot(data)
-    assert snap.values.dtype == np.uint8
-    assert np.array_equal(snap.values, values)
-
-
 def test_snapshot_kind_tags():
     values = np.zeros((2, 4, 4), np.float32)
-    assert load_snapshot(dump_snapshot(KIND_EC, values, 0)).kind == KIND_EC
+    for kind in KINDS:
+        assert load_snapshot(dump_snapshot(kind, values, 0)).kind == kind
+    for kind in (2, 9):  # the writer refuses what the reader would
+        with pytest.raises(SnapshotError, match=f"unknown snapshot kind {kind}"):
+            dump_snapshot(kind, values, 0)
 
 
 def test_snapshot_rejects_bad_grid():
@@ -327,8 +323,8 @@ def test_snapshot_rejects_bad_grid():
     with pytest.raises(SnapshotError):  # a header with a zero grid
         load_snapshot(MAGIC + bytes([KIND_REPR]) + struct.pack("<HHHHQ", 1, 4, 0, 1, 0))
     good = dump_snapshot(KIND_REPR, np.zeros((1, 4, 4), np.float32), 0)
-    for bad in (good[:3], good[:10], good[:-1], good + b"\x00",
-                good[:4] + bytes([9]) + good[5:]):  # short, truncated, trailing, kind 9
+    for bad in (good[:3], good[:10], good[:-1], good + b"\x00",  # short, truncated, trailing
+                good[:4] + bytes([2]) + good[5:], good[:4] + bytes([9]) + good[5:]):  # kinds
         with pytest.raises(SnapshotError):
             load_snapshot(bad)
     # a u64 watermark of 2^63 or more would read back negative as int64
@@ -338,7 +334,7 @@ def test_snapshot_rejects_bad_grid():
     assert load_snapshot(_with_watermark(1, 2 ** 63 - 1)).patch_watermarks[0, 1] == 2 ** 63 - 1
 
 
-_GOOD = dump_snapshot(KIND_QUANT, np.ones((2, 4, 4), np.uint8), 7, (2, 2))
+_GOOD = dump_snapshot(KIND_TS, np.ones((2, 4, 4), np.float32), 7, (2, 2))
 
 
 def _corrupted(at, byte, cut, tail):
@@ -365,7 +361,7 @@ def test_snapshot_bytes_parse_or_raise_snapshot_error(data):
         snap = load_snapshot(data)
     except SnapshotError:
         return
-    assert snap.kind in (KIND_EC, KIND_TS, KIND_QUANT, KIND_REPR)
+    assert snap.kind in KINDS
     rows, cols = snap.grid
     assert snap.values.shape[1:] == (rows * snap.tile, cols * snap.tile)
     assert snap.watermark >= 0 and np.all(snap.patch_watermarks >= 0)

@@ -87,11 +87,13 @@ def test_out_of_order_rejected_and_counted(small_params):
 
 def test_out_of_bounds_ignored(small_params):
     pipe = A2SPipeline(small_params, SensorGeometry(8, 8, 8), threads=1)
-    assert not pipe.ingest(1, 99, 0, 0)
-    assert not pipe.ingest(1, 0, 0, 3)
+    # x = 2**40 and p = 300 do not fit `EVENT_DTYPE`'s int32 x and int8 p
+    bad = ((99, 0, 0), (0, 0, 3), (2 ** 40, 0, 0), (0, -5, 0), (0, 0, 300), (0, 0, -1))
+    for x, y, p in bad:
+        assert not pipe.ingest(1, x, y, p)
     stats = pipe.stats()
-    assert stats["events_ingested"] + stats["events_rejected"] == 2
-    assert stats["events_out_of_bounds"] == 2
+    assert stats["events_ingested"] + stats["events_rejected"] == len(bad)
+    assert stats["events_out_of_bounds"] == len(bad)
 
 
 def test_snapshot_shape_dvs_profile():

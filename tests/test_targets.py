@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from eva.config import TargetSpec
 from eva.events import make_events, empty_events
 from eva.targets import (StreamingEventCount, StreamingTimeSurface, chunk_targets,
-                         event_count, quantize_repr, time_surface)
+                         event_count, time_surface)
 
 
 def random_patch_events(seed, n, P=8, max_dt=50):
@@ -251,38 +251,3 @@ def test_chunk_targets_reject_what_time_surface_rejects():
     with pytest.raises(ValueError):
         chunk_targets(ts, ev, empty_events(), [3], 4)  # t = 30 absorbed before t_ref = 20
     assert chunk_targets(ts, ev, empty_events(), [], 4).shape == (0, 2, 4, 4)
-
-
-# ---------------------------------------------------------------------------
-# quantization
-# ---------------------------------------------------------------------------
-
-def test_quantize_spot_values():
-    assert quantize_repr(np.array([16.0]))[0] == 2
-    assert quantize_repr(np.array([-20.0]))[0] == 3  # round half away from zero
-    assert quantize_repr(np.array([10_000.0]))[0] == 255
-
-
-def test_quantize_shape_and_type():
-    v = np.linspace(-100, 100, 24).reshape(2, 3, 4)
-    q = quantize_repr(v)
-    assert q.shape == v.shape
-    assert q.dtype == np.uint8
-
-
-def test_quantize_rejects_non_finite():
-    with pytest.raises(ValueError):
-        quantize_repr(np.array([np.nan]))
-    with pytest.raises(ValueError):
-        quantize_repr(np.array([np.inf]))
-
-
-def test_quantize_scalar_oracle():
-    rng = np.random.default_rng(7)
-    v = rng.normal(scale=800, size=100)
-    q = quantize_repr(v)
-    for vi, qi in zip(v, q):
-        x = abs(vi) / 8.0
-        frac = x - np.floor(x)
-        want = np.floor(x) + (1 if frac >= 0.5 else 0)
-        assert qi == min(int(want), 255)
