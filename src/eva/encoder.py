@@ -90,17 +90,27 @@ class EncoderState:
         return ([a for b in self.blocks for a in (b.S, b.tm_prev, b.cm_prev)]
                 + [self.mvhs.S, self.mvhs.prev])
 
-    def rows(self, sel) -> "EncoderState":
+    def rows(self, sel, into: "EncoderState | None" = None) -> "EncoderState":
         """The batched state of the rows `sel` of this batched state: a
         slice gives views of the stores, an index array copies them (in the
         same layout), and `None` adds a batch axis of one to a single
         stream's state (views, except last_t and event_index, which become
-        new 1-element arrays)."""
+        new 1-element arrays). Given `into`, a batched state with
+        C-contiguous stores and at least len(sel) rows, an index array's
+        copy fills the front of its stores instead of new arrays, and is
+        valid until the next gather into `into`."""
         if sel is None or isinstance(sel, slice):
             return EncoderState(self.S[:, :, :, sel], self.S_mvhs[:, :, sel], self.vec[sel],
                                 np.asarray(self.last_t)[sel], np.asarray(self.event_index)[sel])
-        return EncoderState(self.S.take(sel, 3), self.S_mvhs.take(sel, 2), self.vec.take(sel, 0),
-                            self.last_t.take(sel), self.event_index.take(sel))
+        if into is None:
+            return EncoderState(self.S.take(sel, 3), self.S_mvhs.take(sel, 2),
+                                self.vec.take(sel, 0), self.last_t.take(sel),
+                                self.event_index.take(sel))
+        return EncoderState(_take_into(self.S, sel, 3, into.S),
+                            _take_into(self.S_mvhs, sel, 2, into.S_mvhs),
+                            _take_into(self.vec, sel, 0, into.vec),
+                            _take_into(self.last_t, sel, 0, into.last_t),
+                            _take_into(self.event_index, sel, 0, into.event_index))
 
     def put(self, sel, rows: "EncoderState") -> None:
         """Write the batched state `rows` into the rows `sel` of this
@@ -110,6 +120,13 @@ class EncoderState:
         self.vec[sel] = rows.vec
         self.last_t[sel] = rows.last_t
         self.event_index[sel] = rows.event_index
+
+
+def _take_into(a, sel, axis: int, buf):
+    """a.take(sel, axis) written into the front of the C-contiguous buf."""
+    out = np.ndarray(a.shape[:axis] + (len(sel),) + a.shape[axis + 1:], a.dtype, buf)
+    # mode "raise" would gather into a temporary and then copy it to out
+    return a.take(sel, axis, out, mode="clip")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,11 @@ gathered copy in place; then it scatters the copy back with one
 state's three stores per call, whatever its size and number of waves; in
 the matrix stores, whose patch axis comes just before the heads, each
 copies runs of N floats. With the patch axis innermost instead, they
-would copy single floats and cost about 10x more.
+would copy single floats and cost about 10x more. The copy lands in a
+buffer the pipeline keeps (`_gathered`), which grows to the widest call,
+so a warm call allocates no copy of its rows. `_replay` gathers its one
+row into a fresh copy, because the call's rows are still live in the
+buffer when it runs.
 """
 
 from __future__ import annotations
@@ -91,6 +95,9 @@ class A2SPipeline:
         n = geometry.n_patches
         self._state = EncoderState.zeros(params.config, params.dtype).rows(None).rows(
             np.zeros(n, np.intp))
+        # the gathered rows of a call (`_run`), kept for the next: a buffer
+        # that grows to the widest call
+        self._gathered = self._state.rows(slice(0))
         self.ingested = 0
         self.out_of_order = 0
         self.nonfinite = 0
@@ -160,7 +167,10 @@ class A2SPipeline:
             waves = order[np.lexsort((ps, -cnt[ps], rank))]
             sizes = np.bincount(rank).tolist()
             ids = pid[waves[:sizes[0]]]  # wave 0 holds each patch once, in row order
-            rows = state.rows(ids)
+            if len(ids) <= len(self._gathered.last_t):
+                rows = state.rows(ids, self._gathered)
+            else:
+                rows = self._gathered = state.rows(ids)
             bad = self.runtime.ingest(rows, tok[waves], t[waves], sizes)
             if bad is not None:
                 for s in np.flatnonzero(bad):

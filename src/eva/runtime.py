@@ -48,6 +48,23 @@ b * N contiguous floats, where in (B, N, Dh, Dh) order their inner loops
 were Dh = 8 long. A state whose stores have other strides steps to the
 same values, only slower.
 
+The arrays whose size grows with a call's width, and which would
+otherwise be allocated and freed again by every call, are views of one
+`_Scratch` that the `EncoderRuntime` owns and its layers share: each
+front's stacked gates, projections and projections in (i, n) order, the
+k v^T of a wave (one buffer sized for wave 0, rebuilt per wave), the
+read-outs, and the channel mix's two mixes and its hidden layer. The
+head norm, the gate and the channel mix's output then finish in place.
+What a call still allocates is a few (n, D) arrays at a time, which glibc
+keeps in its heap from one call to the next; the MB-sized temporaries
+this replaced went back to the OS after each call and were faulted in
+again by the next. A scratch buffer is replaced only by a larger one, so
+the bytes it keeps are bounded by the largest call so far. As its layers
+share the scratch, a runtime is not reentrant: one call at a time, which
+`pipeline.A2SPipeline` ensures by calling it under its lock. A `_BlockRt`
+or `_MvhsRt` built alone gets a scratch of its own. What the `step`
+methods return never aliases the scratch.
+
 Parameter tensors are referenced, not copied, except for the stacked and
 permuted copies built at construction; mutate parameters -> rebuild the
 runtime.
@@ -55,6 +72,7 @@ runtime.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -134,15 +152,34 @@ class _Waves:
         return rows
 
 
+class _Scratch:
+    """The reusable temporaries of a runtime's calls: one byte buffer per
+    name, handed out as a C-contiguous array over its first bytes and
+    replaced by a larger one only when a call needs more. An array is
+    valid until the next request of its name."""
+    __slots__ = ("bufs",)
+
+    def __init__(self):
+        self.bufs = {}
+
+    def __call__(self, name: str, shape, dtype) -> np.ndarray:
+        try:
+            return np.ndarray(shape, dtype, self.bufs[name])
+        except (KeyError, TypeError):  # a first request, or a buffer too small
+            buf = self.bufs[name] = np.empty(math.prod(shape) * dtype.itemsize, np.uint8)
+            return np.ndarray(shape, dtype, buf)
+
+
 class _Front:
     """The token-shift front end of one step, for the TM paths r, k, v, g
     and the MVHS paths k, v alike: the ddlerp mixes of the named paths and
     the decay d as one stacked LoRA, decay last. Narrower LoRA or output
     widths are zero-padded, which adds exact zeros. The decay and the
-    projections are in (i, n) order."""
-    __slots__ = ("mu", "A", "B", "lam", "W", "n_heads", "d_head")
+    projections are in (i, n) order. The stacked gates, the projections
+    and the projections in (i, n) order are written into `scratch`."""
+    __slots__ = ("mu", "A", "B", "lam", "W", "n_heads", "d_head", "scratch")
 
-    def __init__(self, p, paths: str, n_heads: int, d_head: int):
+    def __init__(self, p, paths: str, n_heads: int, d_head: int, scratch: _Scratch):
         perm = _heads_inner(n_heads, d_head)
         As = [getattr(p, f"A_{n}") for n in paths] + [p.A_w]
         Bs = [getattr(p, f"B_{n}") for n in paths] + [p.B_w.take(perm, 1)]
@@ -157,14 +194,18 @@ class _Front:
         self.mu = p.mu
         self.n_heads = n_heads
         self.d_head = d_head
+        self.scratch = scratch
 
     def __call__(self, x, prev):
         """x: (n, D) inputs; prev: (n, D), the input before each. Returns
-        the decay w (Dh, 1, n, N) and the projections (paths, Dh, n, N)."""
+        the decay w (Dh, 1, n, N) and the projections (paths, Dh, n, N),
+        the latter a view of the scratch valid until the next front call."""
         n, D = x.shape
         N, Dh = self.n_heads, self.d_head
+        paths, dtype = len(self.W), np.result_type(x, self.B)
         delta = prev - x
-        G = np.matmul(np.tanh(np.matmul(x + delta * self.mu, self.A)), self.B)
+        G = np.matmul(np.tanh(np.matmul(x + delta * self.mu, self.A)), self.B,
+                      out=self.scratch("gates", (paths + 1, n, self.B.shape[2]), dtype))
         G += self.lam
         d = G[-1, :, :N * Dh].reshape(n, Dh, 1, N).transpose(1, 2, 0, 3)
         w = np.exp(-np.exp(np.minimum(d, _D_CAP, order="C")))
@@ -173,39 +214,43 @@ class _Front:
         mix = G[:-1, :, :D]
         mix *= delta
         mix += x
-        proj = np.matmul(mix, self.W)
-        return w, np.ascontiguousarray(proj.reshape(-1, n, Dh, N).swapaxes(1, 2))
+        proj = np.matmul(mix, self.W, out=self.scratch("proj", (paths, n, N * Dh), dtype))
+        heads = self.scratch("heads", (paths, Dh, n, N), dtype)
+        np.copyto(heads, proj.reshape(paths, n, Dh, N).swapaxes(1, 2))
+        return w, heads
 
 
-def _recur(S, w, k, v, waves: _Waves, r=None):
+def _recur(S, w, k, v, waves: _Waves, scratch: _Scratch, r=None):
     """The one recurrence of a layer's matrix states S (B, N, Dh, Dh),
     stored heads-innermost, over the waves of a call: wave by wave, on the
     prefix of the rows it steps, the read-out S r of its tokens (when r is
     given) and then the update S <- diag(w) S + k v^T, in place. w is
-    (Dh, 1, n, N); k, v and r are (Dh, n, N). Returns the read-outs
-    (Dh, n, N), or None without r."""
+    (Dh, 1, n, N); k, v and r are (Dh, n, N). Each wave's k v^T is built in
+    one scratch buffer sized for wave 0. Returns the read-outs (Dh, n, N),
+    a view of the scratch, or None without r."""
     S = S.transpose(2, 3, 0, 1)  # (Dh, Dh, B, N), a view
-    kv = k[:, None] * v
-    ys = []
+    Dh, n, N = k.shape
+    kv = scratch("kv", (Dh, Dh, waves.spans[0][1], N), k.dtype)
+    y = None if r is None else scratch("read", (Dh, n, N), np.result_type(S, r))
+    k = k[:, None]
     for o, b in waves.spans:
         Sw = S[:, :, :b]
         if r is not None:
-            ys.append(np.einsum("ijbn,jbn->ibn", Sw, r[:, o:o + b]))
+            np.einsum("ijbn,jbn->ibn", Sw, r[:, o:o + b], out=y[:, o:o + b])
         Sw *= w[:, :, o:o + b]
-        Sw += kv[:, :, o:o + b]
-    if r is not None:
-        return ys[0] if len(ys) == 1 else np.concatenate(ys, 1)
+        Sw += np.multiply(k[:, :, o:o + b], v[:, o:o + b], out=kv[:, :, :b])
+    return y
 
 
 class _BlockRt:
     __slots__ = ("bp", "ln1", "ln2", "front", "mu_c", "u", "head_avg", "n_heads", "d_head")
 
-    def __init__(self, bp: BlockParams, n_heads: int):
+    def __init__(self, bp: BlockParams, n_heads: int, scratch: _Scratch | None = None):
         self.bp = bp
         D = bp.mu.shape[0]
         self.n_heads = n_heads
         self.d_head = D // n_heads
-        self.front = _Front(bp, "rkvg", n_heads, self.d_head)
+        self.front = _Front(bp, "rkvg", n_heads, self.d_head, scratch or _Scratch())
         self.u = bp.u[_heads_inner(n_heads, self.d_head)].reshape(self.d_head, 1, n_heads)
         self.mu_c = np.stack([bp.mu_cr, bp.mu_ck])[:, None]
         self.ln1 = _LayerNorm(bp.ln1_g, bp.ln1_b)
@@ -220,11 +265,21 @@ class _BlockRt:
         waves = waves or _Waves(None, len(x))
         h = x + self._time_mix(self.ln1(x), state, waves)
         b = self.ln2(h)
-        mix_rk = b + (waves.prev(state.cm_prev, b) - b) * self.mu_c
+        scratch = self.front.scratch
+        mix_rk = scratch("mix_rk", (2, *b.shape), np.result_type(b, self.mu_c))
+        np.multiply(waves.prev(state.cm_prev, b) - b, self.mu_c, out=mix_rk)
+        mix_rk += b
         state.cm_prev[...] = waves.last_of(b)
+        del b  # freed before the hidden layer
         rr = np.dot(mix_rk[0], bp.W_cr)
-        kr = np.maximum(np.dot(mix_rk[1], bp.W_ck), 0.0)
-        return h + np.dot(kr * kr, bp.W_cv) / (1.0 + np.exp(-rr))
+        kr = scratch("ffn", (len(h), bp.W_ck.shape[1]), np.result_type(mix_rk, bp.W_ck))
+        np.dot(mix_rk[1], bp.W_ck, out=kr)
+        np.maximum(kr, 0.0, out=kr)
+        np.multiply(kr, kr, out=kr)
+        out = np.dot(kr, bp.W_cv)
+        out /= 1.0 + np.exp(-rr)
+        out += h
+        return out
 
     def _time_mix(self, a, state, waves: _Waves) -> np.ndarray:
         """The token mixing of the normed input a (n, D), before the
@@ -233,20 +288,24 @@ class _BlockRt:
         N, Dh = self.n_heads, self.d_head
         w, (r, k, v, g) = self.front(a, waves.prev(state.tm_prev, a))
         state.tm_prev[...] = waves.last_of(a)
-        y = _recur(state.S, w, k, v, waves, r)
+        y = _recur(state.S, w, k, v, waves, self.front.scratch, r)
         y += self.u * k * np.add.reduce(v * r, 0)
         y = y.reshape(Dh, -1)
-        yc = y - np.dot(self.head_avg, y)
-        yn = (yc / np.sqrt(np.dot(self.head_avg, yc * yc) + LN_EPS)).reshape(Dh, n, N)
-        z = g / (1.0 + np.exp(-g)) * yn
+        y -= np.dot(self.head_avg, y)
+        y /= np.sqrt(np.dot(self.head_avg, y * y) + LN_EPS)
+        z = np.exp(-g)
+        z += 1.0
+        np.divide(g, z, out=z)
+        z *= y.reshape(Dh, n, N)
         return np.dot(z.transpose(1, 2, 0).reshape(n, D), self.bp.W_o)
 
 
 class _MvhsRt:
     __slots__ = ("front",)
 
-    def __init__(self, mp: MvhsParams, n_heads: int, d_head: int):
-        self.front = _Front(mp, "kv", n_heads, d_head)
+    def __init__(self, mp: MvhsParams, n_heads: int, d_head: int,
+                 scratch: _Scratch | None = None):
+        self.front = _Front(mp, "kv", n_heads, d_head, scratch or _Scratch())
 
     def step(self, x, state, waves: _Waves | None = None) -> np.ndarray | None:
         """x: (n, D) tokens in the layout `waves` (default: one per row);
@@ -260,19 +319,21 @@ class _MvhsRt:
         bad = None
         if not (np.isfinite(kv).all() and np.isfinite(w).all()):
             bad = waves.rows_of(~(np.isfinite(kv).all((0, 1, 3)) & np.isfinite(w).all((0, 1, 3))))
-        _recur(state.S, w, *kv, waves)
+        _recur(state.S, w, *kv, waves, self.front.scratch)
         state.prev[...] = waves.last_of(x)
         return bad
 
 
 class EncoderRuntime:
-    """Bound fast path over a fixed parameter set."""
+    """Bound fast path over a fixed parameter set. Not reentrant: its
+    layers share one scratch, so one call at a time."""
 
     def __init__(self, params: EncoderParams):
         cfg = params.config
         self.params = params
-        self.blocks = [_BlockRt(bp, cfg.n_heads) for bp in params.blocks]
-        self.mvhs = _MvhsRt(params.mvhs, cfg.mvhs_heads, cfg.mvhs_d_head)
+        scratch = _Scratch()
+        self.blocks = [_BlockRt(bp, cfg.n_heads, scratch) for bp in params.blocks]
+        self.mvhs = _MvhsRt(params.mvhs, cfg.mvhs_heads, cfg.mvhs_d_head, scratch)
         self.ln0 = _LayerNorm(params.ln0_g, params.ln0_b)
 
     def step(self, state: EncoderState, tokens, dts,

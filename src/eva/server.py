@@ -9,7 +9,10 @@ Frames are `opcode u8 | payload length u32 LE | payload`:
   0x02 SNAPSHOT  payload empty for the full frame, or u16 row + u16 col
                  for one patch. Reply: SNAPSHOT frame with an `EVAR`
                  container.
-  0x03 STATS     Reply: STATS frame with `key = value` text.
+  0x03 STATS     Reply: STATS frame with `key = value` text: the
+                 pipeline's counters (`A2SPipeline.stats`), then the
+                 server process's `minor_page_faults` and `max_rss_kb`
+                 (peak resident set, KiB on Linux), from getrusage.
   0x7F ERROR     sent on protocol violations and on any failure while
                  serving a request; the connection then closes.
 
@@ -23,6 +26,7 @@ advance all their patches in one runtime call; records out of the sensor's bound
 from __future__ import annotations
 
 import logging
+import resource
 import socket
 import socketserver
 import struct
@@ -118,7 +122,9 @@ class _Handler(socketserver.BaseRequestHandler):
                 return False
             write_frame(self.request, OP_SNAPSHOT, frame_snap.to_bytes())
         elif op == OP_STATS:
-            text = format_kv_text(pipe.stats())
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            text = format_kv_text({**pipe.stats(), "minor_page_faults": usage.ru_minflt,
+                                   "max_rss_kb": usage.ru_maxrss})
             write_frame(self.request, OP_STATS, text.encode())
         else:
             self._error(f"unknown opcode 0x{op:02x}")

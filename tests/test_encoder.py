@@ -235,6 +235,33 @@ def test_runtime_ingest_of_ragged_waves_equals_each_row_stepped(params, dtype, t
         assert got.last_t[0] == ts[s][-1]
 
 
+def test_runtime_buffer_reuse_is_invisible():
+    # one runtime through calls of 256 tokens (four waves), 1, 37 (five
+    # waves), 300 (wider than any before, so its buffers grow) and 2: each
+    # call leaves its rows bitwise where a fresh runtime leaves a copy of them
+    cfg = ENCODER_PROFILES["small"]
+    p = init_encoder_params(cfg, seed=0)
+    rng = np.random.default_rng(21)
+    rt = EncoderRuntime(p)
+    state = EncoderState.zeros(cfg, p.dtype).rows(None).rows(np.zeros(128, np.intp))
+    t = 0
+    for sizes in ([64] * 4, [1], [12, 10, 8, 4, 3], [100] * 3, [2]):
+        n = sum(sizes)
+        sel = rng.choice(128, sizes[0], replace=False)
+        rows = state.rows(sel)
+        fresh = rows.copy()
+        tokens = rng.integers(0, cfg.vocab, n)
+        ts = t + np.cumsum(rng.integers(1, 500, n))
+        t = int(ts[-1])
+        assert rt.ingest(rows, tokens, ts, sizes) is None
+        assert EncoderRuntime(p).ingest(fresh, tokens, ts, sizes) is None
+        for a, b in zip((rows.S, rows.S_mvhs, rows.vec, rows.last_t, rows.event_index),
+                        (fresh.S, fresh.S_mvhs, fresh.vec, fresh.last_t, fresh.event_index)):
+            assert np.array_equal(a, b)
+        state.put(sel, rows)
+    assert state.event_index.sum() == 256 + 1 + 37 + 300 + 2
+
+
 def test_first_event_gap_is_zero(params):
     # stream start: dt = 0 regardless of the absolute timestamp
     rt = EncoderRuntime(params)

@@ -1,5 +1,10 @@
+import os
+import platform
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,3 +590,97 @@ def test_one_runtime_call_per_ingest_events(small_params, monkeypatch):
         assert pipe.ingest_events(make_events([10**7, 10**7 + 1, 10**7 + 2],
                                               [0, 3, 9], [0, 2, 9], [0, 1, 0])) == (2, 1)
     assert calls == [3, 1, 1]  # one call, then patch (0, 0)'s two events alone
+
+
+def _counters(pipe):
+    return pipe.ingested, pipe.out_of_order, pipe.nonfinite, pipe.out_of_bounds
+
+
+def test_pipeline_buffer_reuse_is_invisible(small_params):
+    # one pipeline through frames of 256 events (on half of the sensor), 1,
+    # 37, 300 (more patches than any frame before, so the gathered-rows
+    # buffer grows) and 2: each frame leaves the state, reply and counters
+    # that a fresh pipeline gives from a copy of the same state, bit for
+    # bit. The 300-event frame holds a non-finite event mid-call, so its
+    # patch is replayed while the call's gathered rows are live; as a fresh
+    # pipeline gathers into its buffer too, that frame is also checked
+    # against a loop of `ingest`
+    params, geom = _poisoned(small_params), SensorGeometry(64, 64, 8)
+    pipe = A2SPipeline(params, geom)
+    rng = np.random.default_rng(17)
+    t0, touched = 0, []
+    for n in (256, 1, 37, 300, 2):
+        ev = synth_generate("uniform_noise", geom, 1_000_000, 4000.0, seed=n)[:n]
+        ev["t"] += t0
+        t0 = int(ev["t"][-1])
+        if n == 256:
+            ev["x"] //= 2
+        ev["x"] += ev["x"] % 8 == 3  # no event is the token _POISON ...
+        late = rng.random(n) < 0.1
+        if n == 300:  # ... but event 150, on time, in patch (7, 7)
+            late[150] = False
+            ev["x"][150], ev["y"][150], ev["p"][150] = 56 + 3, 56 + 2, 1
+        ev["t"][late] -= 300
+        touched.append(len(np.unique(geom.locate(ev["x"], ev["y"])[0])))
+        fresh, loop = A2SPipeline(params, geom), A2SPipeline(params, geom)
+        fresh._state, loop._state = pipe._state.copy(), pipe._state.copy()
+        before = _counters(pipe)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = pipe.ingest_events(ev)
+            assert fresh.ingest_events(ev) == got
+            if n == 300:
+                oks = [loop.ingest(*map(int, e)) for e in ev[["t", "x", "y", "p"]]]
+                assert got == (sum(oks), n - sum(oks)) and _counters(loop) == _counters(fresh)
+                for x, y in zip(pipe._state.tensors(), loop._state.tensors()):
+                    assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+        assert np.subtract(_counters(pipe), before).tolist() == list(_counters(fresh))
+        a, b = pipe._state, fresh._state
+        for x, y in zip((a.S, a.S_mvhs, a.vec, a.last_t, a.event_index),
+                        (b.S, b.S_mvhs, b.vec, b.last_t, b.event_index)):
+            assert np.array_equal(x, y)
+    assert touched[3] > touched[0] and pipe.nonfinite == 1
+
+
+_WARM_WIDE_FRAMES = """
+import resource, threading
+from eva.config import ENCODER_PROFILES
+from eva.events import SensorGeometry, synth_generate
+from eva.params import init_encoder_params
+from eva.pipeline import A2SPipeline
+
+params = init_encoder_params(ENCODER_PROFILES["dvs"], seed=0)
+geom = SensorGeometry(128, 128, params.config.patch)
+pipe = A2SPipeline(params, geom)
+ev = synth_generate("uniform_noise", geom, 1_000_000, 30 * 256, seed=1)
+faults = []
+
+def serve():
+    for k in range(30):
+        if k == 10:
+            faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt)
+        pipe.ingest_events(ev[256 * k:256 * (k + 1)])
+    faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt)
+
+worker = threading.Thread(target=serve)
+worker.start()
+worker.join()
+print((faults[1] - faults[0]) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's heap")
+def test_warm_wide_frames_take_no_page_faults():
+    # 20 warm 256-event dvs frames in a worker thread, as the server runs
+    # them, take fewer than 16 minor page faults each: what a call allocates
+    # past the runtime's scratch and the gathered-rows buffer stays in the
+    # heap (about 2,500 faults per frame when each call freed MB-sized
+    # temporaries, glibc returned them to the OS and the next call faulted
+    # them in again). In a fresh process, like the server's, because glibc
+    # keeps more free memory once a process has freed a larger block, so
+    # the count depends on what ran before in the same process
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _WARM_WIDE_FRAMES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 16

@@ -68,6 +68,19 @@ def test_stats_and_rejection_counter(server):
         assert int(stats["events_ingested"]) == 1
 
 
+def test_stats_report_process_memory(server):
+    # the server process's minor page faults and peak RSS: ints, and
+    # counters that never go down
+    host, port = server.address
+    rec = np.array([[100, 0, 0, 0], [5, 9, 9, 1]], dtype="<u2").tobytes()
+    with EvaClient(host, port) as client:
+        first = client.stats()
+        client.ingest_records(rec)
+        second = client.stats()
+    for key in ("minor_page_faults", "max_rss_kb"):
+        assert int(first[key]) > 0 and int(second[key]) >= int(first[key])
+
+
 def test_single_patch_snapshot(server):
     host, port = server.address
     with EvaClient(host, port) as client:
