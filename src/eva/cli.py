@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except ValueError as exc:  # a bad option value, config file or event file
+    except (ValueError, FloatingPointError) as exc:  # bad input, or a non-finite update
         raise SystemExit(f"eva {args.command}: {exc}") from None
     return 0
 

@@ -2,9 +2,11 @@
 
 Two evaluation modes share one parameter set:
 
-  * event by event, through `runtime.EncoderRuntime` (serving), which
+  * event by event, through `runtime.EncoderRuntime` (serving and
+    offline encoding, both through `pipeline.A2SPipeline`), which
     `encode_sequence_recurrent` wraps as the stepping reference;
-  * chunked-parallel over a whole sequence, `encode_sequence` (offline).
+  * chunked-parallel over a whole sequence, `encode_sequence` (training
+    and the reference for the stepping mode).
 
 The training path (`forward_train` / `backward_train`) runs the parallel
 form with caches and returns exact reverse-mode gradients for every

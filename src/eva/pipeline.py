@@ -3,11 +3,21 @@
 Each sensor patch owns an independent recurrent encoder state, updated
 event by event in O(1) per event. The states of all patches are one
 batched `EncoderState`, and each `ingest_events` call advances the
-patches it touches in one `runtime.EncoderRuntime.ingest` call (`ingest`
-is `ingest_events` of one event). Its events go in waves: wave k holds
-the k-th accepted event of every patch that has one, so the runtime runs
-every token-parallel op once over the call and loops over the waves only
-for the matrix-state recurrence.
+patches it touches in one `runtime.EncoderRuntime.ingest` call per
+`CALL_EVENTS` events, in stream order (`ingest` is `ingest_events` of one
+event). A runtime call's events go in waves: wave k holds the k-th
+accepted event of every patch that has one, so the runtime runs every
+token-parallel op once over the call and loops over the waves only for
+the matrix-state recurrence. Bounding the call bounds the runtime's
+scratch, which grows with the widest call.
+
+Offline encoding (`encode_offline`) is the same path: it replays a file
+through one pipeline, `ingest_events` up to each period boundary, then a
+snapshot. The chunked-parallel `encoder.encode_events` stays the
+reference it is tested against, and the training path. Per event, the
+replay costs less than a chunked encode per patch once a period's events
+span a few patches, and more on a one-patch stream (see the README);
+every sensor in the paper has 56 to 285 patches.
 
 Events are checked before the call. One out of the sensor is counted in
 `out_of_bounds`; one older than its patch's watermark, or than an
@@ -46,8 +56,8 @@ import numpy as np
 
 from . import snapshots as SN
 from .embedding import token_index
-from .encoder import EncoderState, encode_events
-from .events import SensorGeometry, partition_patches
+from .encoder import EncoderState
+from .events import SensorGeometry
 from .params import EncoderParams
 from .runtime import EncoderRuntime
 
@@ -74,6 +84,13 @@ class FrameSnapshot:
 # `EVENT_DTYPE`'s fields, each wide enough that an out-of-range coordinate
 # or polarity passed to `ingest` is counted, not overflowed
 _RECORD = np.dtype([("t", "<i8"), ("x", "<i8"), ("y", "<i8"), ("p", "<i8")])
+
+# The most events one runtime call steps: `ingest_events` cuts a longer call
+# into calls of this many, in stream order. The runtime's scratch keeps
+# ~9.2 KB per event of the widest call (`dvs`), so this bounds it at ~2.4 MB
+# whatever a client or a file sends, and a 256-event INGEST frame stays
+# one call.
+CALL_EVENTS = 256
 
 
 class A2SPipeline:
@@ -112,8 +129,9 @@ class A2SPipeline:
         return self.ingest_events(np.array([(t, x, y, p)], _RECORD))[0] == 1
 
     def ingest_events(self, events: np.ndarray) -> tuple[int, int]:
-        """Batch ingest (events may span patches, in stream order). Returns
-        (accepted, rejected); the result equals a loop of `ingest`."""
+        """Batch ingest (events may span patches, in stream order), one
+        runtime call per `CALL_EVENTS` events. Returns (accepted, rejected);
+        the result equals a loop of `ingest`."""
         g = self.geometry
         x, y, p = events["x"], events["y"], events["p"]
         valid = (x >= 0) & (x < g.width) & (y >= 0) & (y < g.height) & (p >= 0) & (p <= 1)
@@ -126,14 +144,18 @@ class A2SPipeline:
             return 0, len(valid)
         pid, lx, ly = g.locate(x, y)
         tok = token_index(lx, ly, p, g.patch, g.patch)
+        t = events["t"]
+        accepted = 0
         with self._lock:
-            accepted = self._run(pid, tok, events["t"])
+            for i in range(0, len(t), CALL_EVENTS):
+                accepted += self._run(pid[i:i + CALL_EVENTS], tok[i:i + CALL_EVENTS],
+                                      t[i:i + CALL_EVENTS])
         return accepted, len(valid) - accepted
 
     def _run(self, pid, tok, t) -> int:
         """Advance the patches `pid` by the events (tok, t), in stream
-        order, in one runtime call; call under the lock. Returns the number
-        of events accepted.
+        order, in one runtime call; call under the lock with at most
+        `CALL_EVENTS` events. Returns the number of events accepted.
 
         An event is late, so rejected and counted, if its time is below its
         patch's watermark or an earlier time of its patch in the call. The
@@ -250,38 +272,41 @@ class A2SPipeline:
 
 def encode_offline(params: EncoderParams, events: np.ndarray,
                    geometry: SensorGeometry, period_us: int | None = None):
-    """Chunked-parallel encode of a whole file.
+    """Encode a whole file by replaying it through one `A2SPipeline`.
 
     Returns a list of (t_ref, FrameSnapshot): one snapshot per sampling
     period boundary (aligned to the first event) or a single final
-    snapshot when period_us is None. A period_us <= 0 raises ValueError.
+    snapshot when period_us is None. The snapshot at t_ref is the
+    pipeline's after `ingest_events` of every event up to t_ref, so offline
+    and live encoding are one code path, with one set of counters and one
+    non-finite policy. No event is dropped silently: once every event is
+    in, an event the pipeline rejected raises ValueError (out of order for
+    its patch, or outside the sensor) or FloatingPointError (a non-finite
+    update), naming the count. A period_us <= 0 raises ValueError.
     """
     if period_us is not None and period_us <= 0:
         raise ValueError(f"period_us must be positive, got {period_us}")
-    cfg = params.config
-    Dh, n_out = cfg.mvhs_d_head, cfg.n_out
-    g = geometry
-    by_patch = partition_patches(events, geometry)
+    t = events["t"]
     if period_us is None or len(events) == 0:
-        boundaries = [int(events["t"][-1]) if len(events) else 0]
+        boundaries = [int(t[-1]) if len(events) else 0]
     else:
-        t0, t1 = int(events["t"][0]), int(events["t"][-1])
+        t0, t1 = int(t[0]), int(t[-1])
         boundaries = list(range(t0 + period_us, t1 + 1, period_us))
         if not boundaries or boundaries[-1] < t1:
             boundaries.append(t1)
-    n = len(boundaries)
-    values = np.zeros((n, n_out, g.grid_rows * Dh, g.grid_cols * Dh), np.float32)
-    marks = np.full((n, g.grid_rows, g.grid_cols), -1, dtype=np.int64)
-    for (r, c), local in by_patch.items():
-        # one encode per patch, snapshotting at each distinct boundary index;
-        # boundaries before the patch's first event keep zeros and -1
-        ts = local["t"]
-        hi = np.searchsorted(ts, boundaries, side="right")
-        cps, pos = np.unique(hi, return_inverse=True)
-        snaps, _ = encode_events(params, local, checkpoints=cps[cps > 0])
-        seen = hi > 0
-        at = pos[seen] - (cps[0] == 0)
-        values[seen, :, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = snaps[at, :n_out]
-        marks[seen, r, c] = ts[hi[seen] - 1]
-    return [(t_ref, FrameSnapshot(values[i], marks[i], Dh))
-            for i, t_ref in enumerate(boundaries)]
+    # the events up to each boundary, cut where the time order says; the
+    # last boundary takes the rest, so an unsorted stream still reaches the
+    # pipeline whole, once
+    cuts = np.maximum.accumulate(np.searchsorted(t, boundaries[:-1], side="right"))
+    pipe = A2SPipeline(params, geometry)
+    frames = []
+    for t_ref, part in zip(boundaries, np.split(events, cuts)):
+        pipe.ingest_events(part)
+        frames.append((t_ref, pipe.snapshot()))
+    if pipe.out_of_order or pipe.out_of_bounds:
+        raise ValueError(f"encode_offline rejected events: {pipe.out_of_order} out of order "
+                         f"for their patch, {pipe.out_of_bounds} outside the sensor")
+    if pipe.nonfinite:
+        raise FloatingPointError(f"encode_offline rejected events: {pipe.nonfinite} with a "
+                                 "non-finite update")
+    return frames

@@ -5,7 +5,8 @@ streams, the rows of a batched state (arrays of shape (B, ...)), by n
 tokens laid out in waves: wave k holds one token for each of the first
 sizes[k] rows, in row order, and sizes never increases, so sizes[0] = B
 and row s has one token in each wave whose size exceeds s. `sizes=None`
-means one token per row. Serving makes one call per `ingest_events`
+means one token per row. Serving and offline encoding make one call per
+`pipeline.CALL_EVENTS` events of an `ingest_events`
 (`pipeline.A2SPipeline`), wave k holding the k-th event of every patch
 it advances; `encoder.encode_sequence_recurrent` steps one token at a
 time with B = 1 as the mode-equivalence reference for the
@@ -59,7 +60,8 @@ What a call still allocates is a few (n, D) arrays at a time, which glibc
 keeps in its heap from one call to the next; the MB-sized temporaries
 this replaced went back to the OS after each call and were faulted in
 again by the next. A scratch buffer is replaced only by a larger one, so
-the bytes it keeps are bounded by the largest call so far. As its layers
+the bytes it keeps are bounded by the largest call so far, which the
+pipeline caps at `CALL_EVENTS` events. As its layers
 share the scratch, a runtime is not reentrant: one call at a time, which
 `pipeline.A2SPipeline` ensures by calling it under its lock. A `_BlockRt`
 or `_MvhsRt` built alone gets a scratch of its own. What the `step`
@@ -184,13 +186,22 @@ class _Front:
         As = [getattr(p, f"A_{n}") for n in paths] + [p.A_w]
         Bs = [getattr(p, f"B_{n}") for n in paths] + [p.B_w.take(perm, 1)]
         lams = [getattr(p, f"lam_{n}") for n in paths] + [p.lam_d[perm]]
+        Ws = [getattr(p, f"W_{n}") for n in paths]
         width = max(a.shape[1] for a in As)
         out = max(b.shape[1] for b in Bs)
-        self.A = np.stack([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in As])
-        self.B = np.stack([np.pad(b, ((0, width - b.shape[0]), (0, out - b.shape[1])))
-                           for b in Bs])
-        self.lam = np.stack([np.pad(c, (0, out - c.shape[0])) for c in lams])[:, None]
-        self.W = np.stack([getattr(p, f"W_{n}").take(perm, 1) for n in paths])
+        dtype = p.mu.dtype
+        # one zeroed array per stack, filled by slices, not a padded copy
+        # per path: `encode_offline` builds a runtime per call
+        self.A = np.zeros((len(As), len(p.mu), width), dtype)
+        self.B = np.zeros((len(Bs), width, out), dtype)
+        self.lam = np.zeros((len(lams), 1, out), dtype)
+        self.W = np.zeros((len(Ws), *Ws[0].shape), dtype)
+        for i, (a, b, c) in enumerate(zip(As, Bs, lams)):
+            self.A[i, :, :a.shape[1]] = a
+            self.B[i, :b.shape[0], :b.shape[1]] = b
+            self.lam[i, 0, :len(c)] = c
+        for i, w in enumerate(Ws):
+            self.W[i] = w.take(perm, 1)
         self.mu = p.mu
         self.n_heads = n_heads
         self.d_head = d_head

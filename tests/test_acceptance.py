@@ -22,14 +22,14 @@ from eva.events import (SensorGeometry, filter_hot_pixels, make_events, pack_bin
                         unpack_binary, write_binary_file, write_csv)
 from eva.mvhs import MvhsState
 from eva.params import init_encoder_params, named_arrays
-from eva.pipeline import A2SPipeline, encode_offline
+from eva.pipeline import A2SPipeline
 from eva.runtime import _BlockRt, _MvhsRt
 from eva.server import EvaClient, EvaServer
 from eva.snapshots import dump_snapshot, load_snapshot, KIND_REPR
 from eva.targets import (StreamingEventCount, StreamingTimeSurface, event_count,
                          time_surface)
 from eva.train import batch_loss, build_synthetic_corpus, init_model, pretrain
-from helpers import randomize_params
+from helpers import chunked_frame, randomize_params
 
 SPECS = (
     TargetSpec("ec", "mrp", window_us=100_000),
@@ -303,7 +303,7 @@ def test_criterion_8_a2s_round_trip(tmp_path):
     write_binary_file(path, events, geom)
     file_events, file_geom = read_binary_file(path)
 
-    offline = encode_offline(params, file_events, file_geom)[-1][1]
+    chunked, chunked_marks = chunked_frame(params, file_events, file_geom)
 
     pipe = A2SPipeline(params, file_geom, threads=1)
     with EvaServer(pipe) as server:
@@ -318,13 +318,12 @@ def test_criterion_8_a2s_round_trip(tmp_path):
                 rej += r
             live_bytes = client.snapshot_bytes()
     live = load_snapshot(live_bytes)
-    rel = _rel(live.values, offline.values)
-    marks_equal = np.array_equal(
-        live.patch_watermarks,
-        np.where(offline.watermarks < 0, 0, offline.watermarks))
+    rel = _rel(live.values, chunked)
+    marks_equal = np.array_equal(live.patch_watermarks,
+                                 np.where(chunked_marks < 0, 0, chunked_marks))
     # with rel <= 1e-3, a peak of at most 8000 keeps every value within 8,
     # one count of a u8 quantization at scale 1/8
-    peak = float(np.abs(offline.values).max())
+    peak = float(np.abs(chunked).max())
 
     # constant per-event cost: time a one-at-a-time ingest loop over the
     # whole stream; the last decile's mean may be at most twice the first's
@@ -340,7 +339,7 @@ def test_criterion_8_a2s_round_trip(tmp_path):
     dt = time.perf_counter() - t0
     ok = (acc == 100_000 and rej == 0 and rel <= 1e-3 and marks_equal
           and peak <= 8000 and decile_ratio <= 2.0 and dt < 120)
-    report("criterion 8 (offline encode vs live serve, 100k events)", ok,
+    report("criterion 8 (chunked encode vs live serve, 100k events)", ok,
            f"rel={rel:.2e} (<=1e-3), watermarks equal={marks_equal}, "
            f"peak={peak:.3g} (<=8000), decile ratio="
            f"{decile_ratio:.2f} (<=2), {dt:.0f}s")

@@ -108,6 +108,14 @@ def test_encode_cli(tmp_path, small_ckpt):
     with pytest.raises(SystemExit, match="period_us must be positive"):
         main(["encode", "--checkpoint", small_ckpt, "--input", str(src),
               "--out", str(out_dir), "--period-us", "-5"])
+    # a checkpoint whose every update is non-finite: one line, no traceback
+    params = init_encoder_params(ENCODER_PROFILES["small"], seed=0)
+    params.embed[:, 0] = np.inf
+    save_checkpoint(tmp_path / "inf.evaw", params)
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(SystemExit, match=f"eva encode: .*: {len(ev)} with a non-finite"):
+        main(["encode", "--checkpoint", str(tmp_path / "inf.evaw"), "--input", str(src),
+              "--out", str(out_dir)])
 
 
 def test_bench_cli(capsys):

@@ -15,8 +15,8 @@ from eva.config import ENCODER_PROFILES, EncoderConfig
 from eva.encoder import encode_events, encode_sequence, encode_sequence_recurrent
 from eva.events import SensorGeometry, make_events, partition_patches, synth_generate
 from eva.params import init_encoder_params
-from eva.pipeline import A2SPipeline, encode_offline
-from helpers import heads_innermost
+from eva.pipeline import CALL_EVENTS, A2SPipeline, encode_offline
+from helpers import chunked_frame, heads_innermost
 
 # an overflow or invalid value on the serving or offline path must fail, not warn
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -175,11 +175,16 @@ def test_encode_offline_periodic(small_params):
             encode_offline(small_params, ev, geom, period_us=bad)
 
 
-def test_encode_offline_matches_per_boundary_encodes():
-    # one encode per patch must give every boundary's frame: patch (0, 1)
-    # is silent in the second period, (1, 0) starts after the second
-    # boundary and (1, 1) never fires
-    params = init_encoder_params(replace(SMALL, precision="f32"), seed=0)
+@pytest.fixture(scope="module")
+def small_f32_params():
+    return init_encoder_params(replace(SMALL, precision="f32"), seed=0)
+
+
+def test_encode_offline_matches_per_boundary_encodes(small_f32_params):
+    # the replay must give every boundary's frame of the chunked per-patch
+    # encodes: patch (0, 1) is silent in the second period, (1, 0) starts
+    # after the second boundary and (1, 1) never fires
+    params = small_f32_params
     geom = SensorGeometry(16, 16, 8)
     rng = np.random.default_rng(9)
     spans = {(0, 0): [(0, 39_990, 300)], (0, 1): [(0, 9_999, 60), (20_001, 39_990, 90)],
@@ -195,22 +200,102 @@ def test_encode_offline_matches_per_boundary_encodes():
     ev = ev[np.argsort(ev["t"], kind="stable")]
     frames = encode_offline(params, ev, geom, period_us=10_000)
     assert [t for t, _ in frames] == [10_000, 20_000, 30_000, 39_990]
-    Dh, n_out = SMALL.mvhs_d_head, SMALL.n_out
-    by_patch = partition_patches(ev, geom)
+    Dh = SMALL.mvhs_d_head
     for t_ref, snap in frames:
-        want = np.zeros_like(snap.values)
-        marks = np.full((2, 2), -1, np.int64)
-        for (r, c), local in by_patch.items():
-            upto = local[local["t"] <= t_ref]
-            if len(upto):
-                snaps, _ = encode_events(params, upto)
-                want[:, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = snaps[-1, :n_out]
-                marks[r, c] = upto["t"][-1]
+        want, marks = chunked_frame(params, ev, geom, t_ref)
         assert np.array_equal(snap.watermarks, marks)
         assert np.max(np.abs(snap.values - want)) <= 1e-5 * np.max(np.abs(want))
     assert frames[1][1].watermarks[0, 1] == frames[0][1].watermarks[0, 1] > 0
     assert frames[1][1].watermarks[1, 0] == -1 < frames[2][1].watermarks[1, 0]
     assert np.all(frames[-1][1].values[:, Dh:, Dh:] == 0.0)
+
+
+# streams over the four patches of a 16 x 16 sensor: (patch, local x, local
+# y, polarity, gap to the event before in us), gaps of 0 included and about
+# one in eleven a 30 ms pause, longer than some periods
+_STREAM = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 7),
+                             st.integers(0, 1),
+                             st.integers(0, 2_200).map(lambda d: d if d <= 2_000 else 30_000)),
+                   min_size=1, max_size=80)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_STREAM, period=st.one_of(st.none(), st.integers(10_000, 40_000)))
+def test_encode_offline_matches_chunked_encodes_at_every_boundary(small_f32_params,
+                                                                  records, period):
+    patch, lx, ly, p, dt = map(np.array, zip(*records))
+    r, c = np.divmod(patch, 2)
+    ev = make_events(np.cumsum(dt), c * 8 + lx, r * 8 + ly, p)
+    geom = SensorGeometry(16, 16, 8)
+    frames = encode_offline(small_f32_params, ev, geom, period)
+    assert frames[-1][0] == ev["t"][-1]
+    for t_ref, snap in frames:
+        want, marks = chunked_frame(small_f32_params, ev, geom, t_ref)
+        assert np.array_equal(snap.watermarks, marks)
+        assert np.max(np.abs(snap.values - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["unsorted", "outside", "nonfinite"])
+def test_encode_offline_never_drops_an_event_silently(small_params, case):
+    # the replay raises once every event is in, naming the count of each
+    # kind the pipeline rejected
+    geom = SensorGeometry(16, 16, 8)
+    params, t, x = small_params, [10, 15, 20, 30, 40], [1, 2, 4, 9, 5]
+    if case == "unsorted":  # 15 follows 20 in patch (0, 0)
+        t, err, match = [10, 20, 15, 30, 40], ValueError, ": 1 out of order .*, 0 outside"
+    elif case == "outside":
+        x, err, match = [1, 2, 4, 16, 5], ValueError, ": 0 out of order .*, 1 outside"
+    else:  # event (3, 2, 1) is the token _POISON
+        params, x, err, match = _poisoned(small_params), [1, 3, 4, 9, 5], FloatingPointError, \
+            ": 1 with a non-finite update"
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(err, match=match):
+        encode_offline(params, make_events(t, x, [2] * 5, [1] * 5), geom, period_us=10)
+    encode_offline(small_params, make_events([10, 15, 20, 30, 40], [1, 2, 4, 9, 5],
+                                             [2] * 5, [1] * 5), geom, period_us=10)
+
+
+def test_long_calls_are_cut_into_bounded_runtime_calls(small_params, monkeypatch):
+    # a call of 5 K + 3 events (some late, some outside the sensor) steps in
+    # runtime calls of at most K and equals K-sized calls and a loop of
+    # `ingest`: counters exactly, snapshots to 1e-6 relative
+    K = CALL_EVENTS
+    geom = SensorGeometry(16, 16, 8)
+    rng = np.random.default_rng(21)
+    ev = synth_generate("uniform_noise", geom, 1_000_000, 4000.0, seed=21)[:5 * K + 3]
+    assert len(ev) == 5 * K + 3
+    ev["t"][rng.random(len(ev)) < 0.1] -= 300
+    outside = rng.random(len(ev)) < 0.05
+    ev["x"][outside] = 99
+    whole, sliced, loop = (A2SPipeline(small_params, geom) for _ in range(3))
+    calls = []
+    real = whole.runtime.ingest
+    monkeypatch.setattr(whole.runtime, "ingest",
+                        lambda *a: calls.append(len(a[1])) or real(*a))
+    got = whole.ingest_events(ev)
+    assert len(calls) == -(-np.count_nonzero(~outside) // K) and max(calls) <= K
+    parts = [sliced.ingest_events(ev[i:i + K]) for i in range(0, len(ev), K)]
+    oks = [loop.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) for e in ev]
+    assert got == tuple(map(sum, zip(*parts))) == (sum(oks), len(ev) - sum(oks))
+    assert whole.stats() == sliced.stats() == loop.stats()
+    a = whole.snapshot()
+    for b in (sliced.snapshot(), loop.snapshot()):
+        assert np.array_equal(a.watermarks, b.watermarks)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-6 * np.max(np.abs(b.values))
+
+
+def test_runtime_scratch_is_bounded_by_one_call(small_params):
+    # a 10 K-event call leaves no more bytes in the runtime's scratch than a
+    # K-event call over the same patches
+    K = CALL_EVENTS
+    geom = SensorGeometry(16, 16, 8)
+    ev = synth_generate("uniform_noise", geom, 1_000_000, 4000.0, seed=22)[:10 * K]
+    assert len(ev) == 10 * K
+    one, ten = A2SPipeline(small_params, geom), A2SPipeline(small_params, geom)
+    one.ingest_events(ev[:K])
+    ten.ingest_events(ev)
+    kept = [sum(b.nbytes for b in pipe.runtime.mvhs.front.scratch.bufs.values())
+            for pipe in (one, ten)]
+    assert 0 < kept[1] <= kept[0]
 
 
 def test_bench_report(small_params):
