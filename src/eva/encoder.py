@@ -92,6 +92,12 @@ class EncoderState:
         return ([a for b in self.blocks for a in (b.S, b.tm_prev, b.cm_prev)]
                 + [self.mvhs.S, self.mvhs.prev])
 
+    def finite(self) -> bool:
+        """Whether every value of the three stores is finite. A non-finite
+        value persists through S <- diag(w) S + k v^T, so this sees every
+        non-finite input or decay a state absorbed, and any overflow."""
+        return all(np.isfinite(a).all() for a in (self.S, self.S_mvhs, self.vec))
+
     def rows(self, sel, into: "EncoderState | None" = None) -> "EncoderState":
         """The batched state of the rows `sel` of this batched state: a
         slice gives views of the stores, an index array copies them (in the
@@ -182,8 +188,8 @@ def encode_sequence(params: EncoderParams, tokens, dts,
 def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
                               state: EncoderState | None = None, checkpoints=None):
     """Stepping reference through `EncoderRuntime` (batch of one); identical
-    contract to encode_sequence. Raises FloatingPointError on an event
-    whose update is non-finite."""
+    contract to encode_sequence. Raises FloatingPointError naming the first
+    event after which the state is not finite (`EncoderState.finite`)."""
     cfg = params.config
     T = len(tokens)
     checkpoints = set(checkpoints) if checkpoints is not None else {T}
@@ -193,8 +199,9 @@ def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
     tokens, dts = np.asarray(tokens), np.asarray(dts)
     snaps = []
     for i in range(T):
-        if runtime.step(row, tokens[i:i + 1], dts[i:i + 1]) is not None:
-            raise FloatingPointError(f"non-finite update at event {i}")
+        runtime.step(row, tokens[i:i + 1], dts[i:i + 1])
+        if not row.finite():
+            raise FloatingPointError(f"non-finite state after event {i}")
         if i + 1 in checkpoints:
             snaps.append(state.mvhs.S.copy())
     state.event_index = int(row.event_index[0])

@@ -22,10 +22,15 @@ every sensor in the paper has 56 to 285 patches.
 Events are checked before the call. One out of the sensor is counted in
 `out_of_bounds`; one older than its patch's watermark, or than an
 earlier event of its patch in the call, is late, dropped and counted in
-`out_of_order`. A patch whose update turns non-finite in the call is
-replayed from its state before the call, one event at a time through the
-same runtime, so that its counters, watermark and zeroed state equal a
-loop of `ingest` (`A2SPipeline._replay`).
+`out_of_order`. The runtime only steps; the pipeline owns the non-finite
+policy and checks each call's state once, after the call
+(`EncoderState.finite`), which sees a non-finite input, decay or
+overflow anywhere in the state. A call whose state is not finite is
+dropped whole: its patches keep their state from before it, and its
+events go again one per call. A one-event call whose state is not finite
+zeroes its patch's state, keeps the patch's watermark and event count,
+and counts the event in `nonfinite`. So counters, watermarks and states
+equal a loop of `ingest` by construction.
 
 One lock, held per call, orders ingestion and snapshots, so a snapshot
 sees a whole number of events in every patch. A snapshot tiles the
@@ -42,9 +47,7 @@ the matrix stores, whose patch axis comes just before the heads, each
 copies runs of N floats. With the patch axis innermost instead, they
 would copy single floats and cost about 10x more. The copy lands in a
 buffer the pipeline keeps (`_gathered`), which grows to the widest call,
-so a warm call allocates no copy of its rows. `_replay` gathers its one
-row into a fresh copy, because the call's rows are still live in the
-buffer when it runs.
+so a warm call allocates no copy of its rows.
 """
 
 from __future__ import annotations
@@ -162,8 +165,9 @@ class A2SPipeline:
         rest go to the runtime in waves: wave k holds the k-th accepted
         event of every patch that has one, and the patches are gathered by
         descending event count (then id), so that wave k steps the first
-        sizes[k] of them. A patch whose update turns non-finite is replayed
-        event by event from its state before the call (`_replay`)."""
+        sizes[k] of them. A call whose state turns non-finite is undone
+        and its events go again one per call; a one-event call's patch is
+        then zeroed and the event counted in `nonfinite`."""
         state = self._state
         n = len(pid)
         order = np.argsort(pid, kind="stable")
@@ -176,16 +180,15 @@ class A2SPipeline:
             rank[np.argsort(t[order], kind="stable")] = np.arange(n)
             key = ps.astype(np.intp) * n + rank
             ok &= np.maximum.accumulate(key) == key
-        n_ok = int(np.count_nonzero(ok))
-        late = n - n_ok
+        accepted = int(np.count_nonzero(ok))
+        late = n - accepted
         if late:
             order, ps = order[ok], ps[ok]
-        accepted = n_ok
-        if n_ok:
+        if accepted:
             # each event's rank in its patch, then the events sorted by
             # (rank, descending patch count, patch id)
             cnt = np.bincount(ps)
-            rank = np.arange(n_ok) - (np.cumsum(cnt) - cnt)[ps]
+            rank = np.arange(accepted) - (np.cumsum(cnt) - cnt)[ps]
             waves = order[np.lexsort((ps, -cnt[ps], rank))]
             sizes = np.bincount(rank).tolist()
             ids = pid[waves[:sizes[0]]]  # wave 0 holds each patch once, in row order
@@ -193,34 +196,19 @@ class A2SPipeline:
                 rows = state.rows(ids, self._gathered)
             else:
                 rows = self._gathered = state.rows(ids)
-            bad = self.runtime.ingest(rows, tok[waves], t[waves], sizes)
-            if bad is not None:
-                for s in np.flatnonzero(bad):
-                    mine = pid == ids[s]
-                    accepted -= int(cnt[ids[s]])
-                    late -= int(np.count_nonzero(mine) - cnt[ids[s]])
-                    row, n_row = self._replay(ids[s], tok[mine], t[mine])
-                    rows.put([s], row)
-                    accepted += n_row
-            state.put(ids, rows)
+            self.runtime.ingest(rows, tok[waves], t[waves], sizes)
+            if rows.finite():
+                state.put(ids, rows)
+            elif n > 1:  # the store still holds the state before the call
+                return sum(self._run(pid[i:i + 1], tok[i:i + 1], t[i:i + 1]) for i in range(n))
+            else:
+                for arr in state.tensors():
+                    arr[ids] = 0.0
+                accepted = 0
+                self.nonfinite += 1
         self.out_of_order += late
         self.ingested += accepted
         return accepted
-
-    def _replay(self, pid, tok, t):
-        """(state, accepted) of patch `pid` after its events (tok, t) one at
-        a time from its state before the call, as a loop of `ingest` would
-        leave it; the rejected events are counted here."""
-        row = self._state.rows(np.array([pid]))
-        accepted = 0
-        for i in range(len(t)):
-            if t[i] < row.last_t[0]:
-                self.out_of_order += 1
-            elif self.runtime.ingest(row, tok[i:i + 1], t[i:i + 1]) is None:
-                accepted += 1
-            else:
-                self.nonfinite += 1
-        return row, accepted
 
     def snapshot(self, patch_ids=None) -> FrameSnapshot:
         """Tile the selected patches' representations (full frame default)."""
@@ -281,8 +269,9 @@ def encode_offline(params: EncoderParams, events: np.ndarray,
     and live encoding are one code path, with one set of counters and one
     non-finite policy. No event is dropped silently: once every event is
     in, an event the pipeline rejected raises ValueError (out of order for
-    its patch, or outside the sensor) or FloatingPointError (a non-finite
-    update), naming the count. A period_us <= 0 raises ValueError.
+    its patch, or outside the sensor) or FloatingPointError (one after
+    which its patch's state was not finite), naming the count. A
+    period_us <= 0 raises ValueError.
     """
     if period_us is not None and period_us <= 0:
         raise ValueError(f"period_us must be positive, got {period_us}")

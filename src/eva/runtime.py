@@ -145,14 +145,6 @@ class _Waves:
         """Each row's last token of xs (n, ...)."""
         return xs if self.last is None else xs.take(self.last, 0)
 
-    def rows_of(self, hit):
-        """The (B,) mask of the rows with a token in the (n,) mask hit."""
-        if self.last is None:
-            return hit
-        rows = np.zeros(len(self.last), bool)
-        rows[(np.arange(len(hit)) - np.repeat(*zip(*self.spans)))[hit]] = True
-        return rows
-
 
 class _Scratch:
     """The reusable temporaries of a runtime's calls: one byte buffer per
@@ -318,21 +310,15 @@ class _MvhsRt:
                  scratch: _Scratch | None = None):
         self.front = _Front(mp, "kv", n_heads, d_head, scratch or _Scratch())
 
-    def step(self, x, state, waves: _Waves | None = None) -> np.ndarray | None:
+    def step(self, x, state, waves: _Waves | None = None) -> None:
         """x: (n, D) tokens in the layout `waves` (default: one per row);
-        state: an MvhsState of (B, ...) arrays, updated in place. Returns
-        None when every token's update (k, v and the decay w) is finite,
-        else the (B,) mask of the rows with a token whose update is not;
-        the matrix state of those rows is then non-finite and must be
-        discarded (`EncoderRuntime.step` zeroes it)."""
+        state: an MvhsState of (B, ...) arrays, updated in place. Nothing
+        is checked: a non-finite input, or an update that overflows, leaves
+        its row's state non-finite for the caller to find."""
         waves = waves or _Waves(None, len(x))
         w, kv = self.front(x, waves.prev(state.prev, x))
-        bad = None
-        if not (np.isfinite(kv).all() and np.isfinite(w).all()):
-            bad = waves.rows_of(~(np.isfinite(kv).all((0, 1, 3)) & np.isfinite(w).all((0, 1, 3))))
         _recur(state.S, w, *kv, waves, self.front.scratch)
         state.prev[...] = waves.last_of(x)
-        return bad
 
 
 class EncoderRuntime:
@@ -347,36 +333,27 @@ class EncoderRuntime:
         self.mvhs = _MvhsRt(params.mvhs, cfg.mvhs_heads, cfg.mvhs_d_head, scratch)
         self.ln0 = _LayerNorm(params.ln0_g, params.ln0_b)
 
-    def step(self, state: EncoderState, tokens, dts,
-             waves: _Waves | None = None) -> np.ndarray | None:
+    def step(self, state: EncoderState, tokens, dts, waves: _Waves | None = None) -> None:
         """Absorb the tokens `tokens` with gaps `dts`, laid out in `waves`
         (default: one token per row), into the rows of the batched `state`,
-        in place. Returns None when every update was finite, else the (B,)
-        mask of the rows with a token whose update was not: their block and
-        MVHS state is zeroed and their event_index left as it was."""
+        in place, and add each row's token count to its event_index. Plain
+        arithmetic: a non-finite value stays in the state it reaches, where
+        `EncoderState.finite` sees it (the pipeline's policy)."""
         waves = waves or _Waves(None, len(tokens))
         embed = self.params.embed
         x = embed.take(tokens, 0) + embed_temporal(dts, embed.shape[1], embed.dtype)
         h = self.ln0(x)
         for blk, bs in zip(self.blocks, state.blocks):
             h = blk.step(h, bs, waves)
-        bad = self.mvhs.step(h, state.mvhs, waves)
-        if bad is None:
-            state.event_index += waves.counts
-        else:
-            for arr in state.tensors():
-                arr[bad] = 0.0
-            state.event_index += waves.counts * ~bad
-        return bad
+        self.mvhs.step(h, state.mvhs, waves)
+        state.event_index += waves.counts
 
-    def ingest(self, state: EncoderState, tokens, ts, sizes=None) -> np.ndarray | None:
+    def ingest(self, state: EncoderState, tokens, ts, sizes=None) -> None:
         """`step` with absolute timestamps: each token's gap is taken from
         the timestamp before it in its row, for wave 0 the row's last_t (0
         for a stream's first event), and last_t becomes the row's last
-        timestamp on the rows whose updates were finite. Returns what
-        `step` returns."""
+        timestamp."""
         waves = _Waves(sizes, len(tokens))
         prev = waves.prev(state.last_t, ts)
-        bad = self.step(state, tokens, np.where(prev < 0, 0, ts - prev), waves)
-        np.copyto(state.last_t, waves.last_of(ts), where=True if bad is None else ~bad)
-        return bad
+        self.step(state, tokens, np.where(prev < 0, 0, ts - prev), waves)
+        state.last_t[...] = waves.last_of(ts)

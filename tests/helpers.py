@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from eva import scan
+from eva.config import ENCODER_PROFILES
 from eva.encoder import encode_events
-from eva.events import partition_patches
-from eva.params import SLOW_DECAY_BIAS, EncoderParams, named_arrays
+from eva.events import SensorGeometry, partition_patches, synth_generate
+from eva.params import SLOW_DECAY_BIAS, EncoderParams, init_encoder_params, named_arrays
 
 
 def randomize_params(params: EncoderParams, seed: int, scale: float = 0.5) -> None:
@@ -56,3 +57,17 @@ def chunked_frame(params: EncoderParams, events, geometry, t_ref=None):
             values[:, r * Dh:(r + 1) * Dh, c * Dh:(c + 1) * Dh] = snaps[-1, :n_out]
             marks[r, c] = local["t"][-1]
     return values, marks
+
+
+def overflowing_mvhs():
+    """A state that overflows with finite inputs: `small` f32 parameters
+    whose MVHS W_k and W_v are scaled by 1e25, so that k v^T overflows f32
+    on every patch's first event, and 40 uniform-noise events on a 32 x 32
+    sensor (2 x 2 patches). Every input, decay and weight is finite; only
+    the matrix state is not. Returns (params, geometry, events)."""
+    params = init_encoder_params(ENCODER_PROFILES["small"], seed=0)
+    params.mvhs.W_k *= 1e25
+    params.mvhs.W_v *= 1e25
+    geometry = SensorGeometry(32, 32, params.config.patch)
+    events = synth_generate("uniform_noise", geometry, 1_000_000, 4000.0, seed=0)[:40]
+    return params, geometry, events

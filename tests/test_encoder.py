@@ -12,7 +12,7 @@ from eva.encoder import (EncoderState, backward_train, encode_sequence,
 from eva.params import init_encoder_params
 from eva.runtime import EncoderRuntime
 from eva.train import batch_loss, build_synthetic_corpus, init_model
-from helpers import heads_innermost, outer_chunk, randomize_params
+from helpers import heads_innermost, outer_chunk, overflowing_mvhs, randomize_params
 
 # an overflow or invalid value anywhere in the encoder must fail, not warn
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -69,7 +69,8 @@ def test_runtime_matches_reference_long_stream(params):
     fast = EncoderState.zeros(CFG)
     row = fast.rows(None)  # a batch of one, viewing fast's arrays
     for i in range(len(tokens)):
-        assert rt.step(row, tokens[i:i + 1], dts[i:i + 1]) is None  # finite
+        rt.step(row, tokens[i:i + 1], dts[i:i + 1])
+    assert fast.finite()
     assert np.max(np.abs(fast.mvhs.S - ref.mvhs.S)) / np.max(np.abs(ref.mvhs.S)) <= 1e-12
     for bf, br in zip(fast.blocks, ref.blocks):
         assert np.allclose(bf.S, br.S, rtol=1e-12, atol=1e-15)
@@ -309,6 +310,25 @@ def test_put_writes_back_exactly_the_rows_taken():
         assert np.all(a[3] == b[3] + 1) and np.all(a[0] == b[0] + 2)
 
 
+def test_finite_sees_every_store_and_an_overflow():
+    # one non-finite value in any of the three stores, of one stream or of
+    # one row of a batch, makes the state not finite; so does an update
+    # that overflows, which the stepping reference raises on
+    one = EncoderState.zeros(CFG)
+    batch = one.rows(None).rows(np.zeros(3, np.intp))
+    assert one.finite() and batch.finite()
+    for state in (one, batch):
+        for store in ("S", "S_mvhs", "vec"):
+            for bad in (np.nan, np.inf, -np.inf):
+                broken = state.copy()
+                getattr(broken, store).flat[-1] = bad
+                assert not broken.finite() and state.finite()
+    params = overflowing_mvhs()[0]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="after event 0"):
+        encode_sequence_recurrent(params, [3, 5], [0, 10])
+
+
 def test_row_slice_writes_through_to_the_stores():
     batch = EncoderState.zeros(CFG).rows(None).rows(np.zeros(4, np.intp))
     view = batch.rows(slice(1, 3))
@@ -354,8 +374,9 @@ def test_runtime_step_ignores_state_strides(params, dtype, tol):
     assert heads_innermost(inner.mvhs.S) and inner.mvhs.S.strides != c_order.mvhs.S.strides
     tokens, dts = random_stream(31, 60)
     for t in range(0, 60, 3):
-        assert rt.step(inner, tokens[t:t + 3], dts[t:t + 3].astype(float)) is None
-        assert rt.step(c_order, tokens[t:t + 3], dts[t:t + 3].astype(float)) is None
+        rt.step(inner, tokens[t:t + 3], dts[t:t + 3].astype(float))
+        rt.step(c_order, tokens[t:t + 3], dts[t:t + 3].astype(float))
+    assert inner.finite() and c_order.finite()
     for a, b in zip(inner.tensors(), c_order.tensors()):
         assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
     assert np.array_equal(inner.event_index, c_order.event_index)

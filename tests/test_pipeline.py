@@ -16,7 +16,7 @@ from eva.encoder import encode_events, encode_sequence, encode_sequence_recurren
 from eva.events import SensorGeometry, make_events, partition_patches, synth_generate
 from eva.params import init_encoder_params
 from eva.pipeline import CALL_EVENTS, A2SPipeline, encode_offline
-from helpers import chunked_frame, heads_innermost
+from helpers import chunked_frame, heads_innermost, overflowing_mvhs
 
 # an overflow or invalid value on the serving or offline path must fail, not warn
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -254,33 +254,76 @@ def test_encode_offline_never_drops_an_event_silently(small_params, case):
                                              [2] * 5, [1] * 5), geom, period_us=10)
 
 
+def test_overflowing_state_is_counted_live():
+    # finite inputs whose k v^T overflows f32: every event is rejected as
+    # non-finite, its patch zeroed, and the snapshot stays finite
+    params, geom, ev = overflowing_mvhs()
+    assert params.dtype == np.float32 and len(ev) == 40
+    pipe = A2SPipeline(params, geom)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert pipe.ingest_events(ev) == (0, 40)
+    stats = pipe.stats()
+    assert stats["events_nonfinite"] == stats["events_rejected"] == 40
+    assert pipe._state.finite() and np.isfinite(pipe.snapshot().values).all()
+    assert (pipe._state.last_t == -1).all() and (pipe._state.event_index == 0).all()
+
+
+def test_overflowing_state_raises_offline():
+    params, geom, ev = overflowing_mvhs()
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(FloatingPointError, match=": 40 with a non-finite update"):
+        encode_offline(params, ev, geom, period_us=10_000)
+
+
 def test_long_calls_are_cut_into_bounded_runtime_calls(small_params, monkeypatch):
     # a call of 5 K + 3 events (some late, some outside the sensor) steps in
     # runtime calls of at most K and equals K-sized calls and a loop of
-    # `ingest`: counters exactly, snapshots to 1e-6 relative
+    # `ingest`: counters exactly, snapshots and states to 1e-6 relative.
+    # Poisoned, the (K + 40)-th event inside the sensor is the token
+    # _POISON: only the runtime call that holds it goes again one event per
+    # call, and every other call stays one call
     K = CALL_EVENTS
     geom = SensorGeometry(16, 16, 8)
-    rng = np.random.default_rng(21)
-    ev = synth_generate("uniform_noise", geom, 1_000_000, 4000.0, seed=21)[:5 * K + 3]
-    assert len(ev) == 5 * K + 3
-    ev["t"][rng.random(len(ev)) < 0.1] -= 300
-    outside = rng.random(len(ev)) < 0.05
-    ev["x"][outside] = 99
-    whole, sliced, loop = (A2SPipeline(small_params, geom) for _ in range(3))
-    calls = []
-    real = whole.runtime.ingest
-    monkeypatch.setattr(whole.runtime, "ingest",
-                        lambda *a: calls.append(len(a[1])) or real(*a))
-    got = whole.ingest_events(ev)
-    assert len(calls) == -(-np.count_nonzero(~outside) // K) and max(calls) <= K
-    parts = [sliced.ingest_events(ev[i:i + K]) for i in range(0, len(ev), K)]
-    oks = [loop.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) for e in ev]
-    assert got == tuple(map(sum, zip(*parts))) == (sum(oks), len(ev) - sum(oks))
-    assert whole.stats() == sliced.stats() == loop.stats()
-    a = whole.snapshot()
-    for b in (sliced.snapshot(), loop.snapshot()):
-        assert np.array_equal(a.watermarks, b.watermarks)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-6 * np.max(np.abs(b.values))
+    for poisoned in (False, True):
+        rng = np.random.default_rng(21)
+        ev = synth_generate("uniform_noise", geom, 1_000_000, 4000.0, seed=21)[:5 * K + 3]
+        assert len(ev) == 5 * K + 3
+        late = rng.random(len(ev)) < 0.1
+        outside = rng.random(len(ev)) < 0.05
+        inside = np.flatnonzero(~outside)
+        params = small_params
+        if poisoned:
+            params = _poisoned(small_params)
+            ev["x"] += ev["x"] % 8 == 3  # no event is the token _POISON ...
+            bad = inside[K + 40]  # ... but this one, on time
+            late[bad] = False
+            ev["x"][bad], ev["y"][bad], ev["p"][bad] = 8 + 3, 2, 1
+        ev["t"][late] -= 300
+        ev["x"][outside] = 99
+        whole, sliced, loop = (A2SPipeline(params, geom) for _ in range(3))
+        calls = []
+        real = whole.runtime.ingest
+        monkeypatch.setattr(whole.runtime, "ingest",
+                            lambda *a: calls.append(len(a[1])) or real(*a))
+        # only the poison may overflow
+        with np.errstate(**(dict(invalid="ignore", over="ignore") if poisoned else {})):
+            got = whole.ingest_events(ev)
+            parts = [sliced.ingest_events(ev[i:i + K]) for i in range(0, len(ev), K)]
+            oks = [loop.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) for e in ev]
+        # with the poison, the second call is followed by one call per event
+        # of it that a loop of `ingest` steps: the accepted ones and the poison
+        n_one = sum(oks[i] for i in inside[K:2 * K]) + 1 if poisoned else 0
+        assert len(calls) == -(-len(inside) // K) + n_one and max(calls) <= K
+        assert calls[2:2 + n_one] == [1] * n_one and whole.nonfinite == poisoned
+        assert min(calls[:2] + calls[2 + n_one:]) > 1
+        assert got == tuple(map(sum, zip(*parts))) == (sum(oks), len(ev) - sum(oks))
+        assert whole.stats() == sliced.stats() == loop.stats()
+        a = whole.snapshot()
+        for b in (sliced.snapshot(), loop.snapshot()):
+            assert np.array_equal(a.watermarks, b.watermarks)
+            assert np.max(np.abs(a.values - b.values)) <= 1e-6 * np.max(np.abs(b.values))
+        for x, y in zip(whole._state.tensors(), loop._state.tensors()):
+            assert np.max(np.abs(x - y)) <= 1e-6 * np.max(np.abs(y))
 
 
 def test_runtime_scratch_is_bounded_by_one_call(small_params):
@@ -655,7 +698,7 @@ def test_track_ticks_equal_ingest_loop(seed):
 
 def test_one_runtime_call_per_ingest_events(small_params, monkeypatch):
     # late, out-of-bounds and ragged frames each take one runtime call; a
-    # non-finite update adds the one-event replays of its patch
+    # call whose state turns non-finite is followed by one call per event
     geom = SensorGeometry(16, 16, 8)
     pipe = A2SPipeline(_poisoned(small_params), geom)
     calls = []
@@ -674,7 +717,7 @@ def test_one_runtime_call_per_ingest_events(small_params, monkeypatch):
     with np.errstate(invalid="ignore", over="ignore"):
         assert pipe.ingest_events(make_events([10**7, 10**7 + 1, 10**7 + 2],
                                               [0, 3, 9], [0, 2, 9], [0, 1, 0])) == (2, 1)
-    assert calls == [3, 1, 1]  # one call, then patch (0, 0)'s two events alone
+    assert calls == [3, 1, 1, 1]  # one call, then each of its events alone
 
 
 def _counters(pipe):
@@ -687,9 +730,9 @@ def test_pipeline_buffer_reuse_is_invisible(small_params):
     # buffer grows) and 2: each frame leaves the state, reply and counters
     # that a fresh pipeline gives from a copy of the same state, bit for
     # bit. The 300-event frame holds a non-finite event mid-call, so its
-    # patch is replayed while the call's gathered rows are live; as a fresh
-    # pipeline gathers into its buffer too, that frame is also checked
-    # against a loop of `ingest`
+    # first call is dropped and its events go again one per call, each
+    # gathered into the same buffer; as a fresh pipeline gathers into its
+    # buffer too, that frame is also checked against a loop of `ingest`
     params, geom = _poisoned(small_params), SensorGeometry(64, 64, 8)
     pipe = A2SPipeline(params, geom)
     rng = np.random.default_rng(17)

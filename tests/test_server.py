@@ -14,7 +14,7 @@ from eva.params import init_encoder_params
 from eva.pipeline import A2SPipeline
 from eva.server import (MAX_PAYLOAD, OP_ERROR, OP_INGEST, EvaClient, EvaServer,
                         read_frame, write_frame)
-from helpers import chunked_frame
+from helpers import chunked_frame, overflowing_mvhs
 
 CFG = EncoderConfig(d_model=16, n_blocks=1, n_heads=2, d_ffn=24, d_lora=4,
                     d_w=4, mvhs_heads=2, mvhs_d_head=8, n_out=2, patch=8,
@@ -211,6 +211,18 @@ def test_stats_count_each_kind_of_rejection():
     assert stats["events_rejected"] == 4
     assert stats["events_ingested"] + stats["events_out_of_order"] + \
         stats["events_nonfinite"] + stats["events_out_of_bounds"] == 7
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the server thread meets the overflow
+def test_overflowing_state_is_counted():
+    # finite inputs whose k v^T overflows f32: INGEST rejects every event
+    # and STATS counts them as non-finite
+    params, geom, ev = overflowing_mvhs()
+    with EvaServer(A2SPipeline(params, geom)) as srv, EvaClient(*srv.address) as client:
+        assert client.ingest_records(pack_binary(ev)) == (0, 40)
+        stats = {k: int(v) for k, v in client.stats().items()}
+        assert np.isfinite(client.snapshot().values).all()
+    assert stats["events_nonfinite"] == stats["events_rejected"] == 40
 
 
 class _ChunkedSocket:
