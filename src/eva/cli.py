@@ -101,8 +101,9 @@ def cmd_pretrain(args):
 
 def cmd_encode(args):
     params = _load_params(args)
-    geometry = _geometry(args.geometry, params.config.patch)
-    events, geometry = _load_events(args.input, geometry)
+    events, geometry = _load_events(args.input, _geometry(args.geometry, params.config.patch))
+    # an .evt header carries the sensor size only: the patch is the model's
+    geometry = SensorGeometry(geometry.height, geometry.width, params.config.patch)
     frames = encode_offline(params, events, geometry,
                             None if args.final_only else args.period_us)
     os.makedirs(args.out, exist_ok=True)

@@ -15,8 +15,8 @@ chunked paths are one walk of the stack, `_forward`, on a batched state.
 
 `EncoderState` is the recurrent state of one stream or of a batch, and
 the only code that knows its memory layout: it allocates, copies, gathers
-and scatters the stores that every other module reads through its
-`blocks` and `mvhs` views.
+(into new arrays or a runtime's scratch) and scatters the stores that
+every other module reads through its `blocks` and `mvhs` views.
 """
 
 from __future__ import annotations
@@ -73,12 +73,15 @@ class EncoderState:
         self.mvhs = M.MvhsState(self.S_mvhs.transpose(*range(2, nd), 0, 1), vecs[-1])
 
     @classmethod
-    def zeros(cls, cfg: EncoderConfig, dtype=None) -> "EncoderState":
+    def zeros(cls, cfg: EncoderConfig, dtype=None, batch: int | None = None) -> "EncoderState":
+        """The state of one stream, or of `batch` streams, before any event."""
         dtype = dtype or cfg.dtype
         Dh, Dm = cfg.d_head, cfg.mvhs_d_head
-        return cls(np.zeros((cfg.n_blocks, Dh, Dh, cfg.n_heads), dtype),
-                   np.zeros((Dm, Dm, cfg.mvhs_heads), dtype),
-                   np.zeros((2 * cfg.n_blocks + 1, cfg.d_model), dtype))
+        b = () if batch is None else (batch,)
+        marks = () if batch is None else (np.full(b, -1, np.int64), np.zeros(b, np.int64))
+        return cls(np.zeros((cfg.n_blocks, Dh, Dh, *b, cfg.n_heads), dtype),
+                   np.zeros((Dm, Dm, *b, cfg.mvhs_heads), dtype),
+                   np.zeros((*b, 2 * cfg.n_blocks + 1, cfg.d_model), dtype), *marks)
 
     def copy(self) -> "EncoderState":
         # copy.copy copies a batch's last_t and event_index arrays and
@@ -98,27 +101,17 @@ class EncoderState:
         non-finite input or decay a state absorbed, and any overflow."""
         return all(np.isfinite(a).all() for a in (self.S, self.S_mvhs, self.vec))
 
-    def rows(self, sel, into: "EncoderState | None" = None) -> "EncoderState":
-        """The batched state of the rows `sel` of this batched state: a
-        slice gives views of the stores, an index array copies them (in the
-        same layout), and `None` adds a batch axis of one to a single
-        stream's state (views, except last_t and event_index, which become
-        new 1-element arrays). Given `into`, a batched state with
-        C-contiguous stores and at least len(sel) rows, an index array's
-        copy fills the front of its stores instead of new arrays, and is
-        valid until the next gather into `into`."""
-        if sel is None or isinstance(sel, slice):
-            return EncoderState(self.S[:, :, :, sel], self.S_mvhs[:, :, sel], self.vec[sel],
-                                np.asarray(self.last_t)[sel], np.asarray(self.event_index)[sel])
-        if into is None:
-            return EncoderState(self.S.take(sel, 3), self.S_mvhs.take(sel, 2),
-                                self.vec.take(sel, 0), self.last_t.take(sel),
-                                self.event_index.take(sel))
-        return EncoderState(_take_into(self.S, sel, 3, into.S),
-                            _take_into(self.S_mvhs, sel, 2, into.S_mvhs),
-                            _take_into(self.vec, sel, 0, into.vec),
-                            _take_into(self.last_t, sel, 0, into.last_t),
-                            _take_into(self.event_index, sel, 0, into.event_index))
+    def rows(self, sel, scratch=None) -> "EncoderState":
+        """`None` adds a batch axis of one to a single stream's state (views
+        of the stores; last_t and event_index become new 1-element arrays).
+        An index array copies the rows `sel` of this batched state, in the
+        same layout: into new arrays, or into the buffers of `scratch` (a
+        `runtime._Scratch`), valid until its next gather."""
+        if sel is None:
+            return EncoderState(self.S[:, :, :, None], self.S_mvhs[:, :, None], self.vec[None],
+                                np.asarray(self.last_t)[None], np.asarray(self.event_index)[None])
+        return EncoderState(*(_take(getattr(self, f), sel, axis, scratch, f) for f, axis in (
+            ("S", 3), ("S_mvhs", 2), ("vec", 0), ("last_t", 0), ("event_index", 0))))
 
     def put(self, sel, rows: "EncoderState") -> None:
         """Write the batched state `rows` into the rows `sel` of this
@@ -130,9 +123,11 @@ class EncoderState:
         self.event_index[sel] = rows.event_index
 
 
-def _take_into(a, sel, axis: int, buf):
-    """a.take(sel, axis) written into the front of the C-contiguous buf."""
-    out = np.ndarray(a.shape[:axis] + (len(sel),) + a.shape[axis + 1:], a.dtype, buf)
+def _take(a, sel, axis: int, scratch, name: str):
+    """a.take(sel, axis), into scratch's buffer `name` when given."""
+    if scratch is None:
+        return a.take(sel, axis)
+    out = scratch(f"rows.{name}", a.shape[:axis] + (len(sel),) + a.shape[axis + 1:], a.dtype)
     # mode "raise" would gather into a temporary and then copy it to out
     return a.take(sel, axis, out, mode="clip")
 
@@ -175,12 +170,16 @@ def encode_sequence(params: EncoderParams, tokens, dts,
     matrix-state snapshot per checkpoint (1-based indices; defaults to
     just the end of the sequence), and new_state a copy of `state` (zeros
     if None, so heads-innermost) advanced over the sequence in place.
+    Raises FloatingPointError if the final state is not finite
+    (`EncoderState.finite`), as a non-finite value persists to it.
     """
     T = len(tokens)
     state = state.copy() if state is not None else EncoderState.zeros(params.config, params.dtype)
     snaps, _ = _forward(params, np.asarray(tokens)[None], np.asarray(dts)[None],
                         [T] if checkpoints is None else checkpoints,
                         state.rows(None), False)
+    if not state.finite():
+        raise FloatingPointError(f"non-finite state after {T} events")
     state.event_index += T
     return snaps[0], state
 
@@ -230,9 +229,8 @@ def forward_train(params: EncoderParams, tokens: np.ndarray, dts: np.ndarray, ch
 
     Sequences start from zero state. Returns (snaps (B, K, N, Dh, Dh), cache).
     """
-    zeros = EncoderState.zeros(params.config, params.dtype).rows(None)
     return _forward(params, tokens, dts, checkpoints,
-                    zeros.rows(np.zeros(len(tokens), np.intp)), True)
+                    EncoderState.zeros(params.config, params.dtype, len(tokens)), True)
 
 
 def backward_train(cache, dSnaps) -> dict[str, np.ndarray]:

@@ -9,7 +9,8 @@ event). A runtime call's events go in waves: wave k holds the k-th
 accepted event of every patch that has one, so the runtime runs every
 token-parallel op once over the call and loops over the waves only for
 the matrix-state recurrence. Bounding the call bounds the runtime's
-scratch, which grows with the widest call.
+scratch, which holds a call's gathered rows and temporaries and grows
+with the widest call.
 
 Offline encoding (`encode_offline`) is the same path: it replays a file
 through one pipeline, `ingest_events` up to each period boundary, then a
@@ -38,16 +39,15 @@ selected output channels of every patch into a frame tensor; each tile
 reports its own last-event watermark so consumers can align patches that
 advance at different rates.
 
-A call gathers the patches it touches with one `EncoderState.rows`,
-ordered by descending event count, so that wave k steps a prefix of the
-gathered copy in place; then it scatters the copy back with one
-`EncoderState.put`. That is one gather and one scatter of each of the
-state's three stores per call, whatever its size and number of waves; in
-the matrix stores, whose patch axis comes just before the heads, each
-copies runs of N floats. With the patch axis innermost instead, they
-would copy single floats and cost about 10x more. The copy lands in a
-buffer the pipeline keeps (`_gathered`), which grows to the widest call,
-so a warm call allocates no copy of its rows.
+The runtime call gathers the patches it touches into the runtime's
+scratch (`EncoderState.rows`), steps that copy and returns it; the
+pipeline checks it and scatters it back with one `EncoderState.put`, so
+the store holds the state from before the call until the check passes.
+That is one gather and one scatter of each of the state's three stores
+per call, whatever its size and number of waves; in the matrix stores,
+whose patch axis comes just before the heads, each copies runs of N
+floats. With the patch axis innermost instead, they would copy single
+floats and cost about 10x more.
 """
 
 from __future__ import annotations
@@ -89,10 +89,11 @@ class FrameSnapshot:
 _RECORD = np.dtype([("t", "<i8"), ("x", "<i8"), ("y", "<i8"), ("p", "<i8")])
 
 # The most events one runtime call steps: `ingest_events` cuts a longer call
-# into calls of this many, in stream order. The runtime's scratch keeps
-# ~9.2 KB per event of the widest call (`dvs`), so this bounds it at ~2.4 MB
-# whatever a client or a file sends, and a 256-event INGEST frame stays
-# one call.
+# into calls of this many, in stream order. The runtime's scratch keeps the
+# widest call's temporaries (~9.2 KB per event on `dvs`) and gathered rows
+# (~20 KB per patch), so this bounds it at ~8.5 MB (a call over 256
+# patches) whatever a client or a file sends, and a 256-event INGEST
+# frame stays one call.
 CALL_EVENTS = 256
 
 
@@ -112,12 +113,7 @@ class A2SPipeline:
         self.params = params
         self.geometry = geometry
         self.runtime = EncoderRuntime(params)
-        n = geometry.n_patches
-        self._state = EncoderState.zeros(params.config, params.dtype).rows(None).rows(
-            np.zeros(n, np.intp))
-        # the gathered rows of a call (`_run`), kept for the next: a buffer
-        # that grows to the widest call
-        self._gathered = self._state.rows(slice(0))
+        self._state = EncoderState.zeros(params.config, params.dtype, geometry.n_patches)
         self.ingested = 0
         self.out_of_order = 0
         self.nonfinite = 0
@@ -162,41 +158,28 @@ class A2SPipeline:
 
         An event is late, so rejected and counted, if its time is below its
         patch's watermark or an earlier time of its patch in the call. The
-        rest go to the runtime in waves: wave k holds the k-th accepted
-        event of every patch that has one, and the patches are gathered by
-        descending event count (then id), so that wave k steps the first
-        sizes[k] of them. A call whose state turns non-finite is undone
-        and its events go again one per call; a one-event call's patch is
-        then zeroed and the event counted in `nonfinite`."""
+        rest go to one runtime call, which steps an advanced copy of their
+        patches' rows. A call whose copy turns non-finite is dropped and its
+        events go again one per call; a one-event call's patch is then
+        zeroed and the event counted in `nonfinite`."""
         state = self._state
         n = len(pid)
         order = np.argsort(pid, kind="stable")
-        ps = pid[order]
-        ok = t[order] >= state.last_t.take(ps)
+        ps, ts = pid[order], t[order]
+        ok = ts >= state.last_t.take(ps)
         if n > 1 and (t[1:] < t[:-1]).any():
-            # and at least every earlier time of its patch: with each time
-            # replaced by its stable rank, a running max of (patch, rank) keys
-            rank = np.empty(n, np.intp)
-            rank[np.argsort(t[order], kind="stable")] = np.arange(n)
-            key = ps.astype(np.intp) * n + rank
+            # and at least every earlier time of its patch: a running max of
+            # (patch, position in stable time order) keys
+            pos = np.empty(n, np.intp)
+            pos[np.argsort(ts, kind="stable")] = np.arange(n)
+            key = ps.astype(np.intp) * n + pos
             ok &= np.maximum.accumulate(key) == key
         accepted = int(np.count_nonzero(ok))
         late = n - accepted
         if late:
-            order, ps = order[ok], ps[ok]
+            order, ps, ts = order[ok], ps[ok], ts[ok]
         if accepted:
-            # each event's rank in its patch, then the events sorted by
-            # (rank, descending patch count, patch id)
-            cnt = np.bincount(ps)
-            rank = np.arange(accepted) - (np.cumsum(cnt) - cnt)[ps]
-            waves = order[np.lexsort((ps, -cnt[ps], rank))]
-            sizes = np.bincount(rank).tolist()
-            ids = pid[waves[:sizes[0]]]  # wave 0 holds each patch once, in row order
-            if len(ids) <= len(self._gathered.last_t):
-                rows = state.rows(ids, self._gathered)
-            else:
-                rows = self._gathered = state.rows(ids)
-            self.runtime.ingest(rows, tok[waves], t[waves], sizes)
+            ids, rows = self.runtime.ingest(state, ps, tok[order], ts)
             if rows.finite():
                 state.put(ids, rows)
             elif n > 1:  # the store still holds the state before the call

@@ -2,15 +2,16 @@
 
 This is the only recurrent implementation. A call advances B independent
 streams, the rows of a batched state (arrays of shape (B, ...)), by n
-tokens laid out in waves: wave k holds one token for each of the first
-sizes[k] rows, in row order, and sizes never increases, so sizes[0] = B
-and row s has one token in each wave whose size exceeds s. `sizes=None`
-means one token per row. Serving and offline encoding make one call per
-`pipeline.CALL_EVENTS` events of an `ingest_events`
-(`pipeline.A2SPipeline`), wave k holding the k-th event of every patch
-it advances; `encoder.encode_sequence_recurrent` steps one token at a
-time with B = 1 as the mode-equivalence reference for the
-chunked-parallel `encoder.encode_sequence`.
+tokens laid out in waves (`_Waves`): wave k holds one token for each of
+the first sizes[k] rows, in row order, and sizes never increases, so
+sizes[0] = B and row s has one token in each wave whose size exceeds s.
+`EncoderRuntime.ingest` lays out a call's events so, wave k holding the
+k-th event of every row, over a copy of the rows it gathers by
+descending event count. Serving and offline encoding make one such call
+per `pipeline.CALL_EVENTS` events (`pipeline.A2SPipeline`);
+`encoder.encode_sequence_recurrent` steps one token per call with B = 1,
+as the mode-equivalence reference for the chunked-parallel
+`encoder.encode_sequence`.
 
 Within a layer only the matrix state's read-out and update depend on the
 previous token, so only they loop over the waves, each on the prefix of
@@ -51,21 +52,22 @@ same values, only slower.
 
 The arrays whose size grows with a call's width, and which would
 otherwise be allocated and freed again by every call, are views of one
-`_Scratch` that the `EncoderRuntime` owns and its layers share: each
-front's stacked gates, projections and projections in (i, n) order, the
-k v^T of a wave (one buffer sized for wave 0, rebuilt per wave), the
-read-outs, and the channel mix's two mixes and its hidden layer. The
-head norm, the gate and the channel mix's output then finish in place.
-What a call still allocates is a few (n, D) arrays at a time, which glibc
-keeps in its heap from one call to the next; the MB-sized temporaries
-this replaced went back to the OS after each call and were faulted in
-again by the next. A scratch buffer is replaced only by a larger one, so
-the bytes it keeps are bounded by the largest call so far, which the
-pipeline caps at `CALL_EVENTS` events. As its layers
-share the scratch, a runtime is not reentrant: one call at a time, which
-`pipeline.A2SPipeline` ensures by calling it under its lock. A `_BlockRt`
-or `_MvhsRt` built alone gets a scratch of its own. What the `step`
-methods return never aliases the scratch.
+`_Scratch` that the `EncoderRuntime` owns and its layers share: the rows
+`ingest` gathers, each front's stacked gates, projections and
+projections in (i, n) order, the k v^T of a wave (one buffer sized for
+wave 0, rebuilt per wave), the read-outs, and the channel mix's two
+mixes and its hidden layer. The head norm, the gate and the channel
+mix's output then finish in place. What a call still allocates is a few
+(n, D) arrays at a time, which glibc keeps in its heap from one call to
+the next; the MB-sized temporaries this replaced went back to the OS
+after each call and were faulted in again by the next. A scratch buffer
+is replaced only by a larger one, so the bytes it keeps are bounded by
+the largest call so far, which the pipeline caps at `CALL_EVENTS`
+events. As its layers share the scratch, a runtime is not reentrant:
+one call at a time, which `pipeline.A2SPipeline` ensures by calling it
+under its lock. A `_BlockRt` or `_MvhsRt` built alone gets a scratch of
+its own. What `step` returns never aliases the scratch; the rows
+`ingest` returns live in it until the next call.
 
 Parameter tensors are referenced, not copied, except for the stacked and
 permuted copies built at construction; mutate parameters -> rebuild the
@@ -328,9 +330,9 @@ class EncoderRuntime:
     def __init__(self, params: EncoderParams):
         cfg = params.config
         self.params = params
-        scratch = _Scratch()
-        self.blocks = [_BlockRt(bp, cfg.n_heads, scratch) for bp in params.blocks]
-        self.mvhs = _MvhsRt(params.mvhs, cfg.mvhs_heads, cfg.mvhs_d_head, scratch)
+        self.scratch = _Scratch()
+        self.blocks = [_BlockRt(bp, cfg.n_heads, self.scratch) for bp in params.blocks]
+        self.mvhs = _MvhsRt(params.mvhs, cfg.mvhs_heads, cfg.mvhs_d_head, self.scratch)
         self.ln0 = _LayerNorm(params.ln0_g, params.ln0_b)
 
     def step(self, state: EncoderState, tokens, dts, waves: _Waves | None = None) -> None:
@@ -348,12 +350,26 @@ class EncoderRuntime:
         self.mvhs.step(h, state.mvhs, waves)
         state.event_index += waves.counts
 
-    def ingest(self, state: EncoderState, tokens, ts, sizes=None) -> None:
-        """`step` with absolute timestamps: each token's gap is taken from
-        the timestamp before it in its row, for wave 0 the row's last_t (0
-        for a stream's first event), and last_t becomes the row's last
-        timestamp."""
-        waves = _Waves(sizes, len(tokens))
-        prev = waves.prev(state.last_t, ts)
-        self.step(state, tokens, np.where(prev < 0, 0, ts - prev), waves)
-        state.last_t[...] = waves.last_of(ts)
+    def ingest(self, store: EncoderState, pid, tokens, ts) -> tuple[np.ndarray, EncoderState]:
+        """Advance the rows `pid` of the batched `store` by the tokens
+        `tokens` at absolute timestamps `ts`, sorted by row (each row's in
+        stream order). Returns (ids, rows): the rows by descending event
+        count (then row), and their advanced copy, which lives in the
+        scratch until the next call; `store` is not written. A gap is
+        taken from the time before in the row, for a row's first from its
+        last_t (0 before any event); last_t becomes the row's last time."""
+        n = len(pid)
+        # each event's rank in its row, then the events in waves: by (rank,
+        # descending row count, row), so that wave 0 holds each row once
+        cnt = np.bincount(pid)
+        rank = np.arange(n) - (np.cumsum(cnt) - cnt)[pid]
+        order = np.lexsort((pid, -cnt[pid], rank))
+        sizes = np.bincount(rank).tolist()
+        ids = pid[order[:sizes[0]]]
+        rows = store.rows(ids, self.scratch)
+        waves = _Waves(sizes, n)
+        ts = ts[order]
+        prev = waves.prev(rows.last_t, ts)
+        self.step(rows, tokens[order], np.where(prev < 0, 0, ts - prev), waves)
+        rows.last_t[...] = waves.last_of(ts)
+        return ids, rows

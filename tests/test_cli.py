@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from eva.config import ENCODER_PROFILES
 from eva.events import (SensorGeometry, make_events, read_binary_file,
                         synth_generate, write_binary_file, write_csv)
 from eva.params import init_encoder_params
+from eva.pipeline import encode_offline
 from eva.snapshots import KIND_EC, load_snapshot
 from eva.targets import event_count
 
@@ -116,6 +118,24 @@ def test_encode_cli(tmp_path, small_ckpt):
             pytest.raises(SystemExit, match=f"eva encode: .*: {len(ev)} with a non-finite"):
         main(["encode", "--checkpoint", str(tmp_path / "inf.evaw"), "--input", str(src),
               "--out", str(out_dir)])
+
+
+def test_encode_cli_takes_the_patch_from_the_checkpoint(tmp_path):
+    # an .evt header holds only the sensor size, so a patch-8 model tiles
+    # the 16 x 16 sensor into 2 x 2 patches, with or without --geometry
+    params = init_encoder_params(replace(ENCODER_PROFILES["small"], patch=8), seed=0)
+    save_checkpoint(tmp_path / "p8.evaw", params)
+    geom = SensorGeometry(16, 16, 8)
+    ev = synth_generate("moving_dot", geom, 60_000, 2000.0, seed=3)
+    ev["t"] -= ev["t"][0]
+    write_binary_file(tmp_path / "in.evt", ev, geom)
+    (_, want), = encode_offline(params, ev, geom)
+    for extra in ([], ["--geometry", "16x16"]):
+        out = tmp_path / f"snaps{len(extra)}"
+        assert main(["encode", "--checkpoint", str(tmp_path / "p8.evaw"), "--input",
+                     str(tmp_path / "in.evt"), "--out", str(out), "--final-only", *extra]) == 0
+        snap = load_snapshot((out / os.listdir(out)[0]).read_bytes())
+        assert snap.grid == (2, 2) and np.array_equal(snap.values, want.values)
 
 
 def test_bench_cli(capsys):

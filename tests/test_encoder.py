@@ -189,28 +189,31 @@ def test_decay_overflow_matches_stepping(layer):
 def test_ingest_event_tracks_timestamps(params):
     # two streams in one batch: each row keeps its own watermark and count
     rt = EncoderRuntime(params)
-    st = EncoderState.zeros(CFG).rows(None).rows(np.zeros(2, np.intp))
-    assert rt.ingest(st, np.array([3, 5]), np.array([100, 7])) is None
-    assert st.last_t.tolist() == [100, 7] and st.event_index.tolist() == [1, 1]
-    assert rt.ingest(st, np.array([4, 6]), np.array([130, 9])) is None
-    assert st.last_t.tolist() == [130, 9] and st.event_index.tolist() == [2, 2]
-    assert st.mvhs.S[0][:CFG.n_out].shape == (2, 8, 8)
+    st = EncoderState.zeros(CFG, batch=2)
+    ids, rows = rt.ingest(st, np.array([0, 1]), np.array([3, 5]), np.array([100, 7]))
+    assert ids.tolist() == [0, 1]
+    assert rows.last_t.tolist() == [100, 7] and rows.event_index.tolist() == [1, 1]
+    st.put(ids, rows)
+    ids, rows = rt.ingest(st, np.array([0, 1]), np.array([4, 6]), np.array([130, 9]))
+    assert rows.last_t.tolist() == [130, 9] and rows.event_index.tolist() == [2, 2]
+    assert rows.mvhs.S[0][:CFG.n_out].shape == (2, 8, 8)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_runtime_ingest_of_ragged_waves_equals_each_row_stepped(params, dtype, tol):
-    # one call over 20 tokens of five rows, 7, 5, 5, 2 and 1 of them, so the
-    # waves shrink 5, 4, 3, 3, 3, 1, 1; each row starts from its own state
-    # (row 4 from zeros) and must end where stepping its tokens one at a
-    # time through encode_sequence_recurrent ends
+    # one call over 20 tokens of five rows, 2, 7, 1, 5 and 5 of them, so the
+    # rows step in the order 1, 3, 4, 0, 2 and the waves shrink 5, 4, 3, 3,
+    # 3, 1, 1; each row starts from its own state (row 2 from zeros) and
+    # must end where stepping its tokens one at a time through
+    # encode_sequence_recurrent ends
     p = params.astype(dtype)
     rng = np.random.default_rng(35)
-    counts = [7, 5, 5, 2, 1]
+    counts = [2, 7, 1, 5, 5]
     B = len(counts)
-    batch = EncoderState.zeros(CFG, dtype).rows(None).rows(np.zeros(B, np.intp))
+    batch = EncoderState.zeros(CFG, dtype, B)
     starts, toks, ts = [], [], []
     for s, c in enumerate(counts):
-        if s < B - 1:
+        if s != 2:
             pre_tok, pre_dt = random_stream(40 + s, 6)
             _, st = encode_sequence_recurrent(p, pre_tok, pre_dt)
             st.last_t = 1_000 * s
@@ -220,60 +223,84 @@ def test_runtime_ingest_of_ragged_waves_equals_each_row_stepped(params, dtype, t
         starts.append(st)
         toks.append(rng.integers(0, CFG.vocab, size=c))
         ts.append(5_000 + np.sort(rng.integers(0, 4_000, size=c)))
-    sizes = [sum(c > k for c in counts) for k in range(max(counts))]
-    wave = [(k, s) for k, size in enumerate(sizes) for s in range(size)]
-    tokens = np.array([toks[s][k] for k, s in wave])
-    times = np.array([ts[s][k] for k, s in wave])
-    assert EncoderRuntime(p).ingest(batch, tokens, times, sizes) is None
+    pid = np.repeat(np.arange(B), counts)
+    ids, rows = EncoderRuntime(p).ingest(batch, pid, np.concatenate(toks), np.concatenate(ts))
+    assert ids.tolist() == [1, 3, 4, 0, 2]
     for s in range(B):
         prev = starts[s].last_t
         dts = np.diff(ts[s], prepend=ts[s][0] if prev < 0 else prev)
         _, want = encode_sequence_recurrent(p, toks[s], dts, starts[s])
-        got = batch.rows(slice(s, s + 1))
+        got = rows.rows(np.flatnonzero(ids == s))
         for g, w in zip(got.tensors(), want.tensors()):
             assert np.max(np.abs(g[0] - w)) <= tol * np.max(np.abs(w))
         assert got.event_index[0] == want.event_index
         assert got.last_t[0] == ts[s][-1]
 
 
+def _stores(state):
+    return (state.S, state.S_mvhs, state.vec, state.last_t, state.event_index)
+
+
 def test_runtime_buffer_reuse_is_invisible():
     # one runtime through calls of 256 tokens (four waves), 1, 37 (five
-    # waves), 300 (wider than any before, so its buffers grow) and 2: each
-    # call leaves its rows bitwise where a fresh runtime leaves a copy of them
+    # waves), 300 (more rows than any before, so its buffers grow) and 2:
+    # each call returns, bit for bit, the rows a fresh runtime returns
     cfg = ENCODER_PROFILES["small"]
     p = init_encoder_params(cfg, seed=0)
     rng = np.random.default_rng(21)
     rt = EncoderRuntime(p)
-    state = EncoderState.zeros(cfg, p.dtype).rows(None).rows(np.zeros(128, np.intp))
+    state = EncoderState.zeros(cfg, p.dtype, 128)
     t = 0
     for sizes in ([64] * 4, [1], [12, 10, 8, 4, 3], [100] * 3, [2]):
         n = sum(sizes)
-        sel = rng.choice(128, sizes[0], replace=False)
-        rows = state.rows(sel)
-        fresh = rows.copy()
+        counts = rng.permutation([sum(b > s for b in sizes) for s in range(sizes[0])])
+        pid = np.repeat(np.sort(rng.choice(128, sizes[0], replace=False)), counts)
         tokens = rng.integers(0, cfg.vocab, n)
         ts = t + np.cumsum(rng.integers(1, 500, n))
         t = int(ts[-1])
-        assert rt.ingest(rows, tokens, ts, sizes) is None
-        assert EncoderRuntime(p).ingest(fresh, tokens, ts, sizes) is None
-        for a, b in zip((rows.S, rows.S_mvhs, rows.vec, rows.last_t, rows.event_index),
-                        (fresh.S, fresh.S_mvhs, fresh.vec, fresh.last_t, fresh.event_index)):
+        ids, rows = rt.ingest(state, pid, tokens, ts)
+        fresh_ids, fresh = EncoderRuntime(p).ingest(state, pid, tokens, ts)
+        assert np.array_equal(ids, fresh_ids)
+        for a, b in zip(_stores(rows), _stores(fresh)):
             assert np.array_equal(a, b)
-        state.put(sel, rows)
+        state.put(ids, rows)
     assert state.event_index.sum() == 256 + 1 + 37 + 300 + 2
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_runtime_ingest_leaves_the_store_unchanged(params, finite):
+    # the pipeline replays a call whose rows turn non-finite from the store,
+    # so a call, of any outcome, never writes it
+    p = params if finite else overflowing_mvhs()[0]
+    cfg = p.config
+    rng = np.random.default_rng(36)
+    store = EncoderState.zeros(cfg, p.dtype, 4)
+    for a in store.tensors():
+        a[...] = rng.normal(size=a.shape)
+    store.last_t[...] = [5, -1, 7, 2]
+    store.event_index[...] = [3, 0, 4, 1]
+    before = store.copy()
+    pid = np.array([0, 0, 2, 3, 3, 3])
+    with np.errstate(**({} if finite else dict(over="ignore", invalid="ignore"))):
+        ids, rows = EncoderRuntime(p).ingest(store, pid, rng.integers(0, cfg.vocab, 6),
+                                             np.array([10, 20, 30, 40, 50, 60]))
+    assert ids.tolist() == [3, 0, 2] and rows.finite() == finite
+    assert rows.event_index.tolist() == [4, 5, 5]
+    for a, b in zip(_stores(store), _stores(before)):
+        assert np.array_equal(a, b)
 
 
 def test_first_event_gap_is_zero(params):
     # stream start: dt = 0 regardless of the absolute timestamp
     rt = EncoderRuntime(params)
-    st = EncoderState.zeros(CFG).rows(None).rows(np.zeros(2, np.intp))
-    rt.ingest(st, np.array([5, 5]), np.array([0, 999_999]))
-    assert np.array_equal(st.mvhs.S[0], st.mvhs.S[1])
+    st = EncoderState.zeros(CFG, batch=2)
+    _, rows = rt.ingest(st, np.array([0, 1]), np.array([5, 5]), np.array([0, 999_999]))
+    assert np.array_equal(rows.mvhs.S[0], rows.mvhs.S[1])
 
 
 def test_state_copies_keep_heads_innermost(params):
     st = EncoderState.zeros(CFG)
-    batch = st.rows(None).rows(np.array([0, 0, 0]))
+    batch = EncoderState.zeros(CFG, batch=3)
     for s in (st, st.copy(), st.rows(None), batch, batch.copy(), batch.rows(np.array([2, 0]))):
         for S in [b.S for b in s.blocks] + [s.mvhs.S]:
             assert heads_innermost(S), S.strides
@@ -283,7 +310,7 @@ def test_state_copies_keep_heads_innermost(params):
 
 
 def test_batched_copy_owns_every_array():
-    batch = EncoderState.zeros(CFG).rows(None).rows(np.zeros(2, np.intp))
+    batch = EncoderState.zeros(CFG, batch=2)
     c = batch.copy()
     c.last_t[0] = 5
     c.event_index[1] = 7
@@ -295,7 +322,7 @@ def test_batched_copy_owns_every_array():
 
 def test_put_writes_back_exactly_the_rows_taken():
     rng = np.random.default_rng(34)
-    batch = EncoderState.zeros(CFG).rows(None).rows(np.zeros(5, np.intp))
+    batch = EncoderState.zeros(CFG, batch=5)
     for a in batch.tensors() + [batch.last_t, batch.event_index]:
         a[...] = rng.integers(0, 100, size=a.shape)
     before = batch.copy()
@@ -313,9 +340,10 @@ def test_put_writes_back_exactly_the_rows_taken():
 def test_finite_sees_every_store_and_an_overflow():
     # one non-finite value in any of the three stores, of one stream or of
     # one row of a batch, makes the state not finite; so does an update
-    # that overflows, which the stepping reference raises on
+    # that overflows, which the stepping reference raises on, and the
+    # chunked path too, which checks its final state once
     one = EncoderState.zeros(CFG)
-    batch = one.rows(None).rows(np.zeros(3, np.intp))
+    batch = EncoderState.zeros(CFG, batch=3)
     assert one.finite() and batch.finite()
     for state in (one, batch):
         for store in ("S", "S_mvhs", "vec"):
@@ -327,20 +355,22 @@ def test_finite_sees_every_store_and_an_overflow():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError, match="after event 0"):
         encode_sequence_recurrent(params, [3, 5], [0, 10])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="after 3 events"):
+        encode_sequence(params, [3, 5, 7], [0, 10, 10])
 
 
-def test_row_slice_writes_through_to_the_stores():
-    batch = EncoderState.zeros(CFG).rows(None).rows(np.zeros(4, np.intp))
-    view = batch.rows(slice(1, 3))
+def test_row_view_writes_through_to_the_stores():
+    # `rows(None)` is one stream's state as a batch of one, viewing its
+    # stores, so the runtime steps the stream where it lives; its last_t
+    # and event_index are new arrays
+    one = EncoderState.zeros(CFG)
+    view = one.rows(None)
+    assert view.mvhs.S.shape == (1, *one.mvhs.S.shape)
     for a in view.tensors() + [view.last_t, view.event_index]:
         a[...] = 7
-    # the batch axis of the stores is the one before the heads in S and
-    # S_mvhs, and the first in the others
-    for a in (batch.S, batch.S_mvhs):
-        assert np.all(a[..., 1:3, :] == 7) and not a[..., [0, 3], :].any()
-    assert np.all(batch.vec[1:3] == 7) and not batch.vec[[0, 3]].any()
-    assert np.array_equal(batch.last_t, [-1, 7, 7, -1])
-    assert np.array_equal(batch.event_index, [0, 7, 7, 0])
+    assert all(np.all(a == 7) for a in (one.S, one.S_mvhs, one.vec))
+    assert (one.last_t, one.event_index) == (-1, 0)
 
 
 def test_encode_sequence_returns_heads_innermost_states(params):
@@ -360,7 +390,7 @@ def test_runtime_step_ignores_state_strides(params, dtype, tol):
     # the same states and outputs
     p = params.astype(dtype)
     rt = EncoderRuntime(p)
-    inner = EncoderState.zeros(CFG, dtype).rows(None).rows(np.zeros(3, np.intp))
+    inner = EncoderState.zeros(CFG, dtype, 3)
     rng = np.random.default_rng(30)
     for a in inner.tensors():
         a[...] = rng.normal(size=a.shape)
@@ -394,7 +424,7 @@ def test_runtime_input_embedding_is_embed_events(params, dtype):
     rng = np.random.default_rng(33)
     dts = np.concatenate([[0, 1, 65535], rng.integers(0, 1 << 20, size=13)])
     tokens = rng.integers(0, CFG.vocab, size=len(dts))
-    state = EncoderState.zeros(CFG, dtype).rows(None).rows(np.zeros(len(dts), np.intp))
+    state = EncoderState.zeros(CFG, dtype, len(dts))
     rt.step(state, tokens, dts)
     want = embed_events(tokens, dts, p.embed)
     assert seen[0].dtype == want.dtype == dtype

@@ -327,8 +327,9 @@ def test_long_calls_are_cut_into_bounded_runtime_calls(small_params, monkeypatch
 
 
 def test_runtime_scratch_is_bounded_by_one_call(small_params):
-    # a 10 K-event call leaves no more bytes in the runtime's scratch than a
-    # K-event call over the same patches
+    # a 10 K-event call leaves no more bytes in the runtime's scratch, which
+    # holds every buffer a call keeps (its gathered rows too), than a K-event
+    # call over the same patches
     K = CALL_EVENTS
     geom = SensorGeometry(16, 16, 8)
     ev = synth_generate("uniform_noise", geom, 1_000_000, 4000.0, seed=22)[:10 * K]
@@ -336,9 +337,9 @@ def test_runtime_scratch_is_bounded_by_one_call(small_params):
     one, ten = A2SPipeline(small_params, geom), A2SPipeline(small_params, geom)
     one.ingest_events(ev[:K])
     ten.ingest_events(ev)
-    kept = [sum(b.nbytes for b in pipe.runtime.mvhs.front.scratch.bufs.values())
-            for pipe in (one, ten)]
+    kept = [sum(b.nbytes for b in pipe.runtime.scratch.bufs.values()) for pipe in (one, ten)]
     assert 0 < kept[1] <= kept[0]
+    assert "rows.S" in one.runtime.scratch.bufs
 
 
 def test_bench_report(small_params):
@@ -454,7 +455,7 @@ def test_waves_shrink_with_unequal_patch_counts(small_params):
     assert pipe.ingest_events(ev) == (len(ev), 0)
     for k, pid in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
         ref = _reference(small_params, ev, geom, pid)
-        got = pipe._state.rows(slice(k, k + 1))
+        got = pipe._state.rows(np.array([k]))
         for g, w in zip(got.tensors(), ref.tensors()):
             assert np.max(np.abs(g[0] - w)) <= 1e-12 * max(np.max(np.abs(w)), 1e-300)
         assert got.event_index[0] == ref.event_index
@@ -478,7 +479,7 @@ def test_nonfinite_row_does_not_touch_its_wave(small_params):
     assert pipe._state.last_t[0] == 10 and pipe._state.event_index[0] == 1
     assert pipe.snapshot().watermarks[0, 0] == 10
     ref = _reference(params, ev, geom, (1, 1))
-    got = pipe._state.rows(slice(3, 4))
+    got = pipe._state.rows(np.array([3]))
     for g, w in zip(got.tensors(), ref.tensors()):
         assert np.max(np.abs(g[0] - w)) <= 1e-12 * np.max(np.abs(w))
     assert got.last_t[0] == 40 and got.event_index[0] == 2
@@ -726,13 +727,14 @@ def _counters(pipe):
 
 def test_pipeline_buffer_reuse_is_invisible(small_params):
     # one pipeline through frames of 256 events (on half of the sensor), 1,
-    # 37, 300 (more patches than any frame before, so the gathered-rows
-    # buffer grows) and 2: each frame leaves the state, reply and counters
-    # that a fresh pipeline gives from a copy of the same state, bit for
-    # bit. The 300-event frame holds a non-finite event mid-call, so its
-    # first call is dropped and its events go again one per call, each
-    # gathered into the same buffer; as a fresh pipeline gathers into its
-    # buffer too, that frame is also checked against a loop of `ingest`
+    # 37, 300 (more patches than any frame before, so the runtime's
+    # gathered rows grow) and 2: each frame leaves the state, reply and
+    # counters that a fresh pipeline gives from a copy of the same state,
+    # bit for bit. The 300-event frame holds a non-finite event mid-call,
+    # so its first call is dropped and its events go again one per call,
+    # each gathered into the same scratch; as a fresh pipeline's runtime
+    # gathers into its scratch too, that frame is also checked against a
+    # loop of `ingest`
     params, geom = _poisoned(small_params), SensorGeometry(64, 64, 8)
     pipe = A2SPipeline(params, geom)
     rng = np.random.default_rng(17)
@@ -801,7 +803,7 @@ print((faults[1] - faults[0]) / 20)
 def test_warm_wide_frames_take_no_page_faults():
     # 20 warm 256-event dvs frames in a worker thread, as the server runs
     # them, take fewer than 16 minor page faults each: what a call allocates
-    # past the runtime's scratch and the gathered-rows buffer stays in the
+    # past the runtime's scratch (which holds its gathered rows) stays in the
     # heap (about 2,500 faults per frame when each call freed MB-sized
     # temporaries, glibc returned them to the OS and the next call faulted
     # them in again). In a fresh process, like the server's, because glibc
