@@ -11,8 +11,8 @@ decayed outer-product recurrence over heads, then gates the per-head
 normalized read-out with SiLU(g) before the output projection. CM is the
 squared-ReLU feed-forward with a sigmoid gate.
 
-This module holds the chunked-parallel form used for training and offline
-encoding, and `BlockState`, the record of a block's state arrays. Each
+This module holds the chunked-parallel form used for training and as the
+tests' reference for the stepping mode, and `BlockState`, the record of a block's state arrays. Each
 forward function returns its outputs and a cache slot for the
 hand-derived backward pass, None unless asked for with `want_cache`; the
 scan underneath runs in outer chunks of `scan.DEFAULT_CHUNK` tokens.

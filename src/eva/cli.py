@@ -83,20 +83,32 @@ def cmd_filter(args):
 
 
 def cmd_pretrain(args):
+    import time
+    from dataclasses import replace
     from .train import build_synthetic_corpus, init_model, pretrain
     cfg = _encoder_config(args)
     tc = TRAIN_PROFILES[args.train_profile]
-    from dataclasses import replace
-    tc = replace(tc, seed=args.seed, max_steps=args.steps, epochs=args.epochs,
+    tc = replace(tc, seed=args.seed, max_steps=args.steps,
                  batch_size=args.batch_size or tc.batch_size)
     samples = build_synthetic_corpus(tc, cfg, kind=args.synthetic,
                                      rate=args.rate, duration_us=args.duration_us,
                                      seed=args.seed)
     print(f"corpus: {len(samples)} samples of {tc.seq_len} events")
+    batches = max(1, -(-len(samples) // tc.batch_size))  # steps per epoch
+    epochs = max(1, -(-args.steps // batches)) if args.epochs is None else args.epochs
+    tc = replace(tc, epochs=epochs)
     model = init_model(cfg, tc, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
+    t0 = time.perf_counter()
     model, history = pretrain(samples, model, tc, run_dir=args.out, log=print)
-    print(f"finished at step {history[-1]['step']}; run dir: {args.out}")
+    dt = time.perf_counter() - t0
+    print(f"finished at step {history[-1]['step']} ({1000 * dt / len(history):.0f} ms/step); "
+          f"run dir: {args.out}")
+    # each task's first loss against the mean of its last 25
+    for task in [k for k in history[0] if k not in ("step", "epoch", "total")] + ["total"]:
+        first = history[0][task]
+        last = float(np.mean([h[task] for h in history[-25:]]))
+        print(f"  {task:>16}: {first:8.4f} -> {last:8.4f}  (x{last / first:.3f})")
 
 
 def cmd_encode(args):
@@ -204,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="encoder config file (key = value)")
     p.add_argument("--train-profile", default="small", choices=sorted(TRAIN_PROFILES))
     p.add_argument("--steps", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=1)
+    p.add_argument("--epochs", type=int, help="default: as many as --steps takes, else 1")
     p.add_argument("--batch-size", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--synthetic", default="moving_bar", choices=SYNTH_KINDS)

@@ -44,11 +44,12 @@ class EncoderState:
       vec     ([B,] 2 * n_blocks + 1, D): each block's tm_prev and cm_prev,
               then the MVHS prev.
 
-    last_t (timestamp of the last absorbed event, -1 before the first) and
-    event_index (events absorbed) are ints for one stream and (B,) int64
-    arrays for a batch. `blocks` and `mvhs` are `BlockState`/`MvhsState`
-    views of the stores, built once; their matrix states have the shape
-    ([B,] N, Dh, Dh), and writing to them writes the stores.
+    last_t, the timestamp of the last absorbed event (-1 before the
+    first), is an int for one stream and a (B,) int64 array for a batch.
+    The state holds only what the next event reads. `blocks` and `mvhs` are
+    `BlockState`/`MvhsState` views of the stores, built once; their matrix
+    states have the shape ([B,] N, Dh, Dh), and writing to them writes the
+    stores.
 
     The matrix states are stored heads-innermost, so `runtime` steps every
     per-head op over the B * N contiguous floats of one (i, j) entry
@@ -59,7 +60,6 @@ class EncoderState:
     S_mvhs: np.ndarray
     vec: np.ndarray
     last_t: int | np.ndarray = -1
-    event_index: int | np.ndarray = 0
     blocks: list = field(init=False, repr=False)
     mvhs: M.MvhsState = field(init=False, repr=False)
 
@@ -78,16 +78,16 @@ class EncoderState:
         dtype = dtype or cfg.dtype
         Dh, Dm = cfg.d_head, cfg.mvhs_d_head
         b = () if batch is None else (batch,)
-        marks = () if batch is None else (np.full(b, -1, np.int64), np.zeros(b, np.int64))
         return cls(np.zeros((cfg.n_blocks, Dh, Dh, *b, cfg.n_heads), dtype),
                    np.zeros((Dm, Dm, *b, cfg.mvhs_heads), dtype),
-                   np.zeros((*b, 2 * cfg.n_blocks + 1, cfg.d_model), dtype), *marks)
+                   np.zeros((*b, 2 * cfg.n_blocks + 1, cfg.d_model), dtype),
+                   -1 if batch is None else np.full(b, -1, np.int64))
 
     def copy(self) -> "EncoderState":
-        # copy.copy copies a batch's last_t and event_index arrays and
-        # passes a single stream's ints through
+        # copy.copy copies a batch's last_t array and passes a single
+        # stream's int through
         return EncoderState(self.S.copy(), self.S_mvhs.copy(), self.vec.copy(),
-                            copy.copy(self.last_t), copy.copy(self.event_index))
+                            copy.copy(self.last_t))
 
     def tensors(self) -> list[np.ndarray]:
         """The recurrent state arrays: each block's S, tm_prev and cm_prev,
@@ -103,15 +103,15 @@ class EncoderState:
 
     def rows(self, sel, scratch=None) -> "EncoderState":
         """`None` adds a batch axis of one to a single stream's state (views
-        of the stores; last_t and event_index become new 1-element arrays).
+        of the stores; last_t becomes a new 1-element array).
         An index array copies the rows `sel` of this batched state, in the
         same layout: into new arrays, or into the buffers of `scratch` (a
         `runtime._Scratch`), valid until its next gather."""
         if sel is None:
             return EncoderState(self.S[:, :, :, None], self.S_mvhs[:, :, None], self.vec[None],
-                                np.asarray(self.last_t)[None], np.asarray(self.event_index)[None])
+                                np.asarray(self.last_t)[None])
         return EncoderState(*(_take(getattr(self, f), sel, axis, scratch, f) for f, axis in (
-            ("S", 3), ("S_mvhs", 2), ("vec", 0), ("last_t", 0), ("event_index", 0))))
+            ("S", 3), ("S_mvhs", 2), ("vec", 0), ("last_t", 0))))
 
     def put(self, sel, rows: "EncoderState") -> None:
         """Write the batched state `rows` into the rows `sel` of this
@@ -120,7 +120,6 @@ class EncoderState:
         self.S_mvhs[:, :, sel] = rows.S_mvhs
         self.vec[sel] = rows.vec
         self.last_t[sel] = rows.last_t
-        self.event_index[sel] = rows.event_index
 
 
 def _take(a, sel, axis: int, scratch, name: str):
@@ -180,7 +179,6 @@ def encode_sequence(params: EncoderParams, tokens, dts,
                         state.rows(None), False)
     if not state.finite():
         raise FloatingPointError(f"non-finite state after {T} events")
-    state.event_index += T
     return snaps[0], state
 
 
@@ -203,7 +201,6 @@ def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
             raise FloatingPointError(f"non-finite state after event {i}")
         if i + 1 in checkpoints:
             snaps.append(state.mvhs.S.copy())
-    state.event_index = int(row.event_index[0])
     snaps = (np.stack(snaps) if snaps else
              np.zeros((0, cfg.mvhs_heads, cfg.mvhs_d_head, cfg.mvhs_d_head), params.dtype))
     return snaps, state

@@ -20,17 +20,17 @@ replay costs less than a chunked encode per patch once a period's events
 span a few patches, and more on a one-patch stream (see the README);
 every sensor in the paper has 56 to 285 patches.
 
-Events are checked before the call. One out of the sensor is counted in
-`out_of_bounds`; one older than its patch's watermark, or than an
-earlier event of its patch in the call, is late, dropped and counted in
-`out_of_order`. The runtime only steps; the pipeline owns the non-finite
-policy and checks each call's state once, after the call
-(`EncoderState.finite`), which sees a non-finite input, decay or
-overflow anywhere in the state. A call whose state is not finite is
-dropped whole: its patches keep their state from before it, and its
+Events are checked before the call. One out of the sensor, or with a
+negative time, is counted in `out_of_bounds`; one older than its patch's
+watermark, or than an earlier event of its patch in the call, is late,
+dropped and counted in `out_of_order`. The runtime only steps; the
+pipeline owns the non-finite policy and checks each call's state once,
+after the call (`EncoderState.finite`), which sees a non-finite input,
+decay or overflow anywhere in the state. A call whose state is not finite
+is dropped whole: its patches keep their state from before it, and its
 events go again one per call. A one-event call whose state is not finite
-zeroes its patch's state, keeps the patch's watermark and event count,
-and counts the event in `nonfinite`. So counters, watermarks and states
+zeroes its patch's state, keeps the patch's watermark, and counts the
+event in `nonfinite`. So counters, watermarks and states
 equal a loop of `ingest` by construction.
 
 One lock, held per call, orders ingestion and snapshots, so a snapshot
@@ -123,8 +123,8 @@ class A2SPipeline:
 
     def ingest(self, t: int, x: int, y: int, p: int) -> bool:
         """`ingest_events` of the one event (t, x, y, p), each an int64.
-        Returns False (and counts) if it is out of the sensor bounds, out
-        of order for its patch or non-finite."""
+        Returns False (and counts) if it is out of the sensor bounds or
+        before time 0, out of order for its patch or non-finite."""
         return self.ingest_events(np.array([(t, x, y, p)], _RECORD))[0] == 1
 
     def ingest_events(self, events: np.ndarray) -> tuple[int, int]:
@@ -132,18 +132,18 @@ class A2SPipeline:
         runtime call per `CALL_EVENTS` events. Returns (accepted, rejected);
         the result equals a loop of `ingest`."""
         g = self.geometry
-        x, y, p = events["x"], events["y"], events["p"]
-        valid = (x >= 0) & (x < g.width) & (y >= 0) & (y < g.height) & (p >= 0) & (p <= 1)
+        t, x, y, p = events["t"], events["x"], events["y"], events["p"]
+        valid = ((t >= 0) & (x >= 0) & (x < g.width) & (y >= 0) & (y < g.height)
+                 & (p >= 0) & (p <= 1))
         if not valid.all():
             events = events[valid]
-            x, y, p = events["x"], events["y"], events["p"]
+            t, x, y, p = events["t"], events["x"], events["y"], events["p"]
             with self._lock:
                 self.out_of_bounds += len(valid) - len(events)
         if not len(events):
             return 0, len(valid)
         pid, lx, ly = g.locate(x, y)
         tok = token_index(lx, ly, p, g.patch, g.patch)
-        t = events["t"]
         accepted = 0
         with self._lock:
             for i in range(0, len(t), CALL_EVENTS):
@@ -252,9 +252,9 @@ def encode_offline(params: EncoderParams, events: np.ndarray,
     and live encoding are one code path, with one set of counters and one
     non-finite policy. No event is dropped silently: once every event is
     in, an event the pipeline rejected raises ValueError (out of order for
-    its patch, or outside the sensor) or FloatingPointError (one after
-    which its patch's state was not finite), naming the count. A
-    period_us <= 0 raises ValueError.
+    its patch, or outside the sensor or before time 0) or
+    FloatingPointError (one after which its patch's state was not finite),
+    naming the count. A period_us <= 0 raises ValueError.
     """
     if period_us is not None and period_us <= 0:
         raise ValueError(f"period_us must be positive, got {period_us}")
@@ -277,7 +277,7 @@ def encode_offline(params: EncoderParams, events: np.ndarray,
         frames.append((t_ref, pipe.snapshot()))
     if pipe.out_of_order or pipe.out_of_bounds:
         raise ValueError(f"encode_offline rejected events: {pipe.out_of_order} out of order "
-                         f"for their patch, {pipe.out_of_bounds} outside the sensor")
+                         f"for their patch, {pipe.out_of_bounds} outside the sensor or before 0")
     if pipe.nonfinite:
         raise FloatingPointError(f"encode_offline rejected events: {pipe.nonfinite} with a "
                                  "non-finite update")

@@ -21,8 +21,8 @@ call, in one numpy call per op: the input embedding (the table row plus
 projections, the gate and the channel mix. The token shift reads the
 previous token of a row: for wave 0 the state's `tm_prev`/`cm_prev`/
 `prev`, else the same slot of the wave before, which is one
-`concatenate` and one `take` (`_Waves.prev`). The carried inputs, the
-timestamp and the event count then come from each row's last token.
+`concatenate` and one `take` (`_Waves.prev`). The carried inputs and
+the timestamp then come from each row's last token.
 
 One token-shift front end, `_Front`, serves the block (paths r, k, v, g)
 and the matrix-state layer (paths k, v): the mixes and the decay share
@@ -118,15 +118,15 @@ def _heads_inner(n_heads: int, d_head: int) -> np.ndarray:
 
 class _Waves:
     """The layout of one call's n tokens (see the module docstring): the
-    (start, size) span of each wave, and for each token the index of its
-    previous input in `concatenate((first, tokens))`, for each row the
-    index of its last token and its number of tokens. One wave (`sizes`
-    None or of length one) needs neither index."""
-    __slots__ = ("spans", "shift", "last", "counts")
+    (start, size) span of each wave, for each token the index of its
+    previous input in `concatenate((first, tokens))`, and for each row the
+    index of its last token. One wave (`sizes` None or of length one)
+    needs neither index."""
+    __slots__ = ("spans", "shift", "last")
 
     def __init__(self, sizes, n: int):
         if sizes is None or len(sizes) == 1:
-            self.spans, self.shift, self.last, self.counts = ((0, n),), None, None, 1
+            self.spans, self.shift, self.last = ((0, n),), None, None
             return
         sz = np.asarray(sizes)
         B = sizes[0]
@@ -135,8 +135,8 @@ class _Waves:
         # slot s of wave k >= 1 follows slot s of wave k - 1, sizes[k - 1]
         # tokens back; wave 0 follows the B rows of `first`
         self.shift = np.arange(B, B + n) - np.repeat(np.concatenate(([B], sz[:-1])), sz)
-        self.counts = np.searchsorted(-sz, -np.arange(B))  # waves wider than s
-        self.last = starts[self.counts - 1] + np.arange(B)
+        counts = np.searchsorted(-sz, -np.arange(B))  # waves wider than s
+        self.last = starts[counts - 1] + np.arange(B)
 
     def prev(self, first, xs):
         """The previous input of each token: row s of `first` (B, ...) for
@@ -338,9 +338,9 @@ class EncoderRuntime:
     def step(self, state: EncoderState, tokens, dts, waves: _Waves | None = None) -> None:
         """Absorb the tokens `tokens` with gaps `dts`, laid out in `waves`
         (default: one token per row), into the rows of the batched `state`,
-        in place, and add each row's token count to its event_index. Plain
-        arithmetic: a non-finite value stays in the state it reaches, where
-        `EncoderState.finite` sees it (the pipeline's policy)."""
+        in place; last_t is the caller's. Plain arithmetic: a non-finite
+        value stays in the state it reaches, where `EncoderState.finite`
+        sees it (the pipeline's policy)."""
         waves = waves or _Waves(None, len(tokens))
         embed = self.params.embed
         x = embed.take(tokens, 0) + embed_temporal(dts, embed.shape[1], embed.dtype)
@@ -348,7 +348,6 @@ class EncoderRuntime:
         for blk, bs in zip(self.blocks, state.blocks):
             h = blk.step(h, bs, waves)
         self.mvhs.step(h, state.mvhs, waves)
-        state.event_index += waves.counts
 
     def ingest(self, store: EncoderState, pid, tokens, ts) -> tuple[np.ndarray, EncoderState]:
         """Advance the rows `pid` of the batched `store` by the tokens

@@ -61,17 +61,17 @@ from __future__ import annotations
 
 import numpy as np
 
-# Outer chunk, for offline encoding and training alike; every scan reads it
-# when called. It changes no result (every multiple of `_SUB` gives the
+# Outer chunk, for training and `encoder.encode_sequence` alike; every scan
+# reads it when called. It changes no result (every multiple of `_SUB` gives the
 # same bits), only the size of the batched sub-chunk temporaries and the
 # number of outer-chunk calls. On a 2-core host 128 was ~10% faster than
 # 64 per scan call, but end to end on the `small` training step its gain
 # stayed inside the run-to-run noise; 256 and 512 were slower.
 DEFAULT_CHUNK = 64
 # Sub-chunk, whose read-out costs _SUB * (_SUB - 1) / 2 decayed products
-# per channel: 4 measured best on the `dvs` f32 offline windows and the
-# `small` training step, then in f64 (8 was 0-18% slower offline and no
-# faster in training, 16 twice as slow offline).
+# per channel: 4 measured best on the `dvs` f32 offline windows, when offline
+# encoding still ran this path, and the `small` training step, then in f64 (8
+# was 0-18% slower offline and no faster in training, 16 twice as slow offline).
 _SUB = 4
 
 

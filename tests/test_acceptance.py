@@ -305,7 +305,7 @@ def test_criterion_8_a2s_round_trip(tmp_path):
 
     chunked, chunked_marks = chunked_frame(params, file_events, file_geom)
 
-    pipe = A2SPipeline(params, file_geom, threads=1)
+    pipe = A2SPipeline(params, file_geom)
     with EvaServer(pipe) as server:
         host, port = server.address
         with EvaClient(host, port) as client:
@@ -327,7 +327,7 @@ def test_criterion_8_a2s_round_trip(tmp_path):
 
     # constant per-event cost: time a one-at-a-time ingest loop over the
     # whole stream; the last decile's mean may be at most twice the first's
-    loop = A2SPipeline(params, file_geom, threads=1)
+    loop = A2SPipeline(params, file_geom)
     stamps = np.empty(len(file_events) + 1, dtype=np.int64)
     stamps[0] = time.perf_counter_ns()
     for i, ev in enumerate(file_events):

@@ -158,6 +158,23 @@ def test_pretrain_cli(tmp_path):
     assert (run / "final.evaw").exists()
 
 
+def test_pretrain_cli_steps_run_past_one_epoch(tmp_path, capsys):
+    # a corpus of 34 windows in batches of 8 is 5 steps an epoch: --steps 12
+    # alone runs three epochs, while --epochs 1 still caps the run at one
+    args = ["pretrain", "--profile", "tiny", "--train-profile", "small", "--batch-size", "8",
+            "--rate", "60000", "--duration-us", "300000", "--seed", "3", "--steps", "12"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    out = capsys.readouterr().out
+    assert "corpus: 34 samples" in out and "finished at step 12 " in out
+    rows = (tmp_path / "a" / "steps.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(1, 13))
+    assert [int(r.split(",")[1]) for r in rows] == [0] * 5 + [1] * 5 + [2] * 2
+    # the loss summary: each task's first loss -> mean of its last 25
+    assert "ms/step" in out and "total:" in out and " -> " in out
+    assert main(args + ["--epochs", "1", "--out", str(tmp_path / "b")]) == 0
+    assert "finished at step 5 " in capsys.readouterr().out
+
+
 def test_precision_env_override(monkeypatch, tmp_path, small_ckpt):
     from argparse import Namespace
     from dataclasses import replace

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from eva.embedding import embed_events
 from eva.encoder import (EncoderState, backward_train, encode_sequence,
                          encode_sequence_recurrent, forward_train)
 from eva.params import init_encoder_params
-from eva.runtime import EncoderRuntime
+from eva.runtime import EncoderRuntime, _Scratch
 from eva.train import batch_loss, build_synthetic_corpus, init_model
 from helpers import heads_innermost, outer_chunk, overflowing_mvhs, randomize_params
 
@@ -187,15 +188,15 @@ def test_decay_overflow_matches_stepping(layer):
 
 
 def test_ingest_event_tracks_timestamps(params):
-    # two streams in one batch: each row keeps its own watermark and count
+    # two streams in one batch: each row keeps its own watermark
     rt = EncoderRuntime(params)
     st = EncoderState.zeros(CFG, batch=2)
     ids, rows = rt.ingest(st, np.array([0, 1]), np.array([3, 5]), np.array([100, 7]))
     assert ids.tolist() == [0, 1]
-    assert rows.last_t.tolist() == [100, 7] and rows.event_index.tolist() == [1, 1]
+    assert rows.last_t.tolist() == [100, 7]
     st.put(ids, rows)
     ids, rows = rt.ingest(st, np.array([0, 1]), np.array([4, 6]), np.array([130, 9]))
-    assert rows.last_t.tolist() == [130, 9] and rows.event_index.tolist() == [2, 2]
+    assert rows.last_t.tolist() == [130, 9]
     assert rows.mvhs.S[0][:CFG.n_out].shape == (2, 8, 8)
 
 
@@ -233,12 +234,11 @@ def test_runtime_ingest_of_ragged_waves_equals_each_row_stepped(params, dtype, t
         got = rows.rows(np.flatnonzero(ids == s))
         for g, w in zip(got.tensors(), want.tensors()):
             assert np.max(np.abs(g[0] - w)) <= tol * np.max(np.abs(w))
-        assert got.event_index[0] == want.event_index
         assert got.last_t[0] == ts[s][-1]
 
 
 def _stores(state):
-    return (state.S, state.S_mvhs, state.vec, state.last_t, state.event_index)
+    return (state.S, state.S_mvhs, state.vec, state.last_t)
 
 
 def test_runtime_buffer_reuse_is_invisible():
@@ -264,7 +264,6 @@ def test_runtime_buffer_reuse_is_invisible():
         for a, b in zip(_stores(rows), _stores(fresh)):
             assert np.array_equal(a, b)
         state.put(ids, rows)
-    assert state.event_index.sum() == 256 + 1 + 37 + 300 + 2
 
 
 @pytest.mark.parametrize("finite", [True, False])
@@ -278,14 +277,13 @@ def test_runtime_ingest_leaves_the_store_unchanged(params, finite):
     for a in store.tensors():
         a[...] = rng.normal(size=a.shape)
     store.last_t[...] = [5, -1, 7, 2]
-    store.event_index[...] = [3, 0, 4, 1]
     before = store.copy()
     pid = np.array([0, 0, 2, 3, 3, 3])
     with np.errstate(**({} if finite else dict(over="ignore", invalid="ignore"))):
         ids, rows = EncoderRuntime(p).ingest(store, pid, rng.integers(0, cfg.vocab, 6),
                                              np.array([10, 20, 30, 40, 50, 60]))
     assert ids.tolist() == [3, 0, 2] and rows.finite() == finite
-    assert rows.event_index.tolist() == [4, 5, 5]
+    assert rows.last_t.tolist() == [60, 20, 30]
     for a, b in zip(_stores(store), _stores(before)):
         assert np.array_equal(a, b)
 
@@ -307,34 +305,6 @@ def test_state_copies_keep_heads_innermost(params):
     # stepping keeps the order, and a copy made after it too
     EncoderRuntime(params).step(batch, np.array([1, 2, 3]), np.array([0.0, 5.0, 9.0]))
     assert all(heads_innermost(b.S) for b in batch.copy().blocks)
-
-
-def test_batched_copy_owns_every_array():
-    batch = EncoderState.zeros(CFG, batch=2)
-    c = batch.copy()
-    c.last_t[0] = 5
-    c.event_index[1] = 7
-    for a in c.tensors():
-        a[...] = 1.0
-    assert np.array_equal(batch.last_t, [-1, -1]) and np.array_equal(batch.event_index, [0, 0])
-    assert all(np.all(a == 0.0) for a in batch.tensors())
-
-
-def test_put_writes_back_exactly_the_rows_taken():
-    rng = np.random.default_rng(34)
-    batch = EncoderState.zeros(CFG, batch=5)
-    for a in batch.tensors() + [batch.last_t, batch.event_index]:
-        a[...] = rng.integers(0, 100, size=a.shape)
-    before = batch.copy()
-    ids = np.array([3, 0])
-    rows = batch.rows(ids)
-    for a in rows.tensors() + [rows.last_t, rows.event_index]:
-        a += np.arange(1, 3).reshape((2,) + (1,) * (a.ndim - 1))  # row k gets + k + 1
-    batch.put(ids, rows)
-    for a, b in zip(batch.tensors() + [batch.last_t, batch.event_index],
-                    before.tensors() + [before.last_t, before.event_index]):
-        assert np.array_equal(a[[1, 2, 4]], b[[1, 2, 4]])
-        assert np.all(a[3] == b[3] + 1) and np.all(a[0] == b[0] + 2)
 
 
 def test_finite_sees_every_store_and_an_overflow():
@@ -360,17 +330,70 @@ def test_finite_sees_every_store_and_an_overflow():
         encode_sequence(params, [3, 5, 7], [0, 10, 10])
 
 
-def test_row_view_writes_through_to_the_stores():
-    # `rows(None)` is one stream's state as a batch of one, viewing its
-    # stores, so the runtime steps the stream where it lives; its last_t
-    # and event_index are new arrays
-    one = EncoderState.zeros(CFG)
-    view = one.rows(None)
-    assert view.mvhs.S.shape == (1, *one.mvhs.S.shape)
-    for a in view.tensors() + [view.last_t, view.event_index]:
+def _fields(state):
+    """Every init field of an `EncoderState`, by name, so that a field added
+    to it is checked below without naming it here."""
+    return {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.init}
+
+
+def _batch_axis(full, rows):
+    # the one axis on which a batched field and its gathered rows differ
+    assert full.ndim == rows.ndim
+    (axis,) = [i for i, (a, b) in enumerate(zip(full.shape, rows.shape)) if a != b]
+    return axis
+
+
+def test_state_ops_carry_every_field():
+    # zeros, copy, rows(None), rows(ids), rows(ids, scratch) and put each
+    # carry every field of the state, not only the tensors
+    one, batch = EncoderState.zeros(CFG), EncoderState.zeros(CFG, batch=5)
+    fresh = _fields(EncoderState.zeros(CFG))
+    assert _fields(one).keys() == _fields(batch).keys() >= {"S", "S_mvhs", "vec", "last_t"}
+    # zeros: every row of a batch is one stream's state before any event,
+    # with the batch axis where rows(None) puts it
+    view = _fields(one.rows(None))
+    for k in range(5):
+        for name, a in _fields(batch.rows(np.array([k]))).items():
+            assert np.array_equal(a, view[name]) and a.dtype == view[name].dtype, name
+    # rows(None) views one stream's stores, so the runtime steps it where it
+    # lives; a field one stream holds as an int becomes a new array
+    for name, a in view.items():
         a[...] = 7
-    assert all(np.all(a == 7) for a in (one.S, one.S_mvhs, one.vec))
-    assert (one.last_t, one.event_index) == (-1, 0)
+        orig = _fields(one)[name]
+        if isinstance(orig, np.ndarray):
+            assert np.shares_memory(a, orig) and np.all(orig == 7), name
+        else:
+            assert a.shape == (1,) and orig == fresh[name], name
+    # copy owns every array, of one stream and of a batch
+    rng = np.random.default_rng(34)
+    for a in _fields(batch).values():
+        a[...] = rng.integers(0, 100, size=a.shape)
+    for state in (one, batch):
+        for name, a in _fields(state.copy()).items():
+            orig = _fields(state)[name]
+            assert np.array_equal(a, orig), name
+            assert not (isinstance(a, np.ndarray) and np.shares_memory(a, orig)), name
+    # rows(ids) gathers each field's rows ids, into new arrays or each into
+    # a scratch buffer of its own
+    ids, scratch, before = np.array([3, 0]), _Scratch(), _fields(batch.copy())
+    new, kept = _fields(batch.rows(ids)), _fields(batch.rows(ids, scratch))
+    bufs = list(scratch.bufs.values())
+    assert len(bufs) == len(new)
+    axes = {}
+    for name, a in _fields(batch).items():
+        axis = axes[name] = _batch_axis(a, new[name])
+        assert a.shape[axis] == 5 and new[name].shape[axis] == 2, name
+        assert np.array_equal(new[name], a.take(ids, axis)), name
+        assert np.array_equal(kept[name], new[name]) and not np.shares_memory(new[name], a), name
+        assert sum(np.shares_memory(kept[name], b) for b in bufs) == 1, name
+    # put writes back exactly the rows taken: row k of the gather gets + k + 1
+    for name, a in new.items():
+        a += np.arange(1, 3).reshape((1,) * axes[name] + (2,) + (1,) * (a.ndim - axes[name] - 1))
+    batch.put(ids, EncoderState(**new))
+    for name, a in _fields(batch).items():
+        for k, plus in ((1, 0), (2, 0), (4, 0), (3, 1), (0, 2)):
+            got, was = a.take(k, axes[name]), before[name].take(k, axes[name])
+            assert np.all(got == was + plus), (name, k)
 
 
 def test_encode_sequence_returns_heads_innermost_states(params):
@@ -399,7 +422,7 @@ def test_runtime_step_ignores_state_strides(params, dtype, tol):
     blocks, mvhs = (0, 3, 4, 1, 2), (2, 3, 0, 1)
     c_order = EncoderState(np.array(inner.S.transpose(blocks), order="C").transpose(blocks),
                            np.array(inner.S_mvhs.transpose(mvhs), order="C").transpose(mvhs),
-                           inner.vec.copy(), inner.last_t.copy(), inner.event_index.copy())
+                           inner.vec.copy(), inner.last_t.copy())
     assert all(S.flags.c_contiguous for S in [b.S for b in c_order.blocks] + [c_order.mvhs.S])
     assert heads_innermost(inner.mvhs.S) and inner.mvhs.S.strides != c_order.mvhs.S.strides
     tokens, dts = random_stream(31, 60)
@@ -409,7 +432,6 @@ def test_runtime_step_ignores_state_strides(params, dtype, tol):
     assert inner.finite() and c_order.finite()
     for a, b in zip(inner.tensors(), c_order.tensors()):
         assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
-    assert np.array_equal(inner.event_index, c_order.event_index)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

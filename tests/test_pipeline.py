@@ -33,7 +33,7 @@ def small_params():
 
 def test_single_event_matches_reference_composition(small_params):
     geom = SensorGeometry(16, 16, 8)
-    pipe = A2SPipeline(small_params, geom, threads=1)
+    pipe = A2SPipeline(small_params, geom)
     assert pipe.ingest(100, 3, 2, 1)
     token = 1 * 64 + 2 * 8 + 3
     _, ref = encode_sequence(small_params, [token], [0])
@@ -44,7 +44,7 @@ def test_single_event_matches_reference_composition(small_params):
 def test_stream_matches_batch_encoding(small_params):
     geom = SensorGeometry(8, 8, 8)
     ev = synth_generate("moving_dot", geom, 100_000, 3000.0, seed=1)
-    pipe = A2SPipeline(small_params, geom, threads=1)
+    pipe = A2SPipeline(small_params, geom)
     acc, rej = pipe.ingest_events(ev)
     assert (acc, rej) == (len(ev), 0)
     _, state = encode_events(small_params, ev)
@@ -60,9 +60,9 @@ def test_patch_isolation(small_params):
     ev_b = make_events([15, 25], [9, 10], [9, 9], [1, 1])                 # patch (1,1)
     both = np.sort(np.concatenate([ev_a, ev_b]), order="t", kind="stable")
 
-    pipe_both = A2SPipeline(small_params, geom, threads=1)
+    pipe_both = A2SPipeline(small_params, geom)
     pipe_both.ingest_events(both)
-    pipe_a = A2SPipeline(small_params, geom, threads=1)
+    pipe_a = A2SPipeline(small_params, geom)
     pipe_a.ingest_events(ev_a)
 
     snap_both = pipe_both.snapshot()
@@ -75,14 +75,14 @@ def test_patch_isolation(small_params):
 
 
 def test_zero_events_zero_frame(small_params):
-    pipe = A2SPipeline(small_params, SensorGeometry(16, 16, 8), threads=1)
+    pipe = A2SPipeline(small_params, SensorGeometry(16, 16, 8))
     snap = pipe.snapshot()
     assert np.all(snap.values == 0.0)
     assert np.all(snap.watermarks == -1)
 
 
 def test_out_of_order_rejected_and_counted(small_params):
-    pipe = A2SPipeline(small_params, SensorGeometry(8, 8, 8), threads=1)
+    pipe = A2SPipeline(small_params, SensorGeometry(8, 8, 8))
     assert pipe.ingest(100, 0, 0, 0)
     assert not pipe.ingest(50, 1, 1, 1)  # same patch, older timestamp
     stats = pipe.stats()
@@ -91,7 +91,7 @@ def test_out_of_order_rejected_and_counted(small_params):
 
 
 def test_out_of_bounds_ignored(small_params):
-    pipe = A2SPipeline(small_params, SensorGeometry(8, 8, 8), threads=1)
+    pipe = A2SPipeline(small_params, SensorGeometry(8, 8, 8))
     # x = 2**40 and p = 300 do not fit `EVENT_DTYPE`'s int32 x and int8 p
     bad = ((99, 0, 0), (0, 0, 3), (2 ** 40, 0, 0), (0, -5, 0), (0, 0, 300), (0, 0, -1))
     for x, y, p in bad:
@@ -104,7 +104,7 @@ def test_out_of_bounds_ignored(small_params):
 def test_snapshot_shape_dvs_profile():
     cfg = ENCODER_PROFILES["dvs"]
     params = init_encoder_params(cfg, seed=0)
-    pipe = A2SPipeline(params, SensorGeometry(128, 128, 16), threads=1)
+    pipe = A2SPipeline(params, SensorGeometry(128, 128, 16))
     snap = pipe.snapshot()
     assert snap.values.shape == (16, 64, 64)  # 8x8 grid of 8-px tiles
 
@@ -112,14 +112,14 @@ def test_snapshot_shape_dvs_profile():
 def test_snapshot_shape_full_resolution_profile():
     cfg = ENCODER_PROFILES["gen1"]
     params = init_encoder_params(cfg, seed=0)
-    pipe = A2SPipeline(params, SensorGeometry(64, 64, 16), threads=1)
+    pipe = A2SPipeline(params, SensorGeometry(64, 64, 16))
     snap = pipe.snapshot()
     assert snap.values.shape == (4, 64, 64)  # d_head = patch: full resolution
 
 
 def test_snapshot_single_patch_selector(small_params):
     geom = SensorGeometry(16, 16, 8)
-    pipe = A2SPipeline(small_params, geom, threads=1)
+    pipe = A2SPipeline(small_params, geom)
     pipe.ingest(5, 9, 9, 1)
     snap = pipe.snapshot([(1, 1)])
     assert snap.watermarks[1, 1] == 5
@@ -129,6 +129,7 @@ def test_snapshot_single_patch_selector(small_params):
 
 
 def test_threaded_ingest_matches_serial(small_params):
+    # `threads` is accepted and ignored
     geom = SensorGeometry(16, 16, 8)
     ev = synth_generate("uniform_noise", geom, 100_000, 5000.0, seed=2)
     serial = A2SPipeline(small_params, geom, threads=1)
@@ -141,7 +142,7 @@ def test_threaded_ingest_matches_serial(small_params):
 def test_concurrent_snapshots_consistent(small_params):
     geom = SensorGeometry(8, 8, 8)
     ev = synth_generate("uniform_noise", geom, 200_000, 2000.0, seed=3)
-    pipe = A2SPipeline(small_params, geom, threads=1)
+    pipe = A2SPipeline(small_params, geom)
     results = []
     def snapper():
         for _ in range(5):
@@ -265,7 +266,7 @@ def test_overflowing_state_is_counted_live():
     stats = pipe.stats()
     assert stats["events_nonfinite"] == stats["events_rejected"] == 40
     assert pipe._state.finite() and np.isfinite(pipe.snapshot().values).all()
-    assert (pipe._state.last_t == -1).all() and (pipe._state.event_index == 0).all()
+    assert (pipe._state.last_t == -1).all()
 
 
 def test_overflowing_state_raises_offline():
@@ -346,7 +347,7 @@ def test_bench_report(small_params):
     # one-at-a-time ingestion is deterministic and accounts for every event
     geom = SensorGeometry(8, 8, 8)
     ev = synth_generate("uniform_noise", geom, 50_000, 4000.0, seed=5)
-    pipes = [A2SPipeline(small_params, geom, threads=1) for _ in range(2)]
+    pipes = [A2SPipeline(small_params, geom) for _ in range(2)]
     for pipe in pipes:
         for e in ev:
             pipe.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"]))
@@ -384,16 +385,40 @@ def test_env_threads(small_params, monkeypatch):
 
 def test_batch_ingest_rejects_out_of_bounds(small_params):
     geom = SensorGeometry(8, 8, 8)
-    pipe = A2SPipeline(small_params, geom, threads=1)
+    pipe = A2SPipeline(small_params, geom)
     ev = make_events([1, 2, 3], [0, 99, 1], [0, 0, 0], [0, 0, 3])
     acc, rej = pipe.ingest_events(ev)
     assert (acc, rej) == (1, 2)
     stats = pipe.stats()
     assert (stats["events_ingested"], stats["events_rejected"]) == (1, 2)
     assert stats["events_out_of_bounds"] == 2
-    ref = A2SPipeline(small_params, geom, threads=1)
+    ref = A2SPipeline(small_params, geom)
     ref.ingest_events(make_events([1], [0], [0], [0]))
     assert np.array_equal(pipe.snapshot().values, ref.snapshot().values)
+
+
+@pytest.mark.parametrize("t", [-1, -5])
+def test_negative_time_is_out_of_bounds(small_params, t):
+    # a time before 0 would reach the "no event yet" watermark -1, so its
+    # patch would read as unseen and the next event there take gap 0
+    geom = SensorGeometry(16, 16, 8)
+    pipe = A2SPipeline(small_params, geom)
+    before = pipe._state.copy()
+    assert not pipe.ingest(t, 1, 1, 0)
+    stats = pipe.stats()
+    assert (stats["events_out_of_bounds"], stats["events_out_of_order"]) == (1, 0)
+    assert (stats["events_rejected"], stats["events_ingested"]) == (1, 0)
+    a, b = pipe._state, before
+    for x, y in zip((a.S, a.S_mvhs, a.vec, a.last_t), (b.S, b.S_mvhs, b.vec, b.last_t)):
+        assert np.array_equal(x, y)
+    # in a frame too, and the patch's next event is its first
+    assert pipe.ingest_events(make_events([t, 3], [1, 1], [1, 1], [0, 1])) == (1, 1)
+    assert pipe.stats()["events_out_of_bounds"] == 2
+    ref = A2SPipeline(small_params, geom)
+    assert ref.ingest(3, 1, 1, 1)
+    got, want = pipe.snapshot(), ref.snapshot()
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.watermarks, want.watermarks) and got.watermarks[0, 0] == 3
 
 
 def test_ingest_events_equals_ingest_loop(small_params):
@@ -405,8 +430,8 @@ def test_ingest_events_equals_ingest_loop(small_params):
     ev["t"][late] = np.maximum(ev["t"][late] - 5_000, 0)
     ev["x"][rng.choice(len(ev), size=5, replace=False)] = 99
     ev["p"][rng.choice(len(ev), size=5, replace=False)] = 2
-    batch = A2SPipeline(small_params, geom, threads=1)
-    loop = A2SPipeline(small_params, geom, threads=1)
+    batch = A2SPipeline(small_params, geom)
+    loop = A2SPipeline(small_params, geom)
     got = batch.ingest_events(ev)
     oks = [loop.ingest(int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) for e in ev]
     assert got == (sum(oks), len(oks) - sum(oks))
@@ -458,7 +483,6 @@ def test_waves_shrink_with_unequal_patch_counts(small_params):
         got = pipe._state.rows(np.array([k]))
         for g, w in zip(got.tensors(), ref.tensors()):
             assert np.max(np.abs(g[0] - w)) <= 1e-12 * max(np.max(np.abs(w)), 1e-300)
-        assert got.event_index[0] == ref.event_index
         assert got.last_t[0] == _patch_events(ev, geom, pid)["t"][-1]
 
 
@@ -476,13 +500,13 @@ def test_nonfinite_row_does_not_touch_its_wave(small_params):
     stats = pipe.stats()
     assert stats["events_nonfinite"] == 1 and stats["events_rejected"] == 1
     _assert_zero_state(pipe, 0)
-    assert pipe._state.last_t[0] == 10 and pipe._state.event_index[0] == 1
+    assert pipe._state.last_t[0] == 10
     assert pipe.snapshot().watermarks[0, 0] == 10
     ref = _reference(params, ev, geom, (1, 1))
     got = pipe._state.rows(np.array([3]))
     for g, w in zip(got.tensors(), ref.tensors()):
         assert np.max(np.abs(g[0] - w)) <= 1e-12 * np.max(np.abs(w))
-    assert got.last_t[0] == 40 and got.event_index[0] == 2
+    assert got.last_t[0] == 40
 
 
 def _assert_zero_state(pipe, k):
@@ -498,10 +522,10 @@ def test_nonfinite_event_resets_patch(small_params, poison):
     else:
         params.mvhs.W_k[0, 0] = np.inf
     geom = SensorGeometry(16, 16, 8)
-    pipe = A2SPipeline(params, geom, threads=1)
+    pipe = A2SPipeline(params, geom)
     with np.errstate(invalid="ignore", over="ignore"):
         assert not pipe.ingest(100, 3, 2, 1)
-    assert pipe._state.last_t[0] == -1 and pipe._state.event_index[0] == 0
+    assert pipe._state.last_t[0] == -1
     _assert_zero_state(pipe, 0)
     stats = pipe.stats()
     assert stats["events_nonfinite"] == 1
@@ -517,7 +541,7 @@ def test_nonfinite_event_keeps_watermark(small_params):
     params = small_params.astype(np.float64)
     bad = 1 * 64 + 2 * 8 + 3  # the token of event (x=3, y=2, p=1)
     params.embed[bad, 0] = np.inf
-    pipe = A2SPipeline(params, SensorGeometry(16, 16, 8), threads=1)
+    pipe = A2SPipeline(params, SensorGeometry(16, 16, 8))
     assert pipe.ingest(100, 0, 0, 0)
     with np.errstate(invalid="ignore", over="ignore"):
         assert not pipe.ingest(200, 3, 2, 1)
@@ -765,8 +789,7 @@ def test_pipeline_buffer_reuse_is_invisible(small_params):
                     assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
         assert np.subtract(_counters(pipe), before).tolist() == list(_counters(fresh))
         a, b = pipe._state, fresh._state
-        for x, y in zip((a.S, a.S_mvhs, a.vec, a.last_t, a.event_index),
-                        (b.S, b.S_mvhs, b.vec, b.last_t, b.event_index)):
+        for x, y in zip((a.S, a.S_mvhs, a.vec, a.last_t), (b.S, b.S_mvhs, b.vec, b.last_t)):
             assert np.array_equal(x, y)
     assert touched[3] > touched[0] and pipe.nonfinite == 1
 

@@ -25,7 +25,7 @@ GEOM = SensorGeometry(16, 16, 8)
 @pytest.fixture()
 def server():
     params = init_encoder_params(CFG, seed=0)
-    pipe = A2SPipeline(params, GEOM, threads=1)
+    pipe = A2SPipeline(params, GEOM)
     with EvaServer(pipe) as srv:
         yield srv
 
