@@ -344,10 +344,9 @@ def _batch_axis(full, rows):
 
 
 def test_state_ops_carry_every_field():
-    # zeros, copy, rows(None), rows(ids), rows(ids, scratch) and put each
-    # carry every field of the state, not only the tensors
+    # zeros carries every field of the state, not only the tensors; copy,
+    # rows and put are checked field by field in the tests below
     one, batch = EncoderState.zeros(CFG), EncoderState.zeros(CFG, batch=5)
-    fresh = _fields(EncoderState.zeros(CFG))
     assert _fields(one).keys() == _fields(batch).keys() >= {"S", "S_mvhs", "vec", "last_t"}
     # zeros: every row of a batch is one stream's state before any event,
     # with the batch axis where rows(None) puts it
@@ -355,8 +354,15 @@ def test_state_ops_carry_every_field():
     for k in range(5):
         for name, a in _fields(batch.rows(np.array([k]))).items():
             assert np.array_equal(a, view[name]) and a.dtype == view[name].dtype, name
+
+
+def test_row_view_writes_through_to_the_stores():
     # rows(None) views one stream's stores, so the runtime steps it where it
     # lives; a field one stream holds as an int becomes a new array
+    one = EncoderState.zeros(CFG)
+    fresh = _fields(EncoderState.zeros(CFG))
+    view = _fields(one.rows(None))
+    assert view.keys() == fresh.keys()
     for name, a in view.items():
         a[...] = 7
         orig = _fields(one)[name]
@@ -364,17 +370,29 @@ def test_state_ops_carry_every_field():
             assert np.shares_memory(a, orig) and np.all(orig == 7), name
         else:
             assert a.shape == (1,) and orig == fresh[name], name
-    # copy owns every array, of one stream and of a batch
-    rng = np.random.default_rng(34)
+
+
+def _random_batch(seed=34):
+    batch = EncoderState.zeros(CFG, batch=5)
+    rng = np.random.default_rng(seed)
     for a in _fields(batch).values():
         a[...] = rng.integers(0, 100, size=a.shape)
-    for state in (one, batch):
+    return batch
+
+
+def test_batched_copy_owns_every_array():
+    # copy owns every field, of one stream and of a batch
+    for state in (EncoderState.zeros(CFG), _random_batch()):
         for name, a in _fields(state.copy()).items():
             orig = _fields(state)[name]
             assert np.array_equal(a, orig), name
             assert not (isinstance(a, np.ndarray) and np.shares_memory(a, orig)), name
+
+
+def test_put_writes_back_exactly_the_rows_taken():
     # rows(ids) gathers each field's rows ids, into new arrays or each into
     # a scratch buffer of its own
+    batch = _random_batch()
     ids, scratch, before = np.array([3, 0]), _Scratch(), _fields(batch.copy())
     new, kept = _fields(batch.rows(ids)), _fields(batch.rows(ids, scratch))
     bufs = list(scratch.bufs.values())
