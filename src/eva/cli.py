@@ -93,7 +93,9 @@ def cmd_pretrain(args):
     samples = build_synthetic_corpus(tc, cfg, kind=args.synthetic,
                                      rate=args.rate, duration_us=args.duration_us,
                                      seed=args.seed)
-    print(f"corpus: {len(samples)} samples of {tc.seq_len} events")
+    target_bytes = sum(t.nbytes for s in samples for t in s.targets.values())
+    print(f"corpus: {len(samples)} samples of {tc.seq_len} events, "
+          f"targets {target_bytes:,} bytes")
     batches = max(1, -(-len(samples) // tc.batch_size))  # steps per epoch
     epochs = max(1, -(-args.steps // batches)) if args.epochs is None else args.epochs
     tc = replace(tc, epochs=epochs)

@@ -1,7 +1,9 @@
 """Self-supervised pretraining at desk scale.
 
 A prepared sample carries the tokenized input window, the chunk-end
-indices, and the precomputed target images per task. Each optimizer step
+indices, and the precomputed target images per task: event counts as
+narrow unsigned integers, cast exactly to the model dtype per batch, and
+time surfaces in the model dtype. Each optimizer step
 runs the chunked-parallel encoder forward, applies every task's read-out
 head at every chunk end in one pass, combines per-task MSEs under uncertainty
 weighting, backpropagates through heads and encoder, and takes one Adam
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import resource
 import time
 from dataclasses import dataclass
 
@@ -34,6 +37,8 @@ from .targets import chunk_targets
 
 @dataclass
 class TrainSample:
+    """One prepared window: "ec" targets hold exact counts as unsigned
+    integers, "ts" targets are in the model dtype (see `prepare_sample`)."""
     tokens: np.ndarray       # (T,)
     dts: np.ndarray          # (T,)
     chunk_ends: np.ndarray   # (K,)
@@ -41,14 +46,19 @@ class TrainSample:
 
 
 def prepare_sample(sample: Sample, specs, P: int, dtype=np.float64) -> TrainSample:
-    """Tokens, chunk ends and target images, the targets stored in `dtype`,
-    the dtype of the model that trains on them."""
+    """Tokens, chunk ends and target images. Count ("ec") images are stored
+    as unsigned integers of the narrowest type that holds their largest
+    count (uint8 up to 255, then uint16, ...), which `batch_loss` casts
+    to the model dtype exactly; time surfaces ("ts") in `dtype`, the dtype
+    of the model that trains on them."""
     tokens, dts = event_to_token_dt(sample.input_events, P, P)
     T = len(tokens)
     ends = list(range(sample.chunk_len, T + 1, sample.chunk_len))
-    targets = {spec.name: chunk_targets(spec, sample.input_events, sample.future_events,
-                                        ends, P).astype(dtype, copy=False)
-               for spec in specs}
+    targets = {}
+    for spec in specs:
+        img = chunk_targets(spec, sample.input_events, sample.future_events, ends, P)
+        store = np.min_scalar_type(int(img.max(initial=0))) if spec.kind == "ec" else dtype
+        targets[spec.name] = img.astype(store, copy=False)
     return TrainSample(tokens, dts, np.asarray(ends), targets)
 
 
@@ -88,7 +98,7 @@ def batch_loss(model: Model, batch: list[TrainSample], want_grads: bool = True):
     snaps, cache = E.forward_train(model.params, tokens, dts, list(ends))
     sel = snaps[:, :, :cfg.n_out].reshape(Bsz * K, cfg.n_out, cfg.mvhs_d_head,
                                           cfg.mvhs_d_head)
-    targets = {task: np.concatenate([s.targets[task] for s in batch])
+    targets = {task: np.concatenate([s.targets[task] for s in batch], dtype=sel.dtype)
                for task in model.heads}
     if want_grads:
         preds, hcache = H.head_forward(model.heads, sel, want_cache=True)
@@ -121,7 +131,8 @@ def pretrain(samples: list[TrainSample], model: Model, train_cfg: TrainConfig,
 
     history is a list of per-step dicts {"step", "epoch", "total", <task>: mse}.
     With a run_dir, steps.csv gets one row per step as it runs (see
-    `_write_step_row`); the other artifacts are written at the end. A step
+    `_write_step_row`), and last.evaw is replaced at each epoch's end with
+    what final.evaw holds; the other artifacts are written at the end. A step
     whose loss or any gradient is not finite raises FloatingPointError
     naming it, before any weight is updated.
     """
@@ -164,14 +175,22 @@ def pretrain(samples: list[TrainSample], model: Model, train_cfg: TrainConfig,
                     log(f"step {step} epoch {epoch} total={total:.4g} {tasks}")
                 if train_cfg.max_steps and step >= train_cfg.max_steps:
                     break
-            if run_dir:
-                save_checkpoint(os.path.join(run_dir, f"epoch{epoch:03d}.evaw"),
-                                model.params)
+            if run_dir:  # a crash mid-write leaves the previous epoch's file
+                last = os.path.join(run_dir, "last.evaw")
+                _save_model(last + ".tmp", model)
+                os.replace(last + ".tmp", last)
             if train_cfg.max_steps and step >= train_cfg.max_steps:
                 break
     if run_dir:
         _write_run_dir(run_dir, model, train_cfg, history, time.perf_counter() - t0)
     return model, history
+
+
+def _save_model(path: str, model: Model) -> None:
+    """Every trained tensor: the encoder, `heads.*` and `loss_s.*`."""
+    save_checkpoint(path, model.params,
+                    extra_named={k: v for k, v in model.named().items()
+                                 if k.startswith(("heads.", "loss_s."))})
 
 
 def _grad_group(name: str) -> str:
@@ -219,13 +238,13 @@ def _write_run_dir(run_dir: str, model: Model, train_cfg: TrainConfig,
             recs = [r for r in history if r["epoch"] == epoch]
             for task in tasks + ["total"]:
                 writer.writerow([epoch, task, float(np.mean([r[task] for r in recs]))])
-    save_checkpoint(os.path.join(run_dir, "final.evaw"), model.params,
-                    extra_named={k: v for k, v in model.named().items()
-                                 if k.startswith(("heads.", "loss_s."))})
+    _save_model(os.path.join(run_dir, "final.evaw"), model)
     final = history[-1]
     metrics = {f"final_{k}": v for k, v in final.items()}
     metrics["elapsed_sec"] = f"{elapsed:.2f}"
     metrics["steps"] = final["step"]
+    # peak RSS of the process so far, KiB on Linux (the key STATS uses)
+    metrics["max_rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     with open(os.path.join(run_dir, "metrics.txt"), "w") as fh:
         fh.write(format_kv_text(metrics))
 
@@ -234,9 +253,9 @@ def build_synthetic_corpus(train_cfg: TrainConfig, cfg: EncoderConfig,
                            kind: str = "moving_bar", rate: float = 50_000.0,
                            duration_us: int = 4_000_000, seed: int = 0):
     """Generate events on a one-patch sensor, slice windows of `seq_len`
-    events plus a future tail of a quarter of that, prepare targets in
-    `cfg.dtype`. On one patch every event is already patch-local, so the
-    stream is sliced as generated."""
+    events plus a future tail of a quarter of that, prepare targets for a
+    model in `cfg.dtype` (see `prepare_sample`). On one patch every event
+    is already patch-local, so the stream is sliced as generated."""
     P = cfg.patch
     events = synth_generate(kind, SensorGeometry(P, P, P), duration_us, rate, seed)
     future_len = max(train_cfg.seq_len // 4, 1)

@@ -175,6 +175,21 @@ def test_pretrain_cli_steps_run_past_one_epoch(tmp_path, capsys):
     assert "finished at step 5 " in capsys.readouterr().out
 
 
+def test_pretrain_cli_reports_target_bytes_and_peak_rss(tmp_path, capsys):
+    from eva.config import TRAIN_PROFILES
+    from eva.train import build_synthetic_corpus
+    corpus = build_synthetic_corpus(TRAIN_PROFILES["small"], ENCODER_PROFILES["tiny"],
+                                    rate=60_000.0, duration_us=300_000, seed=3)
+    nbytes = sum(t.nbytes for s in corpus for t in s.targets.values())
+    run = tmp_path / "run"
+    assert main(["pretrain", "--out", str(run), "--profile", "tiny", "--train-profile",
+                 "small", "--steps", "1", "--rate", "60000", "--duration-us", "300000",
+                 "--seed", "3"]) == 0
+    assert f"corpus: 34 samples of 512 events, targets {nbytes:,} bytes\n" in \
+        capsys.readouterr().out
+    assert "max_rss_kb = " in (run / "metrics.txt").read_text()
+
+
 def test_precision_env_override(monkeypatch, tmp_path, small_ckpt):
     from argparse import Namespace
     from dataclasses import replace

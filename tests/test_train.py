@@ -8,6 +8,7 @@ from eva import losses as L
 from eva.config import ENCODER_PROFILES, TRAIN_PROFILES, TargetSpec, TrainConfig
 from eva.events import SensorGeometry, partition_patches, slice_samples, synth_generate
 from eva.optim import Adam, adam_step
+from eva.targets import chunk_targets
 from eva.train import (batch_loss, build_synthetic_corpus, init_model, prepare_sample,
                        pretrain)
 from helpers import randomize_params
@@ -407,6 +408,23 @@ def test_run_dir_artifacts(tmp_path):
     assert any(k.startswith("heads.") for k in rest)
 
 
+def test_run_dir_keeps_one_rolling_checkpoint(tmp_path):
+    # last.evaw is replaced at each epoch's end and holds what final.evaw holds
+    from eva.checkpoint import load_tensors
+    _, tc, model, samples = tiny_setup(seed=15)
+    run = tmp_path / "run"
+    _, history = pretrain(samples, model, replace(tc, epochs=3), run_dir=str(run))
+    assert history[-1]["epoch"] == 2
+    assert sorted(p.name for p in run.glob("*.evaw*")) == ["final.evaw", "last.evaw"]
+    _, last, _ = load_tensors((run / "last.evaw").read_bytes())
+    _, final, _ = load_tensors((run / "final.evaw").read_bytes())
+    assert last.keys() == final.keys() == model.named().keys()
+    for name, value in final.items():
+        assert np.array_equal(last[name], value), name
+    metrics = (run / "metrics.txt").read_text()
+    assert int(metrics.split("max_rss_kb = ")[1].split()[0]) > 0
+
+
 def test_build_synthetic_corpus_shapes():
     tc = TrainConfig(seq_len=64, chunk_len=16, batch_size=2, targets=SPECS)
     cfg = ENCODER_PROFILES["small"]
@@ -420,14 +438,66 @@ def test_build_synthetic_corpus_shapes():
         assert s.targets[spec.name].shape == (4, 2, 16, 16)
 
 
-def test_corpus_targets_are_in_the_model_dtype():
+def test_corpus_counts_are_exact_unsigned_integers_surfaces_in_the_model_dtype():
+    # counts are stored in the narrowest unsigned type that holds them, equal
+    # to chunk_targets' f64 images; the gradients keep the model dtype
     assert ENCODER_PROFILES["small"].dtype == np.float32
-    tc = TrainConfig(seq_len=64, chunk_len=16, batch_size=2, targets=SPECS)
+    tc = TrainConfig(seq_len=64, chunk_len=16, batch_size=2, targets=SPECS, head_width=8)
     for cfg in (ENCODER_PROFILES["small"], ENCODER_PROFILES["tiny"]):
+        P = cfg.patch
+        events = synth_generate("moving_bar", SensorGeometry(P, P, P), 200_000, 20_000.0, 0)
+        raws = slice_samples(events, 64, 64, 16, chunk_len=16)
         samples = build_synthetic_corpus(tc, cfg, rate=20_000.0, duration_us=200_000,
                                          seed=0)
-        assert samples
-        assert {t.dtype for s in samples for t in s.targets.values()} == {np.dtype(cfg.dtype)}
+        assert len(samples) == len(raws) > 0
+        for raw, s in zip(raws, samples):
+            for spec in SPECS:
+                want = chunk_targets(spec, raw.input_events, raw.future_events,
+                                     list(s.chunk_ends), P)
+                got = s.targets[spec.name]
+                if spec.kind == "ts":
+                    assert got.dtype == cfg.dtype
+                    assert np.array_equal(got, want.astype(cfg.dtype))
+                else:
+                    assert got.dtype == np.min_scalar_type(int(want.max()))
+                    assert got.dtype.kind == "u" and np.array_equal(got, want)
+        model = init_model(cfg, tc, seed=0)
+        _, _, grads = batch_loss(model, samples[:2])
+        assert {g.dtype for g in grads.values()} == {np.dtype(cfg.dtype)}
+
+
+@pytest.mark.parametrize("profile", ["small", "tiny"])
+def test_batch_loss_on_compact_targets_equals_upcast_targets(profile):
+    cfg = ENCODER_PROFILES[profile]
+    tc = TrainConfig(seq_len=64, chunk_len=16, batch_size=2, targets=SPECS, head_width=8)
+    model = init_model(cfg, tc, seed=3)
+    randomize_params(model.params, seed=4)
+    batch = build_synthetic_corpus(tc, cfg, rate=20_000.0, duration_us=200_000, seed=3)[:2]
+    assert {t.dtype.kind for s in batch for t in s.targets.values()} == {"u", "f"}
+    upcast = [replace(s, targets={k: t.astype(cfg.dtype) for k, t in s.targets.items()})
+              for s in batch]
+    mses, total, grads = batch_loss(model, batch)
+    mses_up, total_up, grads_up = batch_loss(model, upcast)
+    assert (mses, total) == (mses_up, total_up)
+    assert grads.keys() == grads_up.keys()
+    for name, g in grads.items():
+        assert g.dtype == grads_up[name].dtype and np.array_equal(g, grads_up[name]), name
+
+
+def test_count_above_255_is_stored_as_uint16_exactly():
+    from eva.events import Sample, make_events
+    n = 304  # 300 events on one pixel, 4 on its neighbour
+    x = np.zeros(n, int)
+    x[::76] = 1
+    ev = make_events(np.arange(n) * 10, x, np.zeros(n, int), np.ones(n, int))
+    spec = TargetSpec("ec", "mrp", window_us=10 * n)
+    sample = prepare_sample(Sample(ev, ev[:0], chunk_len=8), (spec,), 4)
+    got = sample.targets[spec.name]
+    want = chunk_targets(spec, ev, ev[:0], list(sample.chunk_ends), 4)
+    assert got.dtype == np.uint16
+    assert got.max() == 300 and np.count_nonzero(got[-1]) == 2
+    assert np.array_equal(got.astype(np.float32), want)
+    assert np.array_equal(got.astype(np.float64), want)
 
 
 def test_corpus_equals_the_partitioned_stream_corpus():
