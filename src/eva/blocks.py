@@ -55,7 +55,7 @@ def silu(x):
     return x * sigmoid(x)
 
 
-def ln_fwd(x, g=None, b=None, eps=LN_EPS):
+def ln_fwd(x, g=None, b=None):
     """Layer norm over the last axis of x, times gain g plus bias b, or
     without either (g None: the TM head norm). The row means are one matmul
     with a column of 1/D and the variances one batched dot product.
@@ -63,7 +63,7 @@ def ln_fwd(x, g=None, b=None, eps=LN_EPS):
     D = x.shape[-1]
     xc = x.reshape(-1, D)
     xc = xc - xc @ np.full((D, 1), 1.0 / D, x.dtype)
-    inv = 1.0 / np.sqrt(np.vecdot(xc, xc)[:, None] / D + eps)
+    inv = 1.0 / np.sqrt(np.vecdot(xc, xc)[:, None] / D + LN_EPS)
     xc *= inv
     if g is None:
         return xc.reshape(x.shape), (xc, inv, None)

@@ -37,11 +37,10 @@ def _geometry(arg: str | None, patch: int = 16) -> SensorGeometry | None:
 
 def _load_events(path: str, geometry: SensorGeometry | None):
     if path.endswith(".csv"):
-        with open(path, "rb") as fh:
-            events = parse_csv(fh, geometry)
         if geometry is None:
             raise SystemExit("--geometry HxW is required for CSV input")
-        return events, geometry
+        with open(path, "rb") as fh:
+            return parse_csv(fh, geometry), geometry
     return read_binary_file(path)
 
 

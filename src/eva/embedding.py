@@ -67,9 +67,9 @@ def embed_temporal(dt, D: int, dtype=np.float64) -> np.ndarray:
 
 
 def init_embedding_table(vocab: int, D: int, rng: np.random.Generator,
-                         dtype=np.float64, scale: float = 1e-4) -> np.ndarray:
+                         dtype=np.float64) -> np.ndarray:
     # near-zero init keeps the residual stream dominated by timing early on
-    return rng.uniform(-scale, scale, size=(vocab, D)).astype(dtype)
+    return rng.uniform(-1e-4, 1e-4, size=(vocab, D)).astype(dtype)
 
 
 def embed_events(tokens: np.ndarray, dts: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -82,8 +82,14 @@ def event_to_token_dt(events: np.ndarray, H: int, W: int, prev_t: int | None = N
     """Token and dt arrays for a patch-local event stream.
 
     The first gap is 0 when prev_t is None (stream start), otherwise
-    t[0] - prev_t.
+    t[0] - prev_t. Raises ValueError naming the first event earlier than
+    the time before it, as the live path rejects it; equal times (gap 0)
+    are valid.
     """
     t = events["t"].astype(np.int64)
     dts = np.diff(t, prepend=t[:1] if prev_t is None else prev_t)
+    if dts.size and dts.min() < 0:
+        i = int(np.argmax(dts < 0))
+        raise ValueError(f"event {i} at t = {t[i]} is earlier than the time before it, "
+                         f"{t[i - 1] if i else prev_t}")
     return tok(events["x"], events["y"], events["p"], H, W), dts

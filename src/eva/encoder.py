@@ -73,9 +73,10 @@ class EncoderState:
         self.mvhs = M.MvhsState(self.S_mvhs.transpose(*range(2, nd), 0, 1), vecs[-1])
 
     @classmethod
-    def zeros(cls, cfg: EncoderConfig, dtype=None, batch: int | None = None) -> "EncoderState":
-        """The state of one stream, or of `batch` streams, before any event."""
-        dtype = dtype or cfg.dtype
+    def zeros(cls, cfg: EncoderConfig, batch: int | None = None) -> "EncoderState":
+        """The state of one stream, or of `batch` streams, before any event,
+        in the config's precision."""
+        dtype = cfg.dtype
         Dh, Dm = cfg.d_head, cfg.mvhs_d_head
         b = () if batch is None else (batch,)
         return cls(np.zeros((cfg.n_blocks, Dh, Dh, *b, cfg.n_heads), dtype),
@@ -173,7 +174,7 @@ def encode_sequence(params: EncoderParams, tokens, dts,
     (`EncoderState.finite`), as a non-finite value persists to it.
     """
     T = len(tokens)
-    state = state.copy() if state is not None else EncoderState.zeros(params.config, params.dtype)
+    state = state.copy() if state is not None else EncoderState.zeros(params.config)
     snaps, _ = _forward(params, np.asarray(tokens)[None], np.asarray(dts)[None],
                         [T] if checkpoints is None else checkpoints,
                         state.rows(None), False)
@@ -190,7 +191,7 @@ def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
     cfg = params.config
     T = len(tokens)
     checkpoints = set(checkpoints) if checkpoints is not None else {T}
-    state = state.copy() if state is not None else EncoderState.zeros(cfg, params.dtype)
+    state = state.copy() if state is not None else EncoderState.zeros(cfg)
     row = state.rows(None)
     runtime = EncoderRuntime(params)
     tokens, dts = np.asarray(tokens), np.asarray(dts)
@@ -206,12 +207,15 @@ def encode_sequence_recurrent(params: EncoderParams, tokens, dts,
     return snaps, state
 
 
-def encode_events(params: EncoderParams, events, state=None, checkpoints=None):
-    """Encode patch-local events, tracking the timestamp cursor."""
+def encode_events(params: EncoderParams, events, state=None):
+    """Encode patch-local events, tracking the timestamp cursor: the
+    snapshot after the last event and the advanced copy of `state`. Raises
+    ValueError, before anything is encoded, on an event earlier than the
+    one before it or than `state.last_t` (`event_to_token_dt`)."""
     cfg = params.config
     prev_t = None if state is None or state.last_t < 0 else state.last_t
     tokens, dts = event_to_token_dt(events, cfg.patch, cfg.patch, prev_t)
-    snaps, new_state = encode_sequence(params, tokens, dts, state, checkpoints)
+    snaps, new_state = encode_sequence(params, tokens, dts, state)
     if len(events):
         new_state.last_t = int(events["t"][-1])
     return snaps, new_state
@@ -227,7 +231,7 @@ def forward_train(params: EncoderParams, tokens: np.ndarray, dts: np.ndarray, ch
     Sequences start from zero state. Returns (snaps (B, K, N, Dh, Dh), cache).
     """
     return _forward(params, tokens, dts, checkpoints,
-                    EncoderState.zeros(params.config, params.dtype, len(tokens)), True)
+                    EncoderState.zeros(params.config, len(tokens)), True)
 
 
 def backward_train(cache, dSnaps) -> dict[str, np.ndarray]:

@@ -8,11 +8,11 @@ through the dataclass fields as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import EncoderConfig
+from .config import PRECISIONS, EncoderConfig
 from .embedding import init_embedding_table
 
 # initial per-channel decay ~0.95: d0 = log(-log(0.95))
@@ -82,21 +82,32 @@ class EncoderParams:
     blocks: list
     mvhs: MvhsParams
 
+    def __post_init__(self):
+        if self.embed.dtype != self.config.dtype:
+            raise ValueError(f"embed is {self.embed.dtype}, but the config's precision "
+                             f"is {self.config.precision}")
+
     @property
     def dtype(self):
         return self.embed.dtype
 
     def astype(self, dtype) -> "EncoderParams":
+        """A copy in `dtype`, whose config's precision says so. Raises
+        ValueError for a dtype outside `PRECISIONS`."""
+        dtype = np.dtype(dtype)
+        names = {np.dtype(v): k for k, v in PRECISIONS.items()}
+        cfg = replace(self.config, precision=names.get(dtype, dtype.name))
         named = {k: v.astype(dtype) for k, v in named_arrays(self).items()}
-        return encoder_params_from_named(self.config, named)
+        return encoder_params_from_named(cfg, named)
 
 
 def _uniform(rng, shape, scale, dtype):
     return rng.uniform(-scale, scale, size=shape).astype(dtype)
 
 
-def init_block_params(cfg: EncoderConfig, rng: np.random.Generator, dtype) -> BlockParams:
+def init_block_params(cfg: EncoderConfig, rng: np.random.Generator) -> BlockParams:
     D, Dl, Dw, F = cfg.d_model, cfg.d_lora, cfg.d_w, cfg.d_ffn
+    dtype = cfg.dtype
     s = 1.0 / np.sqrt(D)
     mix = lambda: rng.uniform(0.0, 1.0, size=D).astype(dtype)
     return BlockParams(
@@ -121,10 +132,11 @@ def init_block_params(cfg: EncoderConfig, rng: np.random.Generator, dtype) -> Bl
     )
 
 
-def init_mvhs_params(cfg: EncoderConfig, rng: np.random.Generator, dtype) -> MvhsParams:
+def init_mvhs_params(cfg: EncoderConfig, rng: np.random.Generator) -> MvhsParams:
     """The interpolation acts on the model width D; the projections and the
     per-channel decay live in the state width Ds (= D unless ablating)."""
     D, Dl, Dw, Ds = cfg.d_model, cfg.d_lora, cfg.d_w, cfg.mvhs_state_dim
+    dtype = cfg.dtype
     s = 1.0 / np.sqrt(D)
     mix = lambda: rng.uniform(0.0, 1.0, size=D).astype(dtype)
     return MvhsParams(
@@ -146,8 +158,8 @@ def init_encoder_params(cfg: EncoderConfig, seed: int = 0) -> EncoderParams:
         embed=init_embedding_table(cfg.vocab, cfg.d_model, rng, dtype),
         ln0_g=np.ones(cfg.d_model, dtype),
         ln0_b=np.zeros(cfg.d_model, dtype),
-        blocks=[init_block_params(cfg, rng, dtype) for _ in range(cfg.n_blocks)],
-        mvhs=init_mvhs_params(cfg, rng, dtype),
+        blocks=[init_block_params(cfg, rng) for _ in range(cfg.n_blocks)],
+        mvhs=init_mvhs_params(cfg, rng),
     )
 
 

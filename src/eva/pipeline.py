@@ -113,7 +113,7 @@ class A2SPipeline:
         self.params = params
         self.geometry = geometry
         self.runtime = EncoderRuntime(params)
-        self._state = EncoderState.zeros(params.config, params.dtype, geometry.n_patches)
+        self._state = EncoderState.zeros(params.config, geometry.n_patches)
         self.ingested = 0
         self.out_of_order = 0
         self.nonfinite = 0

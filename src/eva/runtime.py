@@ -41,11 +41,12 @@ in memory order (Dh_i, Dh_j, B, N), and a wave works on a prefix of the
 view `S.transpose(2, 3, 0, 1)`, in which the (i, j) entry of every head
 of every row is one run of B * N contiguous floats. The projections are
 brought to the same order: the columns of W_r, W_k, W_v, W_g, of the
-decay's B_w and lam_d and of u (and the rows of W_o) are permuted once,
-at construction, from head-major (column n * Dh + i) to (i * N + n), so
-one copy turns an (n, D) projection into (Dh, n, N). Then the outer
-product k v^T, the read-out (S + u k v^T) r = S r + u k (v . r) and the
-update S <- diag(w) S + k v^T are each one numpy op over a wave's
+decay's B_w and lam_d and of u are permuted once, at construction, from
+head-major (column n * Dh + i) to (i * N + n), so one copy turns an
+(n, D) projection into (Dh, n, N). W_o is used as stored: the read-out
+goes back to head-major order before it. Then the outer product k v^T,
+the read-out (S + u k v^T) r = S r + u k (v . r) and the update
+S <- diag(w) S + k v^T are each one numpy op over a wave's
 b * N contiguous floats, where in (B, N, Dh, Dh) order their inner loops
 were Dh = 8 long. A state whose stores have other strides steps to the
 same values, only slower.

@@ -22,7 +22,7 @@ CFG = EncoderConfig(d_model=12, n_blocks=1, n_heads=2, d_ffn=20, d_lora=4,
 
 def random_block(seed, cfg=CFG):
     rng = np.random.default_rng(seed)
-    bp = init_block_params(cfg, rng, np.float64)
+    bp = init_block_params(cfg, rng)
     # exercise data-dependent paths: structured init zeroes the A matrices
     for name in ("A_r", "A_k", "A_v", "A_g", "A_w"):
         arr = getattr(bp, name)

@@ -57,6 +57,17 @@ def test_convert_reports_saturated_gaps(tmp_path, capsys):
     assert "1 gaps over 65535 us saturated" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cmd", ["convert", "filter", "oracle"])
+def test_csv_without_geometry_is_refused_before_it_is_parsed(tmp_path, cmd):
+    # a malformed file gets the missing --geometry message, not its parse error
+    src, dst = tmp_path / "bad.csv", str(tmp_path / "out.evt")
+    src.write_text("t,x,y,p\n1,2,3\n")
+    argv = {"convert": ["convert", str(src), dst], "filter": ["filter", str(src), dst],
+            "oracle": ["oracle", "--input", str(src), "--out", dst, "--kind", "ec"]}[cmd]
+    with pytest.raises(SystemExit, match="^--geometry HxW is required for CSV input$"):
+        main(argv)
+
+
 def test_filter_cli(tmp_path):
     geom = SensorGeometry(8, 8, 8)
     hot = make_events(np.linspace(0, 9000, 50).astype(int), [3] * 50, [3] * 50, [1] * 50)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from eva.config import ENCODER_PROFILES, EncoderConfig, TargetSpec, TrainConfig
 from eva.embedding import embed_events
-from eva.encoder import (EncoderState, backward_train, encode_sequence,
+from eva.encoder import (EncoderState, backward_train, encode_events, encode_sequence,
                          encode_sequence_recurrent, forward_train)
+from eva.events import make_events
 from eva.params import init_encoder_params
 from eva.runtime import EncoderRuntime, _Scratch
 from eva.train import batch_loss, build_synthetic_corpus, init_model
@@ -211,7 +212,7 @@ def test_runtime_ingest_of_ragged_waves_equals_each_row_stepped(params, dtype, t
     rng = np.random.default_rng(35)
     counts = [2, 7, 1, 5, 5]
     B = len(counts)
-    batch = EncoderState.zeros(CFG, dtype, B)
+    batch = EncoderState.zeros(p.config, B)
     starts, toks, ts = [], [], []
     for s, c in enumerate(counts):
         if s != 2:
@@ -220,7 +221,7 @@ def test_runtime_ingest_of_ragged_waves_equals_each_row_stepped(params, dtype, t
             st.last_t = 1_000 * s
             batch.put([s], st.rows(None))
         else:
-            st = EncoderState.zeros(CFG, dtype)
+            st = EncoderState.zeros(p.config)
         starts.append(st)
         toks.append(rng.integers(0, CFG.vocab, size=c))
         ts.append(5_000 + np.sort(rng.integers(0, 4_000, size=c)))
@@ -241,6 +242,25 @@ def _stores(state):
     return (state.S, state.S_mvhs, state.vec, state.last_t)
 
 
+def test_encode_events_refuses_time_going_back(params):
+    # what the live path counts out of order raises here, naming the event,
+    # before anything is encoded; equal times (gap 0) are valid
+    ev = lambda *ts: make_events(list(ts), [1] * len(ts), [2] * len(ts), [0] * len(ts))
+    _, state = encode_events(params, ev(1, 2, 2, 4))
+    assert state.last_t == 4
+    before = state.copy()
+    for events, msg in ((ev(10, 5, 20), "event 1 at t = 5 .* 10$"),
+                        (ev(3), "event 0 at t = 3 .* 4$")):
+        with pytest.raises(ValueError, match=msg):
+            encode_events(params, events, state)
+        for a, b in zip(_stores(state), _stores(before)):
+            assert np.array_equal(a, b)
+    snaps, tied = encode_events(params, ev(4, 4, 6), state)
+    # token (p * H + y) * W + x = 2 * 4 + 1
+    want, _ = encode_sequence(params, [9] * 3, [0, 0, 2], state)
+    assert tied.last_t == 6 and np.array_equal(snaps, want)
+
+
 def test_runtime_buffer_reuse_is_invisible():
     # one runtime through calls of 256 tokens (four waves), 1, 37 (five
     # waves), 300 (more rows than any before, so its buffers grow) and 2:
@@ -249,7 +269,7 @@ def test_runtime_buffer_reuse_is_invisible():
     p = init_encoder_params(cfg, seed=0)
     rng = np.random.default_rng(21)
     rt = EncoderRuntime(p)
-    state = EncoderState.zeros(cfg, p.dtype, 128)
+    state = EncoderState.zeros(cfg, 128)
     t = 0
     for sizes in ([64] * 4, [1], [12, 10, 8, 4, 3], [100] * 3, [2]):
         n = sum(sizes)
@@ -273,7 +293,7 @@ def test_runtime_ingest_leaves_the_store_unchanged(params, finite):
     p = params if finite else overflowing_mvhs()[0]
     cfg = p.config
     rng = np.random.default_rng(36)
-    store = EncoderState.zeros(cfg, p.dtype, 4)
+    store = EncoderState.zeros(cfg, 4)
     for a in store.tensors():
         a[...] = rng.normal(size=a.shape)
     store.last_t[...] = [5, -1, 7, 2]
@@ -431,7 +451,7 @@ def test_runtime_step_ignores_state_strides(params, dtype, tol):
     # the same states and outputs
     p = params.astype(dtype)
     rt = EncoderRuntime(p)
-    inner = EncoderState.zeros(CFG, dtype, 3)
+    inner = EncoderState.zeros(p.config, 3)
     rng = np.random.default_rng(30)
     for a in inner.tensors():
         a[...] = rng.normal(size=a.shape)
@@ -464,7 +484,7 @@ def test_runtime_input_embedding_is_embed_events(params, dtype):
     rng = np.random.default_rng(33)
     dts = np.concatenate([[0, 1, 65535], rng.integers(0, 1 << 20, size=13)])
     tokens = rng.integers(0, CFG.vocab, size=len(dts))
-    state = EncoderState.zeros(CFG, dtype, len(dts))
+    state = EncoderState.zeros(p.config, len(dts))
     rt.step(state, tokens, dts)
     want = embed_events(tokens, dts, p.embed)
     assert seen[0].dtype == want.dtype == dtype

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import struct
 
@@ -61,6 +62,24 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     a = dump_tensors(params.config, {k: v.astype(np.float32) for k, v in named.items()})
     b = dump_tensors(params2.config, {k: v.astype(np.float32) for k, v in named2.items()})
     assert a == b
+
+
+def test_astype_precision_survives_a_checkpoint(tmp_path):
+    # tiny is f64; its f32 copy says f32, so it comes back from a checkpoint
+    # as float32, bit for bit
+    params = init_encoder_params(ENCODER_PROFILES["tiny"], seed=5)
+    p32 = params.astype(np.float32)
+    assert p32.config.precision == "f32" and p32.dtype == np.float32
+    save_checkpoint(tmp_path / "model.evaw", p32)
+    back, _, _ = load_checkpoint(tmp_path / "model.evaw")
+    assert back.config == p32.config and back.dtype == np.float32
+    named = named_arrays(back)
+    for k, v in named_arrays(p32).items():
+        assert named[k].dtype == np.float32 and np.array_equal(named[k], v), k
+    with pytest.raises(ValueError, match="precision must be one of"):
+        params.astype(np.float16)
+    with pytest.raises(ValueError, match="precision is f32"):
+        dataclasses.replace(p32, embed=params.embed)
 
 
 def test_checkpoint_magic_and_trailing():

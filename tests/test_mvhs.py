@@ -21,7 +21,7 @@ CFG = EncoderConfig(d_model=8, n_blocks=1, n_heads=2, d_ffn=16, d_lora=4,
 
 def random_mvhs(seed, cfg=CFG):
     rng = np.random.default_rng(seed)
-    mp = init_mvhs_params(cfg, rng, np.float64)
+    mp = init_mvhs_params(cfg, rng)
     for name in ("A_k", "A_v", "A_w"):
         arr = getattr(mp, name)
         arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)

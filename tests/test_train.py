@@ -68,7 +68,7 @@ def test_adam_single_step_hand_computed():
     m = np.array([0.5])
     v = np.array([0.25])
     g = np.array([1.5])
-    adam_step(w, g, m, v, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, step=3)
+    adam_step(w, g, m, v, lr=0.1, step=3)
     m_want = 0.9 * 0.5 + 0.1 * 1.5
     v_want = 0.999 * 0.25 + 0.001 * 1.5 ** 2
     mhat = m_want / (1 - 0.9 ** 3)
