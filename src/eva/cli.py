@@ -41,7 +41,11 @@ def _load_events(path: str, geometry: SensorGeometry | None):
             raise SystemExit("--geometry HxW is required for CSV input")
         with open(path, "rb") as fh:
             return parse_csv(fh, geometry), geometry
-    return read_binary_file(path)
+    events, header = read_binary_file(path)
+    if geometry is not None and (geometry.height, geometry.width) != (header.height, header.width):
+        raise SystemExit(f"--geometry {geometry.height}x{geometry.width} disagrees with "
+                         f"the {header.height}x{header.width} sensor in {path}")
+    return events, header
 
 
 def _save_events(path: str, events, geometry: SensorGeometry):
@@ -160,9 +164,9 @@ def cmd_oracle(args):
     for pid, local in partition_patches(events, geometry).items():
         sel = local[local["t"] <= t_ref]
         if args.kind == "ec":
-            img = event_count(sel, t_ref - args.window_us, t_ref, P)
+            img = event_count(sel, t_ref - args.span_us, t_ref, P)
         else:
-            img = time_surface(sel, t_ref, args.tau_us, P)
+            img = time_surface(sel, t_ref, args.span_us, P)
         r, c = pid
         values[:, r * P:(r + 1) * P, c * P:(c + 1) * P] = img
         if len(sel):
@@ -246,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("ec", "ts"))
     p.add_argument("--geometry")
     p.add_argument("--patch", type=int, default=16)
-    p.add_argument("--window-us", type=int, default=100_000)
-    p.add_argument("--tau-us", type=int, default=100_000)
+    p.add_argument("--span-us", type=int, default=100_000,
+                   help="ec: count window ending at --t-ref; ts: decay constant")
     p.add_argument("--t-ref", type=int)
     p.set_defaults(fn=cmd_oracle)
 

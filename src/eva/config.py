@@ -77,44 +77,38 @@ ENCODER_PROFILES = {
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """One self-supervised target: what to predict and from which window.
+    """One self-supervised target: what to predict over which time span.
 
-    kind:  "ec" (per-pixel event counts) or "ts" (exponential recency).
-    role:  "mrp" (trailing window ending at the chunk end) or "nrp"
-           (window of `horizon_us` after the chunk end).
-    window_us: count window for ec; tau_us: decay constant for ts.
+    Exactly three (kind, role) pairs are defined, each reading `span_us`
+    at the chunk end t_end (any other pair, ("ts", "nrp") too, raises):
+      ("ec", "mrp"): event counts over [t_end - span_us, t_end];
+      ("ts", "mrp"): time surface exp((t_last - t_end) / span_us);
+      ("ec", "nrp"): event counts over (t_end, t_end + span_us].
     """
 
     kind: str
     role: str
-    window_us: int = 0
-    tau_us: int = 0
-    horizon_us: int = 0
+    span_us: int
+    PAIRS = (("ec", "mrp"), ("ts", "mrp"), ("ec", "nrp"))  # as `targets.chunk_targets` builds
 
     def __post_init__(self):
-        if self.kind not in ("ec", "ts"):
-            raise ValueError("kind must be 'ec' or 'ts'")
-        if self.role not in ("mrp", "nrp"):
-            raise ValueError("role must be 'mrp' or 'nrp'")
-        if self.kind == "ec" and self.window_us <= 0:
-            raise ValueError("ec target needs window_us > 0")
-        if self.kind == "ts" and self.tau_us <= 0:
-            raise ValueError("ts target needs tau_us > 0")
-        if self.role == "nrp" and self.horizon_us <= 0:
-            raise ValueError("nrp target needs horizon_us > 0")
+        if (self.kind, self.role) not in self.PAIRS:
+            raise ValueError(f"no target of kind {self.kind!r} and role {self.role!r}; "
+                             f"(kind, role) must be one of {self.PAIRS}")
+        if self.span_us <= 0:
+            raise ValueError(f"span_us must be positive, got {self.span_us}")
 
     @property
     def name(self) -> str:
-        return f"{self.role}_{self.kind}" + (
-            f"_{self.window_us}" if self.kind == "ec" else f"_{self.tau_us}")
+        return f"{self.role}_{self.kind}_{self.span_us}"
 
 
 def default_targets() -> tuple[TargetSpec, ...]:
     """ec 100ms + ts tau 100ms trailing, plus ec over the next 20ms."""
     return (
-        TargetSpec("ec", "mrp", window_us=100_000),
-        TargetSpec("ts", "mrp", tau_us=100_000),
-        TargetSpec("ec", "nrp", window_us=20_000, horizon_us=20_000),
+        TargetSpec("ec", "mrp", 100_000),
+        TargetSpec("ts", "mrp", 100_000),
+        TargetSpec("ec", "nrp", 20_000),
     )
 
 
@@ -144,6 +138,10 @@ class TrainConfig:
             raise ValueError("max_steps must be >= 0 (0 = no cap)")
         if self.head_width < 1:
             raise ValueError("head_width must be positive")
+        names = [spec.name for spec in self.targets]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"target {name} is given twice")
 
 
 TRAIN_PROFILES = {

@@ -82,24 +82,6 @@ def empty_events() -> np.ndarray:
     return np.empty(0, dtype=EVENT_DTYPE)
 
 
-def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) -> None:
-    """Check ordering, polarity and (optionally) coordinate bounds."""
-    if len(events) == 0:
-        return
-    if np.any(np.diff(events["t"]) < 0):
-        i = int(np.argmax(np.diff(events["t"]) < 0)) + 1
-        raise EventFormatError(f"non-monotonic timestamp at event index {i}")
-    if np.any(events["t"] < 0):
-        raise EventFormatError("negative timestamp")
-    if np.any((events["p"] != 0) & (events["p"] != 1)):
-        raise EventFormatError("polarity outside {0, 1}")
-    if geometry is not None:
-        if np.any((events["x"] < 0) | (events["x"] >= geometry.width)):
-            raise EventFormatError("x coordinate out of range")
-        if np.any((events["y"] < 0) | (events["y"] >= geometry.height)):
-            raise EventFormatError("y coordinate out of range")
-
-
 # ---------------------------------------------------------------------------
 # CSV format: UTF-8 lines "t,x,y,p", LF terminated, optional header line.
 # ---------------------------------------------------------------------------
@@ -208,10 +190,17 @@ def pack_binary(events: np.ndarray) -> bytes:
 
 
 def unpack_binary(data: bytes, geometry: SensorGeometry | None = None) -> np.ndarray:
+    """Events of a file body. u16 gaps and coordinates are never negative, so
+    only a polarity above 1 or a coordinate beyond `geometry` is refused."""
     ev = decode_records(data, 0)
     if len(ev):
         ev["t"] -= ev["t"][0]  # first record's dt is a base offset of zero
-    validate_events(ev, geometry)
+    if np.any(ev["p"] > 1):
+        raise EventFormatError("polarity outside {0, 1}")
+    if geometry is not None and np.any(ev["x"] >= geometry.width):
+        raise EventFormatError("x coordinate out of range")
+    if geometry is not None and np.any(ev["y"] >= geometry.height):
+        raise EventFormatError("y coordinate out of range")
     return ev
 
 

@@ -67,7 +67,7 @@ class StreamingTimeSurface:
 class StreamingEventCount:
     """Trailing-window counts: enqueue on update, evict expired on read.
 
-    Reads must use non-decreasing t_ref (eviction is permanent).
+    Reads must use non-decreasing t_ref (eviction is permanent), else ValueError.
     """
 
     def __init__(self, P: int, window_us: int):
@@ -78,6 +78,7 @@ class StreamingEventCount:
         self.buf: deque = deque()  # (t, p, y, x), in arrival order
         self.counts = np.zeros((2, P, P), dtype=np.int64)
         self.watermark = -1
+        self.last_read = -np.inf  # t_ref of the latest read
 
     def update(self, t: int, x: int, y: int, p: int) -> None:
         if t < self.watermark:
@@ -91,6 +92,9 @@ class StreamingEventCount:
             self.update(int(ev["t"]), int(ev["x"]), int(ev["y"]), int(ev["p"]))
 
     def read(self, t_ref: int) -> np.ndarray:
+        if t_ref < self.last_read:
+            raise ValueError(f"read at t_ref={t_ref} after a read at {self.last_read}")
+        self.last_read = t_ref
         cutoff = t_ref - self.window_us
         while self.buf and self.buf[0][0] < cutoff:
             t, p, y, x = self.buf.popleft()
@@ -110,13 +114,14 @@ class StreamingEventCount:
 
 def chunk_targets(spec, input_events: np.ndarray, future_events: np.ndarray,
                   chunk_ends, P: int) -> np.ndarray:
-    """Target image per chunk end, stacked (K, 2, P, P).
+    """Target image of `spec` per chunk end, stacked (K, 2, P, P).
 
     A trailing-window ("mrp") target sees the events absorbed so far; a
-    future ("nrp") target sees the events strictly after the chunk end
-    within `horizon_us`, drawn from the rest of the input plus the
-    sample's future tail. Every chunk end is built at once, bitwise equal
-    to `event_count` or `time_surface` of that end's events.
+    future ("nrp") target sees the events strictly after the chunk end,
+    drawn from the rest of the input plus the sample's future tail. The
+    spec's `span_us` is the "ec" window or horizon, or the "ts" decay
+    constant (see `config.TargetSpec`). Every chunk end is built at once,
+    bitwise equal to `event_count` or `time_surface` of that end's events.
     """
     ends = np.asarray(chunk_ends, dtype=np.int64)
     K, n_cells = len(ends), 2 * P * P
@@ -124,7 +129,7 @@ def chunk_targets(spec, input_events: np.ndarray, future_events: np.ndarray,
         return np.zeros((0, 2, P, P), dtype=np.float64)
     t = input_events["t"]
     t_end = t[ends - 1]
-    if spec.role == "mrp" and spec.kind == "ts":
+    if spec.kind == "ts":  # only ever trailing ("mrp")
         if np.any(np.maximum.accumulate(t)[ends - 1] > t_end):
             raise ValueError("time surface requires all event t <= t_ref")
         # last timestamp per cell: each chunk's own maximum, then a running
@@ -135,19 +140,19 @@ def chunk_targets(spec, input_events: np.ndarray, future_events: np.ndarray,
         cell = token_index(input_events["x"], input_events["y"], input_events["p"], P, P)
         np.maximum.at(last, (chunk_of[seen], cell[seen]), t[seen])
         np.maximum.accumulate(last, axis=0, out=last)
-        img = np.where(last >= 0, np.exp((last - t_end[:, None]) / float(spec.tau_us)), 0.0)
+        img = np.where(last >= 0, np.exp((last - t_end[:, None]) / float(spec.span_us)), 0.0)
         return img.reshape(K, 2, P, P)
     # event counts: which events each chunk end counts, then one bincount
     # over (chunk end, cell)
     if spec.role == "mrp":
         events = input_events
-        lo, hi = t_end - spec.window_us, t_end
+        lo, hi = t_end - spec.span_us, t_end
         member = np.arange(len(events))[None, :] < ends[:, None]
     else:
-        # (t_end, t_end + horizon]: integer timestamps make the open
+        # (t_end, t_end + span]: integer timestamps make the open
         # left edge equal to a closed edge at t_end + 1
         events = np.concatenate([input_events, future_events])
-        lo, hi = t_end + 1, t_end + spec.horizon_us
+        lo, hi = t_end + 1, t_end + spec.span_us
         member = np.arange(len(events))[None, :] >= ends[:, None]
     te = events["t"][None, :]
     member &= (te >= lo[:, None]) & (te <= hi[:, None])

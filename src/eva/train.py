@@ -7,7 +7,8 @@ time surfaces in the model dtype. Each optimizer step
 runs the chunked-parallel encoder forward, applies every task's read-out
 head at every chunk end in one pass, combines per-task MSEs under uncertainty
 weighting, backpropagates through heads and encoder, and takes one Adam
-step on every trainable tensor (encoder, heads, loss weights).
+step on every trainable tensor (encoder, heads, loss weights). A task is
+one `config.TargetSpec`, keyed everywhere by its unique name.
 
 Single-worker runs are bit-deterministic for a fixed seed.
 """

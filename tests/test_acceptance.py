@@ -32,9 +32,9 @@ from eva.train import batch_loss, build_synthetic_corpus, init_model, pretrain
 from helpers import chunked_frame, randomize_params
 
 SPECS = (
-    TargetSpec("ec", "mrp", window_us=100_000),
-    TargetSpec("ts", "mrp", tau_us=100_000),
-    TargetSpec("ec", "nrp", window_us=20_000, horizon_us=20_000),
+    TargetSpec("ec", "mrp", span_us=100_000),
+    TargetSpec("ts", "mrp", span_us=100_000),
+    TargetSpec("ec", "nrp", span_us=20_000),
 )
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,8 @@ from eva.events import (SensorGeometry, make_events, read_binary_file,
                         synth_generate, write_binary_file, write_csv)
 from eva.params import init_encoder_params
 from eva.pipeline import encode_offline
-from eva.snapshots import KIND_EC, load_snapshot
-from eva.targets import event_count
+from eva.snapshots import KIND_EC, KIND_TS, load_snapshot
+from eva.targets import event_count, time_surface
 
 
 @pytest.fixture()
@@ -90,12 +91,30 @@ def test_oracle_cli(tmp_path):
     write_binary_file(src, ev, geom)
     out = tmp_path / "target.evar"
     assert main(["oracle", "--input", str(src), "--out", str(out), "--kind", "ec",
-                 "--patch", "16", "--window-us", "50000"]) == 0
+                 "--patch", "16", "--span-us", "50000"]) == 0
     snap = load_snapshot(out.read_bytes())
     assert snap.kind == KIND_EC
     t_ref = int(ev["t"][-1])
     want = event_count(ev, t_ref - 50_000, t_ref, 16)
     assert np.array_equal(snap.values, want.astype(np.float32))
+    assert main(["oracle", "--input", str(src), "--out", str(out), "--kind", "ts",
+                 "--span-us", "30000"]) == 0
+    snap = load_snapshot(out.read_bytes())
+    assert snap.kind == KIND_TS
+    assert np.array_equal(snap.values, time_surface(ev, t_ref, 30_000, 16).astype(np.float32))
+
+
+@pytest.mark.parametrize("cmd", ["convert", "oracle"])
+def test_evt_input_with_another_geometry_is_refused(tmp_path, cmd):
+    src, dst = tmp_path / "in.evt", str(tmp_path / "out.evt")
+    write_binary_file(src, make_events([0, 5, 9], [40, 1, 63], [2, 31, 0], [0, 1, 1]),
+                      SensorGeometry(32, 64))
+    argv = {"convert": ["convert", str(src), dst],
+            "oracle": ["oracle", "--input", str(src), "--out", dst, "--kind", "ec"]}[cmd]
+    want = f"--geometry 16x16 disagrees with the 32x64 sensor in {src}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(want)}$"):
+        main([*argv, "--geometry", "16x16"])
+    assert main([*argv, "--geometry", "32x64"]) == 0
 
 
 def test_inspect_cli(capsys):

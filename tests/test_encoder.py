@@ -150,8 +150,8 @@ def test_outer_chunk_changes_no_bit():
             outs.append([a.tobytes() for a in (snaps, *st.tensors())])
         assert outs[0] == outs[1] == outs[2], T
 
-    specs = (TargetSpec("ec", "mrp", window_us=50_000),
-             TargetSpec("ec", "nrp", window_us=20_000, horizon_us=20_000))
+    specs = (TargetSpec("ec", "mrp", span_us=50_000),
+             TargetSpec("ec", "nrp", span_us=20_000))
     cfg = ENCODER_PROFILES["small"]
     tc = TrainConfig(seq_len=129, chunk_len=43, batch_size=2, targets=specs)
     batch = build_synthetic_corpus(tc, cfg, rate=20_000.0, duration_us=500_000, seed=0)[:2]

@@ -197,6 +197,18 @@ def test_binary_file_header_errors_are_typed(tmp_path):
             read_binary_file(path)
 
 
+def test_binary_file_rejects_a_coordinate_beyond_its_sensor(tmp_path):
+    # a 32x48 header, then one record at the last column and row, then one past them
+    path = tmp_path / "events.evt"
+    head = BINARY_MAGIC + struct.pack("<2H", 32, 48)
+    path.write_bytes(head + struct.pack("<4H", 0, 47, 31, 1))
+    assert read_binary_file(path)[0][["x", "y"]].tolist() == [(47, 31)]
+    for (x, y), axis in (((48, 0), "x"), ((0, 32), "y")):
+        path.write_bytes(head + struct.pack("<4H", 0, x, y, 1))
+        with pytest.raises(EventFormatError, match=f"^{axis} coordinate out of range$"):
+            read_binary_file(path)
+
+
 def test_unpack_rejects_polarity_past_the_int8_field():
     # 256 and 257 must not wrap to polarity 0 and 1
     for p in (2, 256, 257):

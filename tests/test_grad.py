@@ -12,9 +12,9 @@ from helpers import randomize_params
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SPECS = (
-    TargetSpec("ec", "mrp", window_us=50_000),
-    TargetSpec("ts", "mrp", tau_us=50_000),
-    TargetSpec("ec", "nrp", window_us=20_000, horizon_us=20_000),
+    TargetSpec("ec", "mrp", span_us=50_000),
+    TargetSpec("ts", "mrp", span_us=50_000),
+    TargetSpec("ec", "nrp", span_us=20_000),
 )
 
 

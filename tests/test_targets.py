@@ -184,6 +184,17 @@ def test_streaming_ec_read_ignores_buffered_future():
     assert img[0, 0, 0] == 1 and img.sum() == 1
 
 
+def test_streaming_ec_rejects_an_earlier_read():
+    # the read at 30 evicts the event at 5, which a read at 12 would count
+    s = StreamingEventCount(4, window_us=10)
+    for t in (0, 5, 20):
+        s.update(t, 1, 1, 0)
+    assert s.read(30)[0, 1, 1] == 1
+    with pytest.raises(ValueError, match="t_ref=12 after a read at 30"):
+        s.read(12)
+    assert s.read(30)[0, 1, 1] == 1  # an equal t_ref reads again
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5000))
 def test_streaming_equivalence_property(seed, window):
@@ -203,30 +214,50 @@ def test_streaming_equivalence_property(seed, window):
 # chunk_targets: all chunk ends at once against one call per end
 # ---------------------------------------------------------------------------
 
+# What each (kind, role) pair means at one chunk end: the events absorbed
+# so far (`seen`), the events after them (`after`), the end's timestamp
+# and the spec's one span
+ORACLES = {
+    ("ec", "mrp"): lambda seen, after, t, span, P: event_count(seen, t - span, t, P),
+    ("ts", "mrp"): lambda seen, after, t, span, P: time_surface(seen, t, span, P),
+    ("ec", "nrp"): lambda seen, after, t, span, P: event_count(after, t + 1, t + span, P),
+}
+
+
 def chunk_targets_loop(spec, input_events, future_events, chunk_ends, P):
     """Reference: one `event_count` or `time_surface` call per chunk end."""
-    out = np.zeros((len(chunk_ends), 2, P, P), dtype=np.float64)
+    oracle = ORACLES[spec.kind, spec.role]
     pool = np.concatenate([input_events, future_events])
-    for j, end in enumerate(chunk_ends):
-        t_end = int(input_events["t"][end - 1])
-        if spec.role == "mrp":
-            seen = input_events[:end]
-            if spec.kind == "ec":
-                out[j] = event_count(seen, t_end - spec.window_us, t_end, P)
-            else:
-                out[j] = time_surface(seen, t_end, spec.tau_us, P)
-        else:
-            future = pool[end:]
-            out[j] = event_count(future, t_end + 1, t_end + spec.horizon_us, P)
-    return out
+    return np.stack([oracle(input_events[:end], pool[end:], int(input_events["t"][end - 1]),
+                            spec.span_us, P) for end in chunk_ends])
 
 
 CHUNK_SPECS = (
-    TargetSpec("ec", "mrp", window_us=300),
-    TargetSpec("ts", "mrp", tau_us=250),
-    TargetSpec("ec", "nrp", window_us=200, horizon_us=200),
-    TargetSpec("ts", "nrp", tau_us=250, horizon_us=5),
+    TargetSpec("ec", "mrp", span_us=300),
+    TargetSpec("ts", "mrp", span_us=250),
+    TargetSpec("ec", "nrp", span_us=200),
 )
+
+
+@pytest.mark.parametrize("kind, role", list(ORACLES))
+def test_chunk_targets_read_the_one_span_of_each_pair(kind, role):
+    # 37 us holds ~7 of the 0-11 us gaps, so every window cuts the stream
+    spec = TargetSpec(kind, role, span_us=37)
+    assert spec.name == f"{role}_{kind}_37"
+    ev = random_patch_events(9, 120, P=4, max_dt=12)
+    ends = [16, 32, 48, 64, 80, 96]
+    got = chunk_targets(spec, ev[:96], ev[96:], ends, 4)
+    assert np.array_equal(got, chunk_targets_loop(spec, ev[:96], ev[96:], ends, 4))
+
+
+@pytest.mark.parametrize("kind, role, span", [
+    ("ts", "nrp", 100),  # no future time surface is defined
+    ("ec", "mrp", 0), ("ts", "mrp", -1), ("ec", "nrp", 0),
+    ("xx", "mrp", 100), ("ec", "xx", 100),
+])
+def test_target_spec_rejects_undefined_targets(kind, role, span):
+    with pytest.raises(ValueError):
+        TargetSpec(kind, role, span_us=span)
 
 
 @settings(max_examples=30, deadline=None)
@@ -247,7 +278,7 @@ def test_chunk_targets_match_one_call_per_end(seed, n, chunk_len, n_future, max_
 
 def test_chunk_targets_reject_what_time_surface_rejects():
     ev = make_events([10, 30, 20], [0, 1, 2], [0, 0, 0], [0, 1, 0])
-    ts = TargetSpec("ts", "mrp", tau_us=100)
+    ts = TargetSpec("ts", "mrp", span_us=100)
     with pytest.raises(ValueError):
         chunk_targets(ts, ev, empty_events(), [3], 4)  # t = 30 absorbed before t_ref = 20
     assert chunk_targets(ts, ev, empty_events(), [], 4).shape == (0, 2, 4, 4)

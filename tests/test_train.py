@@ -17,9 +17,9 @@ from helpers import randomize_params
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SPECS = (
-    TargetSpec("ec", "mrp", window_us=50_000),
-    TargetSpec("ts", "mrp", tau_us=50_000),
-    TargetSpec("ec", "nrp", window_us=20_000, horizon_us=20_000),
+    TargetSpec("ec", "mrp", span_us=50_000),
+    TargetSpec("ts", "mrp", span_us=50_000),
+    TargetSpec("ec", "nrp", span_us=20_000),
 )
 
 
@@ -143,7 +143,7 @@ def test_nrp_empty_future_zero_target():
     t = np.arange(8) * 10
     ev = make_events(t, np.zeros(8, int), np.zeros(8, int), np.ones(8, int))
     sample = Sample(ev, ev[:0], chunk_len=8)
-    spec = TargetSpec("ec", "nrp", window_us=5, horizon_us=5)
+    spec = TargetSpec("ec", "nrp", span_us=5)
     ts = prepare_sample(sample, (spec,), 4)
     assert np.all(ts.targets[spec.name] == 0)
     assert L.task_mse(np.zeros_like(ts.targets[spec.name]), ts.targets[spec.name]) == 0.0
@@ -153,8 +153,8 @@ def test_nrp_target_differs_from_mrp_on_moving_bar():
     geom = SensorGeometry(16, 16, 16)
     ev = synth_generate("moving_bar", geom, 2_000_000, 3000.0, seed=3)
     (sample,) = slice_samples(ev, 512, 4096, 128, chunk_len=512)[:1]
-    mrp = TargetSpec("ec", "mrp", window_us=20_000)
-    nrp = TargetSpec("ec", "nrp", window_us=20_000, horizon_us=20_000)
+    mrp = TargetSpec("ec", "mrp", span_us=20_000)
+    nrp = TargetSpec("ec", "nrp", span_us=20_000)
     ts = prepare_sample(sample, (mrp, nrp), 16)
     assert not np.allclose(ts.targets[mrp.name], ts.targets[nrp.name])
 
@@ -318,7 +318,9 @@ def test_pretrain_reduces_loss_quickly():
 
 @pytest.mark.parametrize("field,value", [("epochs", 0), ("max_steps", -1),
                                          ("head_width", 0), ("seq_len", 0),
-                                         ("chunk_len", 0)])
+                                         ("chunk_len", 0),
+                                         # one name would key one head for both
+                                         ("targets", SPECS[2:] + SPECS)])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
         TrainConfig(**{"seq_len": 16, "chunk_len": 8, field: value})
@@ -490,7 +492,7 @@ def test_count_above_255_is_stored_as_uint16_exactly():
     x = np.zeros(n, int)
     x[::76] = 1
     ev = make_events(np.arange(n) * 10, x, np.zeros(n, int), np.ones(n, int))
-    spec = TargetSpec("ec", "mrp", window_us=10 * n)
+    spec = TargetSpec("ec", "mrp", span_us=10 * n)
     sample = prepare_sample(Sample(ev, ev[:0], chunk_len=8), (spec,), 4)
     got = sample.targets[spec.name]
     want = chunk_targets(spec, ev, ev[:0], list(sample.chunk_ends), 4)
@@ -547,9 +549,9 @@ def test_small_f32_batch_loss_tracks_f64():
 
 def test_multi_window_count_target_list():
     # a list of count windows (e.g. 50/25/10/5 ms) is just several specs
-    specs = tuple(TargetSpec("ec", "mrp", window_us=w)
+    specs = tuple(TargetSpec("ec", "mrp", span_us=w)
                   for w in (50_000, 25_000, 10_000, 5_000)) + \
-        (TargetSpec("ec", "nrp", window_us=10_000, horizon_us=10_000),)
+        (TargetSpec("ec", "nrp", span_us=10_000),)
     cfg = ENCODER_PROFILES["tiny"]
     tc = TrainConfig(seq_len=16, chunk_len=8, batch_size=2, targets=specs,
                      head_width=8)
